@@ -7,14 +7,16 @@ edge): odd-degree vertices satisfy the parity condition automatically in any
 coloring, so with an empty relaxation set the relaxed check coincides with
 the odd-coloring check.
 
-The solver is an exact backtracking search.  The parity constraint on a
-vertex only becomes checkable once its whole neighborhood is colored, so the
-search checks each constrained vertex at the moment its last neighbor gets a
-color, which prunes long before the assignment completes.
+The solver is an exact, iterative backtracking search.  Each vertex carries
+the XOR mask of the colors on its colored neighbors, so a parity check is one
+comparison with 0, and forward checking backtracks as soon as a neighbor of
+the last assigned vertex has no color left.  The pruning never changes which
+coloring the search returns: the first valid one in its fixed order.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -95,12 +97,22 @@ def is_proper(g: Graph, c: Coloring) -> bool:
     return all(c[u] != c[v] for u, v in g.edges)
 
 
+def _smallest_odd_color(colors: Iterable[int]) -> int | None:
+    counts = Counter(colors)
+    odd = [col for col, k in counts.items() if k % 2 == 1]
+    return min(odd) if odd else None
+
+
+def _relaxed_flags(g: Graph, r: RSet) -> list[bool]:
+    """is_r_relaxed for every vertex, from one pass over r."""
+    ends = {v for e in r for v in e}
+    return [g.degree(v) % 2 == 1 or not g.adj[v] or v in ends for v in range(g.n)]
+
+
 def odd_witness(g: Graph, c: Coloring, v: int) -> int | None:
     """Smallest color of odd multiplicity among the neighbors of v, if any."""
     _require_total(g, c)
-    counts = Counter(c[u] for u in g.adj[v])
-    odd = [col for col, k in counts.items() if k % 2 == 1]
-    return min(odd) if odd else None
+    return _smallest_odd_color(c[u] for u in g.adj[v])
 
 
 def is_odd_coloring(g: Graph, c: Coloring) -> bool:
@@ -108,7 +120,9 @@ def is_odd_coloring(g: Graph, c: Coloring) -> bool:
     if not is_proper(g, c):
         return False
     return all(
-        odd_witness(g, c, v) is not None for v in range(g.n) if g.adj[v]
+        _smallest_odd_color(c[u] for u in g.adj[v]) is not None
+        for v in range(g.n)
+        if g.adj[v]
     )
 
 
@@ -119,18 +133,12 @@ def is_relaxed_odd(inst: RelaxedInstance, c: Coloring) -> bool:
     ill-formed input, not a failed coloring); properness and parity failures
     return False.
     """
-    g = inst.graph
-    _require_total(g, c)
-    for v in range(g.n):
-        if c[v] not in inst.lists[v]:
-            raise ListViolationError(f"vertex {v} colored {c[v]} outside its list")
-    if not is_proper(g, c):
-        return False
-    for v in range(g.n):
-        if g.adj[v] and not is_r_relaxed(v, g, inst.r):
-            if odd_witness(g, c, v) is None:
-                return False
-    return True
+    violations = relaxed_odd_violations(inst, c)
+    for bad in violations:
+        if bad["kind"] == "list":
+            v, col = bad["vertex"], bad["color"]
+            raise ListViolationError(f"vertex {v} colored {col} outside its list")
+    return not violations
 
 
 def relaxed_odd_violations(inst: RelaxedInstance, c: Coloring) -> list[dict]:
@@ -144,10 +152,10 @@ def relaxed_odd_violations(inst: RelaxedInstance, c: Coloring) -> list[dict]:
     for u, v in g.edges:
         if c[u] == c[v]:
             out.append({"kind": "proper", "edge": [u, v], "color": c[u]})
+    relaxed = _relaxed_flags(g, inst.r)
     for v in range(g.n):
-        if g.adj[v] and not is_r_relaxed(v, g, inst.r):
-            if odd_witness(g, c, v) is None:
-                out.append({"kind": "odd", "vertex": v})
+        if not relaxed[v] and _smallest_odd_color(c[u] for u in g.adj[v]) is None:
+            out.append({"kind": "odd", "vertex": v})
     return out
 
 
@@ -157,76 +165,116 @@ def relaxed_odd_violations(inst: RelaxedInstance, c: Coloring) -> list[dict]:
 def solver_order(g: Graph) -> list[int]:
     """Static vertex order tuned for early parity checks.
 
-    Vertices of high degree come first (their colors are what neighborhood
-    parities depend on), with ties broken toward vertices adjacent to the
-    prefix, then smaller id.  Since the solver checks a constrained vertex
-    the moment its neighborhood completes, whether or not the vertex itself
-    is colored, front-loading the high-degree vertices turns subdivision-like
-    instances from exponential into trivial; a plain degeneracy order
-    scatters them through the order and stalls the search.
+    Repeatedly places the unplaced vertex with the largest (degree, number
+    of placed neighbors, -id): high-degree vertices come first (their colors
+    are what neighborhood parities depend on), ties go toward vertices
+    adjacent to the prefix, then to the smaller id.  Since the solver checks
+    a constrained vertex the moment its neighborhood completes, whether or
+    not the vertex itself is colored, front-loading the high-degree vertices
+    turns subdivision-like instances from exponential into trivial; a plain
+    degeneracy order scatters them through the order and stalls the search.
+
+    A lazy max-heap makes this O((n + m) log n): placed-neighbor counts only
+    grow, so a vertex's newest heap entry pops before its stale ones, which
+    are skipped once the vertex is placed.
     """
-    n = g.n
-    placed = [False] * n
-    ordered_nbrs = [0] * n
+    placed = [False] * g.n
+    ordered_nbrs = [0] * g.n
+    heap = [(-g.degree(v), 0, v) for v in range(g.n)]
+    heapq.heapify(heap)
     out = []
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if not placed[u]),
-            key=lambda u: (g.degree(u), ordered_nbrs[u], -u),
-        )
+    while heap:
+        v = heapq.heappop(heap)[2]
+        if placed[v]:
+            continue
         placed[v] = True
         out.append(v)
         for w in g.adj[v]:
-            ordered_nbrs[w] += 1
+            if not placed[w]:
+                ordered_nbrs[w] += 1
+                heapq.heappush(heap, (-g.degree(w), -ordered_nbrs[w], w))
     return out
 
 
 def solve(inst: RelaxedInstance) -> Coloring | None:
     """Exact search for a relaxed-odd list coloring; None iff none exists.
 
-    Backtracks over vertices in a propagation-friendly static order.
-    Whenever a vertex's neighborhood becomes fully colored, the parity
-    constraint is checked immediately (for non-relaxed vertices), which is
-    where essentially all of the pruning comes from.
+    Depth-first search over solver_order on an explicit stack of (position,
+    untried allowed colors), trying colors in increasing order, so the result
+    is the first valid coloring in that lexicographic order.  Colors are
+    bits indexed by rank in the union of the lists.  Each vertex keeps the
+    XOR mask of the colors on its colored neighbors (the colors seen an odd
+    number of times) and its count of uncolored neighbors.  A constrained
+    vertex needs a nonzero mask once the count is 0, so at count 1 a
+    single-color mask forbids that color to the last neighbor.  After each
+    assignment, every uncolored neighbor and the last uncolored neighbor of
+    each constrained neighbor must keep an allowed color.  This forward
+    check only cuts subtrees without a solution, so it never changes which
+    coloring is returned.
     """
     g = inst.graph
     n = g.n
     if n == 0:
         return {}
+    palette = sorted(set().union(*inst.lists.lists))
+    rank = {col: i for i, col in enumerate(palette)}
+    list_mask = [sum(1 << rank[col] for col in inst.lists[v]) for v in range(n)]
+    adj = [tuple(g.adj[v]) for v in range(n)]
+    constrained = [not x for x in _relaxed_flags(g, inst.r)]
+    color = [-1] * n
+    mask = [0] * n
+    uncolored = [len(a) for a in adj]
+
+    def allowed(x: int) -> int:
+        forbid = 0
+        for y in adj[x]:
+            if color[y] >= 0:
+                forbid |= 1 << color[y]
+            if constrained[y] and uncolored[y] == 1 and mask[y] & (mask[y] - 1) == 0:
+                forbid |= mask[y]
+        return list_mask[x] & ~forbid
+
+    def assign(u: int, c: int) -> None:
+        color[u] = c
+        for w in adj[u]:
+            mask[w] ^= 1 << c
+            uncolored[w] -= 1
+
+    def unassign(u: int) -> None:
+        for w in adj[u]:
+            mask[w] ^= 1 << color[u]
+            uncolored[w] += 1
+        color[u] = -1
+
+    def forward_ok(u: int) -> bool:
+        for w in adj[u]:
+            if color[w] < 0 and not allowed(w):
+                return False
+            if constrained[w] and uncolored[w] == 1:
+                if not allowed(next(x for x in adj[w] if color[x] < 0)):
+                    return False
+        return True
+
     order = solver_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    constrained = [
-        v for v in range(n) if g.adj[v] and not is_r_relaxed(v, g, inst.r)
-    ]
-    # vertices whose neighborhood completes when position p gets colored
-    complete_at: list[list[int]] = [[] for _ in range(n)]
-    for w in constrained:
-        complete_at[max(pos[u] for u in g.adj[w])].append(w)
-
-    colors: dict[int, int] = {}
-    lists_sorted = [sorted(inst.lists[v]) for v in range(n)]
-
-    def parity_ok(w: int) -> bool:
-        counts = Counter(colors[u] for u in g.adj[w])
-        return any(k % 2 == 1 for k in counts.values())
-
-    def place(p: int) -> bool:
-        if p == n:
-            return True
+    stack = [(0, allowed(order[0]))]
+    while stack:
+        p, untried = stack.pop()
         u = order[p]
-        taken = {colors[w] for w in g.adj[u] if w in colors}
-        for col in lists_sorted[u]:
-            if col in taken:
-                continue
-            colors[u] = col
-            if all(parity_ok(w) for w in complete_at[p]):
-                if place(p + 1):
-                    return True
-            del colors[u]
-        return False
-
-    if place(0):
-        return dict(colors)
+        if color[u] >= 0:
+            unassign(u)
+        while untried:
+            c = (untried & -untried).bit_length() - 1  # lowest untried color
+            untried ^= 1 << c
+            assign(u, c)
+            if forward_ok(u):
+                break
+            unassign(u)
+        else:
+            continue
+        if p + 1 == n:
+            return {v: palette[color[v]] for v in range(n)}
+        stack.append((p, untried))
+        stack.append((p + 1, allowed(order[p + 1])))
     return None
 
 
@@ -341,16 +389,11 @@ def reduce_low_degree(g: Graph, r: RSet, v: int) -> tuple[Graph, RSet, Reduction
             normalize_edge(relabel[a], relabel[b]) for a, b in edges if v not in (a, b)
         )
 
-    if d == 0:
-        rec = ReductionRecord("isolated", v, nbrs, g, r, reduced, push(r), relabel, None)
-        return reduced, rec.reduced_r, rec
-    if d == 1:
-        rec = ReductionRecord("pendant", v, nbrs, g, r, reduced, push(r), relabel, None)
+    if d < 2 or any(v in e for e in r):
+        case = ("isolated", "pendant", "relaxed_edge")[d]
+        rec = ReductionRecord(case, v, nbrs, g, r, reduced, push(r), relabel, None)
         return reduced, rec.reduced_r, rec
     a, b = nbrs
-    if any(v in e for e in r):
-        rec = ReductionRecord("relaxed_edge", v, nbrs, g, r, reduced, push(r), relabel, None)
-        return reduced, rec.reduced_r, rec
     if g.has_edge(a, b):
         raise ReductionError(
             f"neighbors {a},{b} of {v} are adjacent: the triangle has weighted "
@@ -363,12 +406,6 @@ def reduce_low_degree(g: Graph, r: RSet, v: int) -> tuple[Graph, RSet, Reduction
         "bridge", v, nbrs, g, r, reduced2, reduced_r, relabel, normalize_edge(a, b)
     )
     return reduced2, reduced_r, rec
-
-
-def _smallest_odd_color(colors: Iterable[int]) -> int | None:
-    counts = Counter(colors)
-    odd = [c for c, k in counts.items() if k % 2 == 1]
-    return min(odd) if odd else None
 
 
 def extend_low_degree(
@@ -395,37 +432,18 @@ def extend_low_degree(
         raise ValueError("reduced coloring does not satisfy the reduced instance")
 
     colors: Coloring = {old: reduced_coloring[new] for old, new in record.relabel.items()}
-
-    def witness_excluding_v(x: int) -> int | None:
-        return _smallest_odd_color(colors[u] for u in g.adj[x] if u != v)
-
-    forbidden: set[int] = set()
-    if record.case == "pendant":
-        (u,) = record.neighbors
-        forbidden.add(colors[u])
-        if not is_r_relaxed(u, g, r):
-            w = witness_excluding_v(u)
-            if w is not None:
-                forbidden.add(w)
-    elif record.case == "relaxed_edge":
-        a, b = record.neighbors
-        if not any(v in e and a in e for e in r):
-            a, b = b, a  # a is the neighbor across the relaxation edge
-        forbidden.update((colors[a], colors[b]))
-        if not is_r_relaxed(b, g, r):
-            w = witness_excluding_v(b)
-            if w is not None:
-                forbidden.add(w)
-    elif record.case == "bridge":
-        a, b = record.neighbors
-        forbidden.update((colors[a], colors[b]))
-        for x in (a, b):
-            w = witness_excluding_v(x)
-            if w is not None:
-                forbidden.add(w)
-    elif record.case != "isolated":
+    if record.case not in ("isolated", "pendant", "relaxed_edge", "bridge"):
         raise ValueError(f"unknown reduction case {record.case!r}")
-
+    # A neighbor across a relaxation edge is relaxed, so outside the bridge
+    # case only the parity witnesses of non-relaxed neighbors need keeping.
+    protected = record.neighbors
+    if record.case != "bridge":
+        protected = tuple(x for x in protected if not is_r_relaxed(x, g, r))
+    forbidden = {colors[x] for x in record.neighbors}
+    for x in protected:
+        w = _smallest_odd_color(colors[u] for u in g.adj[x] if u != v)
+        if w is not None:
+            forbidden.add(w)
     candidates = sorted(lists[v] - forbidden)
     if not candidates:
         raise AssertionError("a 5-list cannot be exhausted by <= 4 exclusions")

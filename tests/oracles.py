@@ -13,14 +13,36 @@ from itertools import combinations, permutations
 from oddcolor.graphs import Graph
 
 
-def brute_force_relaxed_odd(inst) -> dict[int, int] | None:
-    """Exhaustive search over all list colorings, natural vertex order.
+def solver_order_reference(g: Graph) -> list[int]:
+    """The solver's vertex order by n linear scans: each step places the
+    unplaced vertex with the largest (degree, placed neighbors, -id)."""
+    n = g.n
+    placed = [False] * n
+    ordered_nbrs = [0] * n
+    out = []
+    for _ in range(n):
+        v = max(
+            (u for u in range(n) if not placed[u]),
+            key=lambda u: (g.degree(u), ordered_nbrs[u], -u),
+        )
+        placed[v] = True
+        out.append(v)
+        for w in g.adj[v]:
+            ordered_nbrs[w] += 1
+    return out
 
-    Properness is pruned during enumeration; the parity condition is checked
-    on complete assignments only.
+
+def brute_force_relaxed_odd(inst, order=None) -> dict[int, int] | None:
+    """Exhaustive search over all list colorings.
+
+    Vertices are colored in ``order`` (natural order by default), each trying
+    its list in increasing order, so the result is the first valid coloring
+    in that lexicographic order.  Properness is pruned during enumeration;
+    the parity condition is checked on complete assignments only.
     """
     g = inst.graph
     n = g.n
+    order = list(range(n)) if order is None else order
     lists = [sorted(inst.lists[v]) for v in range(n)]
     relaxed = []
     for v in range(n):
@@ -37,14 +59,15 @@ def brute_force_relaxed_odd(inst) -> dict[int, int] | None:
                 return False
         return True
 
-    def rec(v: int):
-        if v == n:
+    def rec(p: int):
+        if p == n:
             return dict(colors) if ok_at_leaf() else None
+        v = order[p]
         for c in lists[v]:
             if any(colors.get(u) == c for u in g.adj[v]):
                 continue
             colors[v] = c
-            got = rec(v + 1)
+            got = rec(p + 1)
             if got is not None:
                 return got
             del colors[v]

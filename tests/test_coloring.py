@@ -27,10 +27,16 @@ from oddcolor.coloring import (
     relaxed_odd_violations,
     sampled_choosability,
     solve,
+    solver_order,
     uniform_lists,
 )
 
-from oracles import brute_force_relaxed_odd, chromatic_number
+from oracles import (
+    brute_force_relaxed_odd,
+    chromatic_number,
+    connected_graphs_up_to_iso,
+    solver_order_reference,
+)
 
 
 def random_instance(rng, max_n=8, max_k=4):
@@ -148,6 +154,55 @@ class TestSolve:
             )
             bigger = RelaxedInstance(inst.graph, inst.r | extra, inst.lists)
             assert solve(bigger) is not None
+
+    @pytest.mark.parametrize(
+        "palette",
+        [(0, 1, 2, 3, 4), (-7, -1, 0, 2, 5), (-(10**9), 0, 10**6, 10**6 + 1, 2**70)],
+    )
+    def test_any_integer_colors(self, palette):
+        rng = random.Random(41)
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.45])
+            k = rng.randint(1, 4)
+            lists = ListAssignment(
+                tuple(frozenset(rng.sample(palette, k)) for _ in range(n))
+            )
+            r = frozenset(rng.sample(g.edges, rng.randint(0, len(g.edges))))
+            inst = RelaxedInstance(g, r, lists)
+            assert solve(inst) == brute_force_relaxed_odd(inst, solver_order_reference(g))
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestLongCycles:
+    def test_c5000(self):
+        c = cycle_graph(5000)
+        assert solve(RelaxedInstance(c, frozenset(), uniform_lists(5000, 3))) is None
+        inst = RelaxedInstance(c, frozenset(), uniform_lists(5000, 5))
+        assert is_relaxed_odd(inst, solve(inst))
+
+    @pytest.mark.parametrize("n", [1500, 1501, 1502])
+    def test_three_colors_iff_three_divides_n(self, n):
+        inst = RelaxedInstance(cycle_graph(n), frozenset(), uniform_lists(n, 3))
+        got = solve(inst)
+        assert (got is not None) == (n % 3 == 0)
+        if got is not None:
+            assert is_relaxed_odd(inst, got)
+
+
+class TestSolverOrder:
+    def test_matches_reference_on_small_connected_graphs(self):
+        for n in range(1, 8):
+            for g in connected_graphs_up_to_iso(n):
+                assert solver_order(g) == solver_order_reference(g), g.edges
+
+    def test_matches_reference_on_random_graphs(self):
+        rng = random.Random(31)
+        for n in [300] + [rng.randint(1, 300) for _ in range(24)]:
+            mean_degree = rng.choice((1.0, 2.0, 3.0, 6.0))
+            p = mean_degree / max(n - 1, 1)
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            assert solver_order(g) == solver_order_reference(g)
 
 
 class TestOddChromatic:

@@ -4,11 +4,12 @@ import pytest
 
 from oddcolor import jsonio
 from oddcolor.cli import run_command
-from oddcolor.coloring import uniform_lists
+from oddcolor.coloring import RelaxedInstance, uniform_lists
 from oddcolor.embedding import EmbeddedGraph, sorted_rotation
 from oddcolor.graphs import Graph, cycle_graph, r_set
 
 from fixtures import torus_quadrangulation
+from oracles import brute_force_relaxed_odd, solver_order_reference
 
 
 def write_graph(tmp_path, name, g, r=frozenset()):
@@ -83,6 +84,30 @@ class TestCli:
         assert code == 0
         assert rep["result"]["status"] == "SAT"
         assert len(rep["result"]["colors"]) == 5
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_solve_long_cycles(self, tmp_path, capsys):
+        for n, exit_code, status in [(1500, 0, "SAT"), (1501, 1, "UNSAT")]:
+            path = write_graph(tmp_path, f"c{n}.json", cycle_graph(n))
+            code, rep, _ = self.run(capsys, "solve", "--graph", path, "--k", "3")
+            assert (code, rep["result"]["status"]) == (exit_code, status)
+
+    def test_solve_lists_with_zero_negative_and_large_colors(self, tmp_path, capsys):
+        g = Graph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3), (1, 5)])
+        palette = [-3, -1, 0, 2, 10**6, 10**6 + 7]
+        lists = [palette[v % 3 : v % 3 + 4] for v in range(g.n)]
+        obj = jsonio.graph_to_json(g)
+        obj["lists"] = {str(v): lists[v] for v in range(g.n)}
+        path = tmp_path / "lists.json"
+        jsonio.dump_instance(str(path), obj)
+        inst, _ = jsonio.load_instance(str(path))
+        want = brute_force_relaxed_odd(
+            RelaxedInstance(g, frozenset(), inst.lists), solver_order_reference(g)
+        )
+        assert want is not None
+        code, rep, _ = self.run(capsys, "solve", "--graph", str(path))
+        assert code == 0
+        assert rep["result"]["colors"] == jsonio.coloring_to_json(want)["colors"]
 
     def test_check_violations_exit(self, tmp_path, capsys):
         path = write_graph(tmp_path, "c6.json", cycle_graph(6))
