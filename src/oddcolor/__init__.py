@@ -6,6 +6,8 @@ embeddings with face tracing up to Euler genus 2, structural configuration
 audits, and an exact discharging ledger.
 """
 
+from types import ModuleType as _ModuleType
+
 from .graphs import (
     Cycle,
     Graph,
@@ -30,9 +32,7 @@ from .embedding import (
     FaceWalk,
     RotationSystem,
     embed_search,
-    euler_genus,
     face_adjacency,
-    face_length,
     normalize_signatures,
     sorted_rotation,
     trace_faces,
@@ -78,4 +78,9 @@ from .discharge import (
 )
 from .generate import GenerationBudgetError, generate_girth_instances
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing the submodules also binds their names here; export only the API
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -2,8 +2,9 @@
 
 Every run prints a JSON report to stdout and a one-line summary to stderr.
 Exit codes: 0 success / SAT / pass, 1 refuted / UNSAT / violations found,
-2 input error.  All randomness flows through one seed, echoed in the report
-so runs can be reproduced byte for byte (durations aside).
+2 input error, 3 internal error (an uncaught exception, never a verdict).
+All randomness flows through one seed, echoed in the report so runs can be
+reproduced byte for byte (durations aside).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import jsonio
 from .audit import audit_graph, full_audit
@@ -32,6 +34,7 @@ from .jsonio import Instance
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 EMBED_SEARCH_WARN_VERTICES = 12
 
@@ -285,7 +288,14 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+    except Exception as exc:
+        # a crash must not read as a verdict, least of all EXIT_REFUTED
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = EXIT_INTERNAL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .graphs import Graph, RSet, hypothesis_check, is_r_relaxed
 from .embedding import EmbeddedGraph, embed_search, face_adjacency
-from .audit import AuditReport, audit_graph, full_audit
+from .audit import AuditReport, full_audit
 
 Element = tuple[str, int]  # ("v", vertex) or ("f", face index)
 

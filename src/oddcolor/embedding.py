@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, combinations
 from typing import Sequence
 
 from .graphs import Graph, girth
@@ -96,11 +95,6 @@ class FaceWalk:
         ds = self.darts
         k = len(ds)
         return tuple((ds[i][0], ds[i - 1][1], ds[i][1]) for i in range(k))
-
-
-def face_length(f: FaceWalk) -> int:
-    """Dart count of the walk; an edge with both sides on f counts twice."""
-    return f.length
 
 
 def _canonical_walk(darts: list[Dart]) -> FaceWalk:
@@ -193,13 +187,6 @@ class EmbeddedGraph:
         """The two faces carrying the sides of edge index ``e``."""
         return self._side_faces[e]
 
-    def faces_at_vertex(self, v: int) -> list[int]:
-        """Face index per corner of ``v``, with multiplicity (deg(v) corners)."""
-        out = []
-        for fi, f in enumerate(self.faces):
-            out.extend(fi for tail in f.tails() if tail == v)
-        return out
-
     def is_orientable(self) -> bool:
         # after contracting a spanning tree, orientability is the product of
         # signs over every cycle; equivalently no cycle has an odd number of
@@ -221,13 +208,6 @@ class EmbeddedGraph:
         return True
 
 
-def euler_genus(e: EmbeddedGraph) -> int:
-    """2 - (|V| - |E| + |F|) for a 2-cell embedding of a connected graph."""
-    if not e.graph.is_connected():
-        raise ValueError("Euler genus needs a connected graph")
-    return e.euler_genus
-
-
 def face_adjacency(e: EmbeddedGraph) -> dict[tuple[int, int], frozenset[int]]:
     """Shared edge sets per face pair.
 
@@ -244,6 +224,23 @@ def face_adjacency(e: EmbeddedGraph) -> dict[tuple[int, int], frozenset[int]]:
 # -- signature normalization -------------------------------------------------
 
 
+def _spanning_tree(g: Graph) -> list[tuple[int, int]]:
+    """(parent, child) edges of a depth-first spanning tree rooted at 0, in
+    discovery order, neighbors scanned in increasing order."""
+    tree = []
+    seen = [False] * g.n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in sorted(g.adj[u]):
+            if not seen[w]:
+                seen[w] = True
+                tree.append((u, w))
+                stack.append(w)
+    return tree
+
+
 def normalize_signatures(e: EmbeddedGraph) -> EmbeddedGraph:
     """Switch vertices so every spanning-tree edge gets sign +1.
 
@@ -254,17 +251,9 @@ def normalize_signatures(e: EmbeddedGraph) -> EmbeddedGraph:
     if g.n == 0:
         return e
     flip = [0] * g.n
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in sorted(g.adj[u]):
-            if not seen[w]:
-                seen[w] = True
-                s = e.rotation.signs[g.edge_index((u, w))]
-                flip[w] = flip[u] ^ (1 if s == -1 else 0)
-                stack.append(w)
+    for u, w in _spanning_tree(g):
+        s = e.rotation.signs[g.edge_index((u, w))]
+        flip[w] = flip[u] ^ (1 if s == -1 else 0)
     new_signs = []
     for i, (u, v) in enumerate(g.edges):
         s = e.rotation.signs[i]
@@ -291,13 +280,24 @@ def _min_face_length(g: Graph) -> int:
     return 3
 
 
-def _search_orientable(g: Graph, min_faces: int) -> RotationSystem | None:
-    """Depth-first search over rotation systems, building faces dart by dart.
+def _face_search(
+    g: Graph, min_faces: int, min_len: int, free: frozenset[int] = frozenset()
+) -> RotationSystem | None:
+    """Depth-first search over signed rotation systems, building faces dart
+    by dart on an explicit stack.
 
-    Chooses the face successor of each dart directly; a face closes when the
-    walk returns to its starting dart.  Prunes with the bound
-    faces_done + remaining_darts // min_face_length < min_faces.
-    Complete: every rotation system corresponds to exactly one search path.
+    A walk state is a dart plus the local orientation eps it is walked in.
+    Arriving at w over edge e with eps' = eps * sign(e), the search chooses
+    the next dart b at w: the rotation successor of the return dart a when
+    eps' = +1 (sigma(a) = b), its predecessor when eps' = -1 (sigma(b) = a).
+    Each edge side is walked once, so a state is marked used together with
+    its mirror, the same side walked backwards.  Edges in ``free`` get their
+    sign, +1 then -1, when a walk first crosses them; all others are +1.  A
+    face closes when the walk returns to its starting state.  Prunes with
+    the bound faces_done + remaining_sides // min_len < min_faces, where
+    ``min_len`` is a lower bound on every face length.
+    Complete: every rotation system, under every choice of the free signs,
+    corresponds to exactly one search path.
     """
     n = g.n
     m = len(g.edges)
@@ -310,11 +310,15 @@ def _search_orientable(g: Graph, min_faces: int) -> RotationSystem | None:
     rev = [idx[(v, u)] for (u, v) in darts]
     head = [v for (_, v) in darts]
     tail = [u for (u, _) in darts]
+    edge_of = [g.edge_index(d) for d in darts]
     out_darts: list[list[int]] = [[] for _ in range(n)]
     for i, (u, _) in enumerate(darts):
         out_darts[u].append(i)
     deg = [g.degree(v) for v in range(n)]
-    min_len = _min_face_length(g)
+    sign = [0 if e in free else 1 for e in range(m)]  # 0: not chosen yet
+    # signs to try, indexed by sign[e]: an open edge (0) tries both, a set
+    # one (+1, or -1 as the last index) keeps its own
+    choices = ((1, -1), (1,), (-1,))
 
     # per-dart successor within its vertex rotation; chain bookkeeping keeps
     # each vertex a single cycle
@@ -366,43 +370,80 @@ def _search_orientable(g: Graph, min_faces: int) -> RotationSystem | None:
             chain_tail[b] = tb
             chain_tail[ha] = a
 
-    used = [False] * (2 * m)
+    # state s < total walks dart s with eps = +1, state s >= total walks
+    # dart s - total with eps = -1
     total = 2 * m
+    used = [False] * (2 * total)
 
-    def dfs(faces_done: int, used_count: int, walk_start: int, walk_last: int) -> bool:
-        if walk_last < 0:  # no open walk
-            if used_count == total:
-                return faces_done >= min_faces
-            if faces_done + (total - used_count) // min_len < min_faces:
-                return False
-            d0 = next(i for i in range(total) if not used[i])
-            used[d0] = True
-            if dfs(faces_done, used_count + 1, d0, d0):
-                return True
-            used[d0] = False
-            return False
-        if faces_done + 1 + (total - used_count) // min_len < min_faces:
-            return False
-        a = rev[walk_last]  # arrived at head(walk_last); a is the return dart
-        for nd in out_darts[head[walk_last]]:
-            if nd == walk_start:
-                token = try_assign(a, nd)
-                if token is not None:
-                    if dfs(faces_done + 1, used_count, -1, -1):
-                        return True
-                    undo(token)
-            elif not used[nd]:
-                token = try_assign(a, nd)
-                if token is not None:
-                    used[nd] = True
-                    if dfs(faces_done, used_count + 1, walk_start, nd):
-                        return True
-                    used[nd] = False
-                    undo(token)
-        return False
+    # Each node of the search is a generator that yields its children, also
+    # generators, in search order, and restores the state it changed when
+    # resumed.  Only children that pass the bound are yielded.  A child that
+    # closes a face always passes, since its bound is the one its parent
+    # passed; closing the last face yields None.  Entering a state marks it
+    # and its mirror, after choosing the sign of its edge if that is open.
+    def begin(faces_done: int, used_count: int, after: int):
+        """Open a face at the first unused state past ``after``, the start
+        of the previous face: every state before it is in use."""
+        if faces_done + 1 + (total - used_count - 1) // min_len < min_faces:
+            return
+        s = after + 1
+        while used[s]:
+            s += 1
+        plus = s < total  # eps = +1 at the start
+        b = s if plus else s - total
+        e = edge_of[b]
+        was = sign[e]
+        for sg in choices[was]:
+            sign[e] = sg
+            ahead = plus == (sg == 1)
+            mirror = rev[b] + total if ahead else rev[b]
+            used[s] = used[mirror] = True
+            yield extend(faces_done, used_count + 1, s, b, ahead)
+            used[s] = used[mirror] = False
+        sign[e] = was
 
-    if not dfs(0, 0, -1, -1):
+    def extend(faces_done: int, used_count: int, start: int, d: int, forward: bool):
+        """Continue an open walk whose last dart is d, arriving at head(d)
+        with eps' = +1 iff ``forward``."""
+        grow = faces_done + 1 + (total - used_count - 1) // min_len >= min_faces
+        offset = 0 if forward else total
+        a = rev[d]  # the return dart
+        for b in out_darts[head[d]]:
+            s = b + offset
+            if s == start:
+                token = try_assign(a, b) if forward else try_assign(b, a)
+                if token is not None:
+                    yield begin(faces_done + 1, used_count, start) if used_count < total else None
+                    undo(token)
+            elif grow and not used[s]:
+                token = try_assign(a, b) if forward else try_assign(b, a)
+                if token is not None:
+                    e = edge_of[b]
+                    was = sign[e]
+                    for sg in choices[was]:
+                        sign[e] = sg
+                        ahead = forward == (sg == 1)
+                        mirror = rev[b] + total if ahead else rev[b]
+                        used[s] = used[mirror] = True
+                        yield extend(faces_done, used_count + 1, start, b, ahead)
+                        used[s] = used[mirror] = False
+                    sign[e] = was
+                    undo(token)
+
+    stack = [begin(0, 0, -1)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        for child in stack[-1]:
+            break
+        else:  # no children left
+            pop()
+            continue
+        if child is None:
+            break
+        push(child)
+    else:
         return None
+
     rotation = []
     for v in range(n):
         if not out_darts[v]:
@@ -415,103 +456,44 @@ def _search_orientable(g: Graph, min_faces: int) -> RotationSystem | None:
             order.append(head[d])
             d = succ[d]
         rotation.append(tuple(order))
-    return RotationSystem(g, rotation, None)
-
-
-def _vertex_rotation_candidates(g: Graph, halve_at: int | None) -> list[list[tuple[int, ...]]]:
-    cands = []
-    for v in range(g.n):
-        nbrs = sorted(g.adj[v])
-        if not nbrs:
-            cands.append([()])
-            continue
-        first, rest = nbrs[0], nbrs[1:]
-        orders = [(first,) + p for p in permutations(rest)]
-        if v == halve_at:
-            orders = [o for o in orders if o[1:] <= tuple(reversed(o[1:]))]
-        cands.append(orders)
-    return cands
-
-
-def _search_signed(g: Graph, max_genus: int) -> RotationSystem | None:
-    """Brute force over sign vectors (spanning tree normalized to +1) and
-    rotations.  Only used for non-orientable targets; intended for small
-    graphs."""
-    m = len(g.edges)
-    parent_edge: set[int] = set()
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in sorted(g.adj[u]):
-            if not seen[w]:
-                seen[w] = True
-                parent_edge.add(g.edge_index((u, w)))
-                stack.append(w)
-    cotree = [i for i in range(m) if i not in parent_edge]
-    halve_at = next((v for v in range(g.n) if g.degree(v) >= 3), None)
-    cands = _vertex_rotation_candidates(g, halve_at)
-
-    for weight in range(1, len(cotree) + 1):
-        for neg in combinations(cotree, weight):
-            signs = [1] * m
-            for i in neg:
-                signs[i] = -1
-            signs_t = tuple(signs)
-
-            # plain nested product over vertex rotations
-            def product_dfs(v: int, chosen: list[tuple[int, ...]]) -> RotationSystem | None:
-                if v == g.n:
-                    rot = RotationSystem(g, chosen, signs_t)
-                    emb = EmbeddedGraph(g, rot)
-                    if emb.euler_genus <= max_genus:
-                        return rot
-                    return None
-                for order in cands[v]:
-                    found = product_dfs(v + 1, chosen + [order])
-                    if found is not None:
-                        return found
-                return None
-
-            found = product_dfs(0, [])
-            if found is not None:
-                return found
-    return None
+    return RotationSystem(g, rotation, sign)
 
 
 def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
     """Find any 2-cell embedding of Euler genus <= max_genus, or None.
 
-    Exhaustive and deterministic: the orientable case (all signs +1, which
-    after spanning-tree normalization is exactly the orientable schemes) is
-    searched first with face-driven pruning, then sign vectors by increasing
-    weight.  Exponential in general; practical for small graphs.
+    Exhaustive and deterministic.  One face-driven search runs at most
+    twice.  The first run fixes every sign to +1, so it decides the
+    orientable surfaces of Euler genus <= max_genus.  If that fails and
+    max_genus >= 1, the second run leaves free the signs of the edges
+    outside one spanning tree.  That covers every surface: switching
+    vertices turns any embedding into one whose tree edges are all +1.
+    Exponential in general; practical for small graphs.
     """
     if max_genus not in (0, 1, 2):
         raise ValueError("max_genus must be 0, 1, or 2")
     if not g.is_connected():
         raise ValueError("embed_search needs a connected graph")
-    if g.n <= 1 or girth(g) is math.inf:
+    m = len(g.edges)
+    if g.n <= 1 or m == g.n - 1:
         # trees always embed in the sphere; any rotation works
         return EmbeddedGraph(g, sorted_rotation(g))
+    min_len = _min_face_length(g)
     # every embedding of any kind satisfies F <= 2E / (minimum face length),
-    # so the genus of every embedding is at least E - V + 2 - that
-    max_possible_faces = (2 * len(g.edges)) // _min_face_length(g)
-    if len(g.edges) - g.n + 2 - max_possible_faces > max_genus:
+    # and a sphere embedding has E - V + 2 faces, one more per unit of genus
+    sphere_faces = m - g.n + 2
+    if sphere_faces - (2 * m) // min_len > max_genus:
         return None
     # orientable surfaces have even Euler genus
-    orient_target = max_genus if max_genus % 2 == 0 else max_genus - 1
-    min_faces = len(g.edges) - g.n + 2 - orient_target
-    rot = _search_orientable(g, min_faces)
-    if rot is not None:
-        emb = EmbeddedGraph(g, rot)
-        if emb.euler_genus > max_genus:
-            raise AssertionError("orientable search returned a too-large genus")
-        return emb
-    if max_genus == 0:
-        return None
-    rot = _search_signed(g, max_genus)
+    orient_target = max_genus - max_genus % 2
+    rot = _face_search(g, sphere_faces - orient_target, min_len)
+    if rot is None and max_genus >= 1:
+        tree = {g.edge_index(t) for t in _spanning_tree(g)}
+        free = frozenset(e for e in range(m) if e not in tree)
+        rot = _face_search(g, sphere_faces - max_genus, min_len, free)
     if rot is None:
         return None
-    return EmbeddedGraph(g, rot)
+    emb = EmbeddedGraph(g, rot)
+    if emb.euler_genus > max_genus:
+        raise AssertionError("face search returned a too-large genus")
+    return emb

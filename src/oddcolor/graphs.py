@@ -321,15 +321,15 @@ class HypothesisReport:
         }
 
 
-def hypothesis_check(g: Graph, r: RSet, max_edge_count: int = 6) -> HypothesisReport:
+def hypothesis_check(g: Graph, r: RSet) -> HypothesisReport:
     """Check the two cycle conditions of the relaxed coloring theorem.
 
     (a) no cycle has r-length 3, 4, or 6; (b) no two distinct cycles of
     r-length 5 share exactly one edge.  Since r_length(C) >= |E(C)|, cycles
     with more than 6 edges are irrelevant to (a), and r-length-5 cycles have
-    at most 5 edges, so the default enumeration cap of 6 is exhaustive.
+    at most 5 edges, so enumerating cycles of up to 6 edges is exhaustive.
     """
-    cycles = enumerate_cycles(g, max(max_edge_count, 6))
+    cycles = enumerate_cycles(g, 6)
     forbidden = []
     fives = []
     for c in cycles:

@@ -1,15 +1,17 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is deliberately simple and separate from the library's
-algorithms: plain enumeration in natural vertex order, subset scans, and a
-Kuratowski subdivision search for planarity.
+algorithms: plain enumeration in natural vertex order, subset scans, a
+brute-force embedding search over every rotation system and cotree sign
+vector, and a Kuratowski subdivision search for planarity.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
+from oddcolor.embedding import EmbeddedGraph, RotationSystem
 from oddcolor.graphs import Graph
 
 
@@ -143,6 +145,81 @@ def trace_faces_orientable_oracle(g: Graph, rotation) -> list[int]:
                 break
         lengths.append(steps)
     return sorted(lengths)
+
+
+# -- embedding oracle ------------------------------------------------------------
+
+
+def _vertex_rotation_candidates(g: Graph, halve_at: int | None) -> list[list[tuple[int, ...]]]:
+    cands = []
+    for v in range(g.n):
+        nbrs = sorted(g.adj[v])
+        if not nbrs:
+            cands.append([()])
+            continue
+        first, rest = nbrs[0], nbrs[1:]
+        orders = [(first,) + p for p in permutations(rest)]
+        if v == halve_at:
+            orders = [o for o in orders if o[1:] <= tuple(reversed(o[1:]))]
+        cands.append(orders)
+    return cands
+
+
+def signed_search_reference(g: Graph, max_genus: int) -> RotationSystem | None:
+    """Brute force over sign vectors (spanning tree normalized to +1) and
+    rotations.  Only used for non-orientable targets; intended for small
+    graphs."""
+    m = len(g.edges)
+    parent_edge: set[int] = set()
+    seen = [False] * g.n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in sorted(g.adj[u]):
+            if not seen[w]:
+                seen[w] = True
+                parent_edge.add(g.edge_index((u, w)))
+                stack.append(w)
+    cotree = [i for i in range(m) if i not in parent_edge]
+    halve_at = next((v for v in range(g.n) if g.degree(v) >= 3), None)
+    cands = _vertex_rotation_candidates(g, halve_at)
+
+    for weight in range(1, len(cotree) + 1):
+        for neg in combinations(cotree, weight):
+            signs = [1] * m
+            for i in neg:
+                signs[i] = -1
+            signs_t = tuple(signs)
+
+            # plain nested product over vertex rotations
+            def product_dfs(v: int, chosen: list[tuple[int, ...]]) -> RotationSystem | None:
+                if v == g.n:
+                    rot = RotationSystem(g, chosen, signs_t)
+                    emb = EmbeddedGraph(g, rot)
+                    if emb.euler_genus <= max_genus:
+                        return rot
+                    return None
+                for order in cands[v]:
+                    found = product_dfs(v + 1, chosen + [order])
+                    if found is not None:
+                        return found
+                return None
+
+            found = product_dfs(0, [])
+            if found is not None:
+                return found
+    return None
+
+
+def embeds_brute_force(g: Graph, max_genus: int) -> bool:
+    """Whether connected g has an embedding of Euler genus <= max_genus: every
+    rotation system with all signs +1, then ``signed_search_reference``."""
+    for rotation in product(*_vertex_rotation_candidates(g, None)):
+        faces = len(trace_faces_orientable_oracle(g, rotation))
+        if 2 - (g.n - len(g.edges) + faces) <= max_genus:
+            return True
+    return max_genus >= 1 and signed_search_reference(g, max_genus) is not None
 
 
 # -- planarity oracle ------------------------------------------------------------

@@ -1,5 +1,7 @@
 import random
+import time
 from itertools import combinations
+from math import factorial, prod
 
 import pytest
 
@@ -14,9 +16,7 @@ from oddcolor.embedding import (
     EmbeddedGraph,
     RotationSystem,
     embed_search,
-    euler_genus,
     face_adjacency,
-    face_length,
     normalize_signatures,
     sorted_rotation,
     trace_faces,
@@ -30,7 +30,7 @@ from fixtures import (
     petersen_graph,
     torus_quadrangulation,
 )
-from oracles import is_planar, trace_faces_orientable_oracle
+from oracles import embeds_brute_force, is_planar, trace_faces_orientable_oracle
 
 
 def random_embedded(rng, max_n=7, signed=True):
@@ -81,7 +81,7 @@ class TestTraceFaces:
     def test_path_outer_face_counts_edges_twice(self):
         g = path_graph(3)
         emb = EmbeddedGraph(g, sorted_rotation(g))
-        assert [face_length(f) for f in emb.faces] == [4]
+        assert [f.length for f in emb.faces] == [4]
 
     def test_bowtie_outer_face_length_six(self):
         emb = bowtie_planar()
@@ -125,15 +125,15 @@ class TestEulerGenus:
     def test_cube_planar(self):
         emb = cube_planar()
         assert len(emb.faces) == 6
-        assert euler_genus(emb) == 0
+        assert emb.euler_genus == 0
 
     def test_c4(self):
         emb = EmbeddedGraph(cycle_graph(4), sorted_rotation(cycle_graph(4)))
-        assert euler_genus(emb) == 0
+        assert emb.euler_genus == 0
 
     def test_torus_grid(self):
         emb = torus_quadrangulation(4)
-        assert euler_genus(emb) == 2
+        assert emb.euler_genus == 2
         assert all(f.length == 4 for f in emb.faces)
 
     def test_nonnegative_for_all_rotations(self):
@@ -212,6 +212,29 @@ class TestEmbedSearch:
         assert emb.euler_genus == 1
         assert not emb.is_orientable()
 
+    def test_k6_projective_fast(self):
+        started = time.perf_counter()
+        emb = embed_search(complete_graph(6), 1)
+        assert time.perf_counter() - started < 1.0
+        assert emb is not None
+        assert emb.euler_genus == 1
+        assert not emb.is_orientable()
+
+    def test_large_torus_at_default_recursion_limit(self, default_recursion_limit):
+        emb = embed_search(torus_quadrangulation(20).graph, 2)
+        assert emb is not None and emb.euler_genus == 2
+
+    def test_klein_bottle_only(self):
+        # two K3,3 joined by a bridge: Euler genus adds over blocks, so the
+        # orientable genus is 2 (Euler genus 4) and the non-orientable one 2
+        k33 = complete_bipartite_graph(3, 3)
+        g = Graph(12, list(k33.edges) + [(u + 6, v + 6) for u, v in k33.edges] + [(0, 6)])
+        assert embed_search(g, 1) is None
+        emb = embed_search(g, 2)
+        assert emb is not None
+        assert emb.euler_genus == 2
+        assert not emb.is_orientable()
+
     def test_c5_planar_two_faces(self):
         emb = embed_search(cycle_graph(5), 0)
         assert emb is not None
@@ -245,6 +268,36 @@ class TestEmbedSearch:
                 continue
             checked += 1
             assert (embed_search(g, 0) is not None) == is_planar(g)
+
+    def test_agrees_with_networkx_planarity(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(33)
+        for _ in range(60):
+            n = rng.randint(5, 12)
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 3.2 / n])
+            if not g.is_connected():
+                continue
+            planar, _ = nx.check_planarity(nx.Graph(g.edges))
+            assert (embed_search(g, 0) is not None) == planar
+
+    def test_agrees_with_brute_force_oracle(self):
+        # the oracle enumerates every rotation system, times every cotree
+        # sign vector, so the random graphs are kept to at most 600 rotation
+        # systems; so few edges seldom make a non-planar graph, hence K3,3
+        # and K3,3 plus an edge
+        k33 = complete_bipartite_graph(3, 3)
+        graphs = [k33, Graph(6, list(k33.edges) + [(0, 1)])]
+        rng = random.Random(32)
+        while len(graphs) < 40:
+            n = rng.randint(2, 6)
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.6])
+            if g.is_connected() and prod(factorial(g.degree(v) - 1) for v in range(n)) <= 600:
+                graphs.append(g)
+        for g in graphs:
+            for max_genus in (0, 1, 2):
+                emb = embed_search(g, max_genus)
+                assert (emb is not None) == embeds_brute_force(g, max_genus)
+                assert emb is None or emb.euler_genus <= max_genus
 
     def test_known_nonplanar_cases(self):
         for g in (complete_graph(5), complete_bipartite_graph(3, 3), petersen_graph()):

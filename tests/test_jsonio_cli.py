@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from oddcolor import jsonio
+from oddcolor import cli, jsonio
 from oddcolor.cli import run_command
 from oddcolor.coloring import RelaxedInstance, uniform_lists
 from oddcolor.embedding import EmbeddedGraph, sorted_rotation
@@ -201,6 +202,18 @@ class TestCli:
         path = write_graph(tmp_path, "disc.json", Graph(4, [(0, 1), (2, 3)]))
         assert run_command(["embed", "--graph", path, "--max-genus", "0"]) == 2
         assert run_command(["hunt", "--graph", path]) == 2
+
+    def test_crash_exits_internal_not_refuted(self, tmp_path, capsys, monkeypatch):
+        def crash(args, inst):
+            raise RuntimeError("boom")
+
+        path = write_graph(tmp_path, "c5.json", cycle_graph(5))
+        monkeypatch.setitem(cli.COMMANDS, "check", crash)
+        monkeypatch.setattr(sys, "argv", ["oddcolor", "check", "--graph", path])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 3
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
     def test_reports_reproducible(self, tmp_path, capsys):
         path = write_graph(tmp_path, "c5.json", cycle_graph(5))
