@@ -26,6 +26,7 @@ from .graphs import (
     r_length,
     r_set,
     r_set_from_indices,
+    relaxed_flags,
 )
 from .embedding import (
     EmbeddedGraph,

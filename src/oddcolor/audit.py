@@ -16,7 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, RSet, enumerate_cycles, is_r_relaxed, r_length
+from .graphs import (
+    Graph,
+    RSet,
+    edge_sharing_pairs,
+    enumerate_cycles,
+    r_length,
+    relaxed_flags,
+)
 from .embedding import EmbeddedGraph, face_adjacency
 
 LEMMA_STATEMENTS = {
@@ -97,7 +104,7 @@ def check_degree_lemmas(g: Graph, r: RSet) -> list[AuditEntry]:
 
 
 def check_relaxed_neighborhoods(g: Graph, r: RSet) -> list[AuditEntry]:
-    relaxed = [is_r_relaxed(v, g, r) for v in range(g.n)]
+    relaxed = relaxed_flags(g, r)
     w3 = []
     for v in range(g.n):
         if g.degree(v) != 3:
@@ -113,14 +120,15 @@ def check_relaxed_neighborhoods(g: Graph, r: RSet) -> list[AuditEntry]:
 
 
 def check_triangle_lemmas(g: Graph, r: RSet) -> list[AuditEntry]:
-    triangles = [c for c in enumerate_cycles(g, 3) if len(c) == 3]
+    triangles = enumerate_cycles(g, 3)
+    relaxed = relaxed_flags(g, r)
     w4 = []
     for t in triangles:
         L = r_length(t, r)
         if L != 5:
             w4.append({"cycle": list(t.vertices), "r_length": L})
         for v in t.vertices:
-            if not is_r_relaxed(v, g, r):
+            if not relaxed[v]:
                 w4.append({"cycle": list(t.vertices), "non_relaxed_vertex": v})
     w5 = [
         {"cycle": list(t.vertices), "vertex": v}
@@ -128,82 +136,52 @@ def check_triangle_lemmas(g: Graph, r: RSet) -> list[AuditEntry]:
         for v in t.vertices
         if g.degree(v) == 3
     ]
-    w10 = []
-    for t1, t2 in combinations(triangles, 2):
-        shared = t1.edge_set & t2.edge_set
-        if shared:
-            w10.append(
-                {
-                    "cycle_a": list(t1.vertices),
-                    "cycle_b": list(t2.vertices),
-                    "shared_edges": sorted(map(list, shared)),
-                }
-            )
+    w10 = [
+        {
+            "cycle_a": list(triangles[i].vertices),
+            "cycle_b": list(triangles[j].vertices),
+            "shared_edges": [list(e) for e in shared],
+        }
+        for i, j, shared in edge_sharing_pairs(triangles)
+    ]
     return [_entry("L3.4", w4), _entry("L3.5", w5), _entry("L3.10", w10)]
 
 
 def check_four_vertex_configs(g: Graph, r: RSet) -> list[AuditEntry]:
-    relaxed = [is_r_relaxed(v, g, r) for v in range(g.n)]
-
-    def outside_support(u: int, excluding: int) -> int | None:
-        """Smallest relaxed vertex in N(u) - {excluding}, if any."""
-        cands = sorted(w for w in g.adj[u] if w != excluding and relaxed[w])
-        return cands[0] if cands else None
-
-    w7 = []
+    relaxed = relaxed_flags(g, r)
+    # at each 4-vertex x: its 3-vertex neighbors u (in increasing order) with
+    # a relaxed vertex in N(u) - {x}, mapped to the smallest such vertex
+    supported: list[dict[int, int]] = [{} for _ in range(g.n)]
     for x in range(g.n):
         if g.degree(x) != 4:
             continue
-        supported = {
-            u: outside_support(u, x)
-            for u in sorted(g.adj[x])
-            if g.degree(u) == 3 and outside_support(u, x) is not None
-        }
-        for y, z in combinations(sorted(supported), 2):
-            closed = sorted((set(g.adj[x]) | {x}) - {y, z})
-            side = [w for w in closed if relaxed[w]]
+        for u in sorted(g.adj[x]):
+            if g.degree(u) == 3:
+                s = min((w for w in g.adj[u] if w != x and relaxed[w]), default=None)
+                if s is not None:
+                    supported[x][u] = s
+
+    w7 = []
+    for x in range(g.n):
+        for y, z in combinations(supported[x], 2):
+            side = [w for w in sorted((set(g.adj[x]) | {x}) - {y, z}) if relaxed[w]]
             if side:
                 w7.append(
                     {
                         "x": x,
                         "y": y,
                         "z": z,
-                        "support_y": supported[y],
-                        "support_z": supported[z],
+                        "support_y": supported[x][y],
+                        "support_z": supported[x][z],
                         "relaxed_in_closed_nbhd": side[0],
                     }
                 )
-
-    w8 = []
-    for v in range(g.n):
-        if g.degree(v) != 4:
-            continue
-        support = {}
-        for u in sorted(g.adj[v]):
-            if g.degree(u) != 3:
-                break
-            s = outside_support(u, v)
-            if s is None:
-                break
-            support[u] = s
-        else:
-            w8.append({"vertex": v, "support": support})
-
-    w9 = []
-    for x, y in g.edges:
-        if g.degree(x) != 4 or g.degree(y) != 4:
-            continue
-        cx = [u for u in sorted(g.adj[x]) if g.degree(u) == 3 and outside_support(u, x) is not None]
-        cy = [u for u in sorted(g.adj[y]) if g.degree(u) == 3 and outside_support(u, y) is not None]
-        if len(cx) >= 2 and len(cy) >= 2:
-            w9.append(
-                {
-                    "x": x,
-                    "y": y,
-                    "x_children": cx[:2],
-                    "y_children": cy[:2],
-                }
-            )
+    w8 = [{"vertex": v, "support": supported[v]} for v in range(g.n) if len(supported[v]) == 4]
+    w9 = [
+        {"x": x, "y": y, "x_children": list(supported[x])[:2], "y_children": list(supported[y])[:2]}
+        for x, y in g.edges
+        if len(supported[x]) >= 2 and len(supported[y]) >= 2
+    ]
     return [_entry("L3.7", w7), _entry("L3.8", w8), _entry("L3.9", w9)]
 
 
@@ -216,103 +194,81 @@ def check_face_lemmas(e: EmbeddedGraph, r: RSet) -> list[AuditEntry]:
     lengths = [f.length for f in faces]
     vsets = [f.vertex_set() for f in faces]
     adjacency = face_adjacency(e)
-    relaxed = [is_r_relaxed(v, g, r) for v in range(g.n)]
+    relaxed = relaxed_flags(g, r)
 
-    pairs_sharing = {
-        (i, j): sorted(edges) for (i, j), edges in adjacency.items() if i != j
-    }
-
-    w11 = []
-    for (i, j), shared in pairs_sharing.items():
-        li, lj = lengths[i], lengths[j]
-        if {li, lj} != {3, 4}:
+    w11, w12, w13, w14 = [], [], [], []
+    for (i, j), shared in adjacency.items():
+        if i == j:
             continue
-        t, q = (i, j) if li == 3 else (j, i)
-        if len(shared) != 1:
-            w11.append({"three_face": t, "four_face": q, "shared_edges_count": len(shared)})
-        for v in sorted(vsets[t] | vsets[q]):
-            if not relaxed[v]:
-                w11.append({"three_face": t, "four_face": q, "non_relaxed_vertex": v})
-
-    w12 = []
-    for (i, j), shared in pairs_sharing.items():
         li, lj = lengths[i], lengths[j]
-        if {li, lj} != {3, 4} or len(shared) != 1:
-            continue
-        t, q = (i, j) if li == 3 else (j, i)
-        q_edges = faces[q].edge_set()
-        for v in sorted(vsets[t] & vsets[q]):
-            if g.degree(v) != 4:
+        if {li, lj} == {3, 4}:
+            t, q = (i, j) if li == 3 else (j, i)
+            if len(shared) != 1:
+                w11.append({"three_face": t, "four_face": q, "shared_edges_count": len(shared)})
+            for v in sorted(vsets[t] | vsets[q]):
+                if not relaxed[v]:
+                    w11.append({"three_face": t, "four_face": q, "non_relaxed_vertex": v})
+            if len(shared) != 1:
                 continue
-            for ei in sorted(faces[t].edge_set()):
-                if v not in g.edges[ei] or ei in q_edges:
+            q_edges = faces[q].edge_set()
+            for v in sorted(vsets[t] & vsets[q]):
+                if g.degree(v) != 4:
                     continue
-                a, b = e.side_faces(ei)
-                other = b if a == t else a
-                if other == t:
-                    continue
-                if lengths[other] < 5:
-                    w12.append(
-                        {
-                            "three_face": t,
-                            "four_face": q,
-                            "vertex": v,
-                            "edge": list(g.edges[ei]),
-                            "third_face": other,
-                            "third_face_length": lengths[other],
-                        }
-                    )
-
-    w13 = []
-    for (i, j), shared in pairs_sharing.items():
-        if lengths[i] == 4 and lengths[j] == 4 and len(shared) == 1:
+                for ei in sorted(faces[t].edge_set()):
+                    if v not in g.edges[ei] or ei in q_edges:
+                        continue
+                    a, b = e.side_faces(ei)
+                    other = b if a == t else a
+                    if other != t and lengths[other] < 5:
+                        w12.append(
+                            {
+                                "three_face": t,
+                                "four_face": q,
+                                "vertex": v,
+                                "edge": list(g.edges[ei]),
+                                "third_face": other,
+                                "third_face_length": lengths[other],
+                            }
+                        )
+        elif li == lj == 4 and len(shared) == 1:
             for v in sorted(vsets[i] & vsets[j]):
                 if g.degree(v) <= 3:
                     w13.append({"face_a": i, "face_b": j, "vertex": v, "degree": g.degree(v)})
-
-    w14 = []
-    for (i, j), shared in pairs_sharing.items():
-        if lengths[i] != 5 or lengths[j] != 5 or len(shared) != 1:
-            continue
-        u, v = g.edges[shared[0]]
-        for f1, f2 in ((i, j), (j, i)):
-            for a1, a2 in ((u, v), (v, u)):
-                if g.degree(a1) != 3:
-                    continue
-                cand1 = sorted((g.adj[a1] & vsets[f2]) - {a2})
-                cand2 = sorted((g.adj[a2] & vsets[f2]) - {a1})
-                if len(cand1) != 1 or len(cand2) != 1:
-                    continue  # "the neighbor" is only defined when unique
-                if g.degree(cand1[0]) <= 3 and g.degree(cand2[0]) <= 3:
-                    w14.append(
-                        {
-                            "face_with_primes": f2,
-                            "other_face": f1,
-                            "shared_edge": [u, v],
-                            "degree_3_end": a1,
-                            "prime_neighbors": [cand1[0], cand2[0]],
-                        }
-                    )
+        elif li == lj == 5 and len(shared) == 1:
+            (ei,) = shared
+            u, v = g.edges[ei]
+            for f1, f2 in ((i, j), (j, i)):
+                for a1, a2 in ((u, v), (v, u)):
+                    if g.degree(a1) != 3:
+                        continue
+                    cand1 = sorted((g.adj[a1] & vsets[f2]) - {a2})
+                    cand2 = sorted((g.adj[a2] & vsets[f2]) - {a1})
+                    if len(cand1) != 1 or len(cand2) != 1:
+                        continue  # "the neighbor" is only defined when unique
+                    if g.degree(cand1[0]) <= 3 and g.degree(cand2[0]) <= 3:
+                        w14.append(
+                            {
+                                "face_with_primes": f2,
+                                "other_face": f1,
+                                "shared_edge": [u, v],
+                                "degree_3_end": a1,
+                                "prime_neighbors": [cand1[0], cand2[0]],
+                            }
+                        )
 
     corner_faces: list[list[int]] = [[] for _ in range(g.n)]
     for fi, f in enumerate(faces):
         for tail in f.tails():
             corner_faces[tail].append(fi)
 
-    w15 = []
+    w15, w16 = [], []
     for v in range(g.n):
-        if g.degree(v) != 3:
-            continue
         ls = sorted(lengths[fi] for fi in corner_faces[v])
-        if ls == [4, 5, 5]:
-            w15.append({"vertex": v, "faces": sorted(corner_faces[v])})
-
-    w16 = []
-    for v in range(g.n):
-        if g.degree(v) != 4:
-            continue
-        if all(lengths[fi] == 4 for fi in corner_faces[v]):
-            w16.append({"vertex": v, "faces": sorted(corner_faces[v])})
+        witness = {"vertex": v, "faces": sorted(corner_faces[v])}
+        if g.degree(v) == 3 and ls == [4, 5, 5]:
+            w15.append(witness)
+        elif g.degree(v) == 4 and set(ls) <= {4}:
+            w16.append(witness)
 
     return [
         _entry("L3.11", w11),

@@ -20,9 +20,9 @@ import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .graphs import Edge, Graph, RSet, is_r_relaxed, normalize_edge
+from .graphs import Edge, Graph, RSet, is_r_relaxed, normalize_edge, relaxed_flags
 
 Coloring = dict[int, int]
 
@@ -63,12 +63,6 @@ def uniform_lists(n: int, k: int) -> ListAssignment:
     return ListAssignment((palette,) * n)
 
 
-def list_assignment(n: int, lists: Mapping[int, Iterable[int]]) -> ListAssignment:
-    if set(lists) != set(range(n)):
-        raise ValueError("lists must cover exactly the vertices 0..n-1")
-    return ListAssignment(tuple(frozenset(lists[v]) for v in range(n)))
-
-
 @dataclass(frozen=True)
 class RelaxedInstance:
     """A graph with a relaxation edge set and a list assignment."""
@@ -101,12 +95,6 @@ def _smallest_odd_color(colors: Iterable[int]) -> int | None:
     counts = Counter(colors)
     odd = [col for col, k in counts.items() if k % 2 == 1]
     return min(odd) if odd else None
-
-
-def _relaxed_flags(g: Graph, r: RSet) -> list[bool]:
-    """is_r_relaxed for every vertex, from one pass over r."""
-    ends = {v for e in r for v in e}
-    return [g.degree(v) % 2 == 1 or not g.adj[v] or v in ends for v in range(g.n)]
 
 
 def odd_witness(g: Graph, c: Coloring, v: int) -> int | None:
@@ -152,7 +140,7 @@ def relaxed_odd_violations(inst: RelaxedInstance, c: Coloring) -> list[dict]:
     for u, v in g.edges:
         if c[u] == c[v]:
             out.append({"kind": "proper", "edge": [u, v], "color": c[u]})
-    relaxed = _relaxed_flags(g, inst.r)
+    relaxed = relaxed_flags(g, inst.r)
     for v in range(g.n):
         if not relaxed[v] and _smallest_odd_color(c[u] for u in g.adj[v]) is None:
             out.append({"kind": "odd", "vertex": v})
@@ -220,7 +208,7 @@ def solve(inst: RelaxedInstance) -> Coloring | None:
     rank = {col: i for i, col in enumerate(palette)}
     list_mask = [sum(1 << rank[col] for col in inst.lists[v]) for v in range(n)]
     adj = [tuple(g.adj[v]) for v in range(n)]
-    constrained = [not x for x in _relaxed_flags(g, inst.r)]
+    constrained = [not x for x in relaxed_flags(g, inst.r)]
     color = [-1] * n
     mask = [0] * n
     uncolored = [len(a) for a in adj]

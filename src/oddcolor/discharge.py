@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import Graph, RSet, hypothesis_check, is_r_relaxed
+from .graphs import Graph, RSet, hypothesis_check, relaxed_flags
 from .embedding import EmbeddedGraph, embed_search, face_adjacency
 from .audit import AuditReport, full_audit
 
@@ -85,9 +85,8 @@ def generate_transfers(e: EmbeddedGraph, r: RSet) -> tuple[Transfer, ...]:
     vsets = [f.vertex_set() for f in faces]
     esets = [f.edge_set() for f in faces]
     deg = [g.degree(v) for v in range(g.n)]
-    relaxed = [is_r_relaxed(v, g, r) for v in range(g.n)]
+    relaxed = relaxed_flags(g, r)
     adjacency = face_adjacency(e)
-    three_faces = [fi for fi, L in enumerate(lengths) if L == 3]
 
     transfers: list[Transfer] = []
 
@@ -101,82 +100,60 @@ def generate_transfers(e: EmbeddedGraph, r: RSet) -> tuple[Transfer, ...]:
                     Transfer("R1", ("f", fi), ("v", v), 6, None, {"corner": pos})
                 )
 
+    def walk_edge_to_nonrelaxed(f: int, ei: int, end: int) -> tuple[int, int] | None:
+        """First edge of face f other than ei leaving ``end`` toward a
+        non-relaxed vertex, with that vertex."""
+        for ej in sorted(esets[f]):
+            p, q = g.edges[ej]
+            if ej != ei and end in (p, q):
+                x = q if p == end else p
+                if not relaxed[x]:
+                    return ej, x
+        return None
+
     # R2/R3/R4: a long face pays a triangle across a shared edge
-    for ei, (a, b) in enumerate(g.edges):
-        fa, fb = e.side_faces(ei)
-        if fa == fb:
-            continue
-        for f, fp in ((fa, fb), (fb, fa)):
-            if lengths[f] < 5 or lengths[fp] != 3:
-                continue
-            if deg[a] == 4 and deg[b] == 4:
-                # the two ends play different roles; try both labelings
-                def walk_edge_to_nonrelaxed(end):
-                    for ej in sorted(esets[f]):
-                        if ej == ei:
-                            continue
-                        p, q = g.edges[ej]
-                        if end not in (p, q):
-                            continue
-                        x = q if p == end else p
-                        if not relaxed[x]:
-                            return ej, x
-                    return None
-
-                def outside_nonrelaxed(end):
-                    cands = sorted(
-                        w for w in g.adj[end] if w not in vsets[fp] and not relaxed[w]
-                    )
-                    return cands[0] if cands else None
-
-                fired = None
-                for aa, bb in ((a, b), (b, a)):
-                    h1 = walk_edge_to_nonrelaxed(aa)
-                    h2 = outside_nonrelaxed(bb)
-                    if h1 is not None and h2 is not None:
-                        fired = (aa, bb, h1, h2)
-                        break
-                if fired is not None:
-                    aa, bb, (ej, x), wv = fired
-                    transfers.append(
-                        Transfer(
-                            "R2", ("f", f), ("f", fp), 6, (a, b),
-                            {
-                                "role_a": aa,
-                                "role_b": bb,
-                                "edge_at_a": list(g.edges[ej]),
-                                "outside_at_b": wv,
-                            },
-                        )
-                    )
-                else:
-                    transfers.append(
-                        Transfer("R3", ("f", f), ("f", fp), 6, (a, b), {}),
-                    )
-            elif min(deg[a], deg[b]) == 4 and max(deg[a], deg[b]) >= 5:
-                transfers.append(Transfer("R4", ("f", f), ("f", fp), 3, (a, b), {}))
-
     # R5: a (>=6)-face props up a 5-face across a 3/4-degree edge
     for ei, (a, b) in enumerate(g.edges):
         fa, fb = e.side_faces(ei)
         if fa == fb:
             continue
         for f, fp in ((fa, fb), (fb, fa)):
-            if lengths[f] < 6 or lengths[fp] != 5:
-                continue
-            if sorted((deg[a], deg[b])) != [3, 4]:
-                continue
-            uniques = []
-            for vv in (a, b):
-                cands = sorted((g.adj[vv] & vsets[fp]) - {a, b})
-                if len(cands) == 1 and relaxed[cands[0]]:
-                    uniques.append(cands[0])
-            if len(uniques) == 2:
-                transfers.append(
-                    Transfer("R5", ("f", f), ("f", fp), 3, (a, b), {"unique_relaxed": uniques})
-                )
+            if lengths[f] >= 5 and lengths[fp] == 3 and deg[a] == 4 and deg[b] == 4:
+                # the two ends play different roles; try both labelings
+                for aa, bb in ((a, b), (b, a)):
+                    h1 = walk_edge_to_nonrelaxed(f, ei, aa)
+                    outside = (w for w in g.adj[bb] if w not in vsets[fp] and not relaxed[w])
+                    h2 = min(outside, default=None)
+                    if h1 is not None and h2 is not None:
+                        witness = {
+                            "role_a": aa,
+                            "role_b": bb,
+                            "edge_at_a": list(g.edges[h1[0]]),
+                            "outside_at_b": h2,
+                        }
+                        transfers.append(Transfer("R2", ("f", f), ("f", fp), 6, (a, b), witness))
+                        break
+                else:
+                    transfers.append(Transfer("R3", ("f", f), ("f", fp), 6, (a, b), {}))
+            elif lengths[f] >= 5 and lengths[fp] == 3 and min(deg[a], deg[b]) == 4:
+                transfers.append(Transfer("R4", ("f", f), ("f", fp), 3, (a, b), {}))
+            elif lengths[f] >= 6 and lengths[fp] == 5 and sorted((deg[a], deg[b])) == [3, 4]:
+                uniques = []
+                for vv in (a, b):
+                    cands = sorted((g.adj[vv] & vsets[fp]) - {a, b})
+                    if len(cands) == 1 and relaxed[cands[0]]:
+                        uniques.append(cands[0])
+                if len(uniques) == 2:
+                    transfers.append(
+                        Transfer("R5", ("f", f), ("f", fp), 3, (a, b), {"unique_relaxed": uniques})
+                    )
 
     # R6: a (>=6)-face reaches a second 5-face two steps away
+    neighbors: list[set[int]] = [set() for _ in faces]  # faces sharing an edge
+    for i, j in adjacency:
+        if i != j:
+            neighbors[i].add(j)
+            neighbors[j].add(i)
     for fi, f in enumerate(faces):
         if lengths[fi] < 6:
             continue
@@ -196,22 +173,16 @@ def generate_transfers(e: EmbeddedGraph, r: RSet) -> tuple[Transfer, ...]:
                 fp = sb if sa == fi else sa
                 if lengths[fp] != 5:
                     continue
-                for fpp in range(len(faces)):
-                    if fpp in (fi, fp) or lengths[fpp] != 5:
+                for fpp in neighbors[fp]:
+                    if fpp == fi or lengths[fpp] != 5:
                         continue
-                    key = (fp, fpp) if fp <= fpp else (fpp, fp)
-                    shared = sorted(adjacency.get(key, ()))
+                    shared = sorted(adjacency[(fp, fpp) if fp <= fpp else (fpp, fp)])
                     if len(shared) != 1 or v not in g.edges[shared[0]]:
                         continue
                     m = sorted(g.adj[v] & vsets[fpp])
                     if len(m) != 2 or any(deg[w] != 3 for w in m):
                         continue
-                    if not any(
-                        lengths[ft] == 3
-                        and adjacency.get((min(ft, fpp), max(ft, fpp)))
-                        for ft in three_faces
-                        if ft != fpp
-                    ):
+                    if not any(lengths[ft] == 3 for ft in neighbors[fpp]):
                         continue
                     ep = shared[0]
                     transfers.append(
@@ -324,20 +295,31 @@ class ChargeReport:
         }
 
 
-def _mentions(witness: dict, element: Element) -> bool:
-    kind, idx = element
-    vertex_keys = (
-        "vertex", "x", "y", "z", "non_relaxed_vertex", "degree_3_end",
-        "relaxed_neighbors", "neighbors", "prime_neighbors",
-    )
-    face_keys = ("three_face", "four_face", "face_a", "face_b", "faces",
-                 "third_face", "face_with_primes", "other_face")
-    keys = vertex_keys if kind == "v" else face_keys
-    for k in keys:
-        val = witness.get(k)
-        if val == idx or (isinstance(val, (list, tuple)) and idx in val):
-            return True
-    return False
+# witness keys naming a vertex or a face, alone or in a list
+_VERTEX_KEYS = (
+    "vertex", "x", "y", "z", "non_relaxed_vertex", "degree_3_end",
+    "relaxed_neighbors", "neighbors", "prime_neighbors",
+)
+_FACE_KEYS = ("three_face", "four_face", "face_a", "face_b", "faces",
+              "third_face", "face_with_primes", "other_face")
+
+
+def _lemmas_by_element(audit: AuditReport) -> dict[Element, list[str]]:
+    """Each element named by a violated lemma's witness -> those lemmas, in
+    ``audit.violated()`` order; one pass over the witnesses."""
+    out: dict[Element, list[str]] = {}
+    for entry in audit.violated():
+        for w in entry.witnesses:
+            for kind, keys in (("v", _VERTEX_KEYS), ("f", _FACE_KEYS)):
+                for k in keys:
+                    val = w.get(k)
+                    if val is None:
+                        continue
+                    for idx in val if isinstance(val, (list, tuple)) else (val,):
+                        lemmas = out.setdefault((kind, idx), [])
+                        if not lemmas or lemmas[-1] != entry.lemma:
+                            lemmas.append(entry.lemma)
+    return out
 
 
 def charge_report(ledger: ChargeLedger, audit: AuditReport) -> ChargeReport:
@@ -346,6 +328,8 @@ def charge_report(ledger: ChargeLedger, audit: AuditReport) -> ChargeReport:
 
     On instances that are not counterexample-shaped, negatives are
     informational and each is paired with the audit violations naming it.
+    The witnesses are scanned once into an element -> lemmas map, so the
+    cost is linear in the witnesses plus the negatives.
     """
     negatives = tuple(
         (el, tw) for el, tw in sorted(ledger.final.items()) if tw < 0
@@ -353,15 +337,11 @@ def charge_report(ledger: ChargeLedger, audit: AuditReport) -> ChargeReport:
     audits_hold = audit.counterexample_shaped
     total = ledger.total_twelfths
     contradiction = audits_hold and not negatives and total > 0
-    explained = []
-    for el, _ in negatives:
-        lemmas = tuple(
-            entry.lemma
-            for entry in audit.violated()
-            if any(_mentions(w, el) for w in entry.witnesses)
-        )
-        explained.append((_fmt_element(el), lemmas))
-    return ChargeReport(total, negatives, audits_hold, contradiction, tuple(explained))
+    named = _lemmas_by_element(audit)
+    explained = tuple(
+        (_fmt_element(el), tuple(named.get(el, ()))) for el, _ in negatives
+    )
+    return ChargeReport(total, negatives, audits_hold, contradiction, explained)
 
 
 # -- end-to-end pipeline -------------------------------------------------------

@@ -14,9 +14,10 @@ exactly one edge.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 RSet = frozenset  # frozenset[Edge]
@@ -71,13 +72,6 @@ class Graph:
         if not (0 <= v < self.n):
             raise ValueError(f"unknown vertex {v}")
         return v
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, sorted by minimum."""
@@ -232,6 +226,12 @@ def is_r_relaxed(v: int, g: Graph, r: RSet) -> bool:
     return any(v in e for e in r)
 
 
+def relaxed_flags(g: Graph, r: RSet) -> list[bool]:
+    """is_r_relaxed for every vertex, from one pass over r."""
+    ends = {v for e in r for v in e}
+    return [g.degree(v) % 2 == 1 or not g.adj[v] or v in ends for v in range(g.n)]
+
+
 def enumerate_cycles(g: Graph, max_edge_count: int) -> list[Cycle]:
     """All simple cycles with at most ``max_edge_count`` edges, each once.
 
@@ -239,32 +239,71 @@ def enumerate_cycles(g: Graph, max_edge_count: int) -> list[Cycle]:
     search roots every cycle at its smallest vertex and fixes the direction
     by requiring second vertex < last vertex.  Output is in lexicographic
     order of the canonical vertex sequences.
+
+    A BFS from each root s over the vertices above it, to radius
+    ``max_edge_count // 2``, prunes exactly: a path is extended to w only if
+    ``len(path) + dist[w]`` still fits the bound, so the cost is the paths
+    that can close, not all paths.  Runs on an explicit stack.
     """
     if max_edge_count < 3:
         raise ValueError("max_edge_count must be at least 3")
     out: list[Cycle] = []
     adj_sorted = [sorted(g.adj[v]) for v in range(g.n)]
-    path: list[int] = []
-    on_path = [False] * g.n
-
-    def extend(start: int, u: int) -> None:
-        for w in adj_sorted[u]:
-            if w == start and len(path) >= 3 and path[1] < path[-1]:
-                out.append(Cycle(tuple(path)))
-            if w <= start or on_path[w] or len(path) == max_edge_count:
-                continue
-            path.append(w)
-            on_path[w] = True
-            extend(start, w)
-            on_path[w] = False
-            path.pop()
-
+    far = max_edge_count + 1  # no cycle within the bound passes there
+    dist = [far] * g.n  # to the root, through vertices above it; far on the path
     for s in range(g.n):
+        reached, frontier = [s], [s]
+        for d in range(1, max_edge_count // 2 + 1):
+            nxt = []
+            for u in frontier:
+                for w in adj_sorted[u]:
+                    if w > s and dist[w] == far:
+                        dist[w] = d
+                        nxt.append(w)
+            reached += nxt
+            frontier = nxt
         path = [s]
-        on_path[s] = True
-        extend(s, s)
-        on_path[s] = False
+        saved = [far]  # dist of each path vertex before it joined the path
+        stack = [iter(adj_sorted[s])]
+        while stack:
+            for w in stack[-1]:
+                d = dist[w]
+                if len(path) + d <= max_edge_count:
+                    path.append(w)
+                    if d == 1 and len(path) >= 3 and path[1] < w:
+                        out.append(Cycle(tuple(path)))
+                    saved.append(d)
+                    dist[w] = far
+                    stack.append(iter(adj_sorted[w]))
+                    break
+            else:
+                stack.pop()
+                dist[path.pop()] = saved.pop()
+        for w in reached:
+            dist[w] = far
     return out
+
+
+def edge_sharing_pairs(cycles: list[Cycle]) -> Iterator[tuple[int, int, list[Edge]]]:
+    """(i, j, shared edges, sorted) for every pair i < j of ``cycles`` that
+    share an edge, in (i, j) order.
+
+    Each cycle meets the later cycles through an edge -> cycles index, so the
+    cost is the number of (edge, cycle, cycle) incidences, not of pairs.
+    """
+    edge_lists = [sorted(c.edge_set) for c in cycles]
+    holders: dict[Edge, list[int]] = {}
+    for i, es in enumerate(edge_lists):
+        for e in es:
+            holders.setdefault(e, []).append(i)
+    for i, es in enumerate(edge_lists):
+        shared: dict[int, list[Edge]] = {}
+        for e in es:
+            on_e = holders[e]
+            for j in on_e[bisect_right(on_e, i):]:
+                shared.setdefault(j, []).append(e)
+        for j in sorted(shared):
+            yield i, j, shared[j]
 
 
 def girth(g: Graph) -> int | float:
@@ -328,6 +367,9 @@ def hypothesis_check(g: Graph, r: RSet) -> HypothesisReport:
     r-length 5 share exactly one edge.  Since r_length(C) >= |E(C)|, cycles
     with more than 6 edges are irrelevant to (a), and r-length-5 cycles have
     at most 5 edges, so enumerating cycles of up to 6 edges is exhaustive.
+
+    (b) pairs the r-length-5 cycles through an edge index: its cost is the
+    number of (edge, cycle, cycle) incidences, not all pairs of cycles.
     """
     cycles = enumerate_cycles(g, 6)
     forbidden = []
@@ -338,11 +380,11 @@ def hypothesis_check(g: Graph, r: RSet) -> HypothesisReport:
             forbidden.append((c, L))
         elif L == 5:
             fives.append(c)
-    pairs = []
-    for c1, c2 in combinations(fives, 2):
-        shared = c1.edge_set & c2.edge_set
-        if len(shared) == 1:
-            pairs.append((c1, c2, min(shared)))
+    pairs = [
+        (fives[i], fives[j], shared[0])
+        for i, j, shared in edge_sharing_pairs(fives)
+        if len(shared) == 1
+    ]
     return HypothesisReport(
         passes=not forbidden and not pairs,
         forbidden_cycles=tuple(forbidden),

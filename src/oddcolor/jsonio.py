@@ -73,24 +73,54 @@ class Instance:
     lists: ListAssignment | None
 
 
+def _ints(value, path: str, bound: int | None = None) -> list[int]:
+    """A list of JSON integers, each in ``range(bound)`` when a bound is given."""
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: expected a list, got {value!r}")
+    for i, x in enumerate(value):
+        if type(x) is not int:  # JSON true and false load as bool, not int
+            raise ValueError(f"{path}[{i}]: expected an integer, got {x!r}")
+        if bound is not None and not 0 <= x < bound:
+            raise ValueError(f"{path}[{i}]: {x} is out of range 0..{bound - 1}")
+    return value
+
+
+def _per_vertex(value, path: str, n: int) -> list[list[int]]:
+    """One integer list per vertex, in an object keyed "0".."n-1"."""
+    if not isinstance(value, dict) or set(value) != {str(v) for v in range(n)}:
+        raise ValueError(f"{path}: expected an object with one key per vertex 0..{n - 1}")
+    return [_ints(value[str(v)], f'{path}["{v}"]') for v in range(n)]
+
+
 def instance_from_json(obj: dict) -> Instance:
-    if "schema" not in obj:
-        raise ValueError("instance file lacks a schema version field")
+    """Build an instance from a parsed instance file.
+
+    Every field is checked for type, shape and index range; a bad one raises
+    ValueError naming its JSON path, for example ``edges[0]``.
+    """
+    if not isinstance(obj, dict) or "schema" not in obj:
+        raise ValueError("instance file is not a JSON object with a schema version field")
     if obj["schema"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {obj['schema']}")
-    g = Graph(int(obj["n"]), [tuple(e) for e in obj["edges"]])
-    r = r_set_from_indices(g, obj.get("R", ()))
+    n, edges = obj.get("n"), obj.get("edges")
+    if type(n) is not int:
+        raise ValueError(f"n: expected an integer, got {n!r}")
+    if not isinstance(edges, list):
+        raise ValueError(f"edges: expected a list of vertex pairs, got {edges!r}")
+    for i, e in enumerate(edges):
+        if len(_ints(e, f"edges[{i}]", n)) != 2 or e[0] == e[1]:
+            raise ValueError(f"edges[{i}]: expected two distinct vertices, got {e}")
+    g = Graph(n, edges)
+    r = r_set_from_indices(g, _ints(obj.get("R", []), "R", len(g.edges)))
     emb = None
     if "rotation" in obj:
-        rotation = [obj["rotation"][str(v)] for v in range(g.n)]
+        rotation = _per_vertex(obj["rotation"], "rotation", g.n)
         signs = obj.get("signs")
+        signs = None if signs is None else _ints(signs, "signs")
         emb = EmbeddedGraph(g, RotationSystem(g, rotation, signs))
     lists = None
     if "lists" in obj:
-        block = obj["lists"]
-        if set(block) != {str(v) for v in range(g.n)}:
-            raise ValueError("lists block must cover exactly the vertices")
-        lists = ListAssignment(tuple(frozenset(block[str(v)]) for v in range(g.n)))
+        lists = ListAssignment(tuple(frozenset(c) for c in _per_vertex(obj["lists"], "lists", g.n)))
     return Instance(g, r, emb, lists)
 
 

@@ -105,6 +105,14 @@ def torus_quadrangulation(k: int = 4) -> EmbeddedGraph:
     return EmbeddedGraph(g, RotationSystem(g, rot))
 
 
+def k7_torus() -> EmbeddedGraph:
+    """K7 on the torus: vertex v turns through v+1, v+3, v+2, v+6, v+4, v+5
+    (mod 7), giving fourteen triangular faces."""
+    g = Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
+    rot = [[(v + d) % 7 for d in (1, 3, 2, 6, 4, 5)] for v in range(7)]
+    return EmbeddedGraph(g, RotationSystem(g, rot))
+
+
 def theta_graph(a: int, b: int, c: int) -> tuple[Graph, dict]:
     """Two hubs joined by three internally disjoint paths of a, b, c edges."""
     assert min(a, b, c) >= 2
@@ -316,3 +324,24 @@ def find_small_embedding(g: Graph, want_genus: int, want_orientable: bool) -> Em
             if emb.euler_genus == want_genus and emb.is_orientable() == want_orientable:
                 return emb
     raise AssertionError(f"no embedding of genus {want_genus} found")
+
+
+def grid_with_diagonals(w: int, h: int, seed: int) -> EmbeddedGraph:
+    """w x h planar grid; each square gets one of its diagonals with
+    probability 3/4 (the direction drawn at random), so faces are triangles
+    and quadrilaterals bounded by an outer face, and degrees run from 2 to 8."""
+    import random
+
+    rng = random.Random(seed)
+    edges = set()
+    for y in range(h):
+        for x in range(w):
+            v = y * w + x
+            if x + 1 < w:
+                edges.add((v, v + 1))
+            if y + 1 < h:
+                edges.add((v, v + w))
+            if x + 1 < w and y + 1 < h and rng.random() < 0.75:
+                edges.add((v, v + w + 1) if rng.random() < 0.5 else (v + 1, v + w))
+    g = Graph(w * h, edges)
+    return embed_planar(g, {y * w + x: (x, y) for y in range(h) for x in range(w)})

@@ -3,7 +3,10 @@
 Everything here is deliberately simple and separate from the library's
 algorithms: plain enumeration in natural vertex order, subset scans, a
 brute-force embedding search over every rotation system and cotree sign
-vector, and a Kuratowski subdivision search for planarity.
+vector, and a Kuratowski subdivision search for planarity.  The quadratic
+analysis loops the library replaced (recursive cycle enumeration, the
+all-pairs 5-cycle scan, the per-negative witness scan behind
+``explained_by``) are kept here unchanged to pin the order of their output.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from collections import Counter
 from itertools import combinations, permutations, product
 
 from oddcolor.embedding import EmbeddedGraph, RotationSystem
-from oddcolor.graphs import Graph
+from oddcolor.graphs import Cycle, Graph
 
 
 def solver_order_reference(g: Graph) -> list[int]:
@@ -121,6 +124,77 @@ def cycles_by_subsets(g: Graph, max_edges: int) -> set[tuple[int, ...]]:
                 ):
                     found.add(seq)
     return found
+
+
+def enumerate_cycles_reference(g: Graph, max_edge_count: int) -> list[Cycle]:
+    """Recursive depth-first cycle enumeration without pruning; cycles in
+    lexicographic order of their canonical vertex sequences."""
+    if max_edge_count < 3:
+        raise ValueError("max_edge_count must be at least 3")
+    out: list[Cycle] = []
+    adj_sorted = [sorted(g.adj[v]) for v in range(g.n)]
+    path: list[int] = []
+    on_path = [False] * g.n
+
+    def extend(start: int, u: int) -> None:
+        for w in adj_sorted[u]:
+            if w == start and len(path) >= 3 and path[1] < path[-1]:
+                out.append(Cycle(tuple(path)))
+            if w <= start or on_path[w] or len(path) == max_edge_count:
+                continue
+            path.append(w)
+            on_path[w] = True
+            extend(start, w)
+            on_path[w] = False
+            path.pop()
+
+    for s in range(g.n):
+        path = [s]
+        on_path[s] = True
+        extend(s, s)
+        on_path[s] = False
+    return out
+
+
+def five_pairs_reference(fives: list[Cycle]) -> list[tuple[Cycle, Cycle, tuple[int, int]]]:
+    """Every pair of the given cycles sharing exactly one edge, by scanning
+    all pairs in order."""
+    pairs = []
+    for c1, c2 in combinations(fives, 2):
+        shared = c1.edge_set & c2.edge_set
+        if len(shared) == 1:
+            pairs.append((c1, c2, min(shared)))
+    return pairs
+
+
+def _mentions(witness: dict, element) -> bool:
+    kind, idx = element
+    vertex_keys = (
+        "vertex", "x", "y", "z", "non_relaxed_vertex", "degree_3_end",
+        "relaxed_neighbors", "neighbors", "prime_neighbors",
+    )
+    face_keys = ("three_face", "four_face", "face_a", "face_b", "faces",
+                 "third_face", "face_with_primes", "other_face")
+    keys = vertex_keys if kind == "v" else face_keys
+    for k in keys:
+        val = witness.get(k)
+        if val == idx or (isinstance(val, (list, tuple)) and idx in val):
+            return True
+    return False
+
+
+def explained_by_reference(negatives, audit) -> tuple:
+    """For each negative element, the violated lemmas whose witnesses name
+    it, by scanning every witness once per element."""
+    explained = []
+    for el, _ in negatives:
+        lemmas = tuple(
+            entry.lemma
+            for entry in audit.violated()
+            if any(_mentions(w, el) for w in entry.witnesses)
+        )
+        explained.append((f"{el[0]}{el[1]}", lemmas))
+    return tuple(explained)
 
 
 def trace_faces_orientable_oracle(g: Graph, rotation) -> list[int]:

@@ -21,7 +21,9 @@ from oddcolor.discharge import (
 from fixtures import (
     cube_planar,
     face_of_length,
+    grid_with_diagonals,
     k4_planar,
+    k7_torus,
     mcgee_graph,
     rule_r1_fixture,
     rule_r23_adversarial_fixture,
@@ -34,7 +36,9 @@ from fixtures import (
     rule_r8_fixture,
     theta_planar,
     torus_quadrangulation,
+    wheel_planar,
 )
+from oracles import explained_by_reference
 
 EMPTY = frozenset()
 
@@ -349,6 +353,23 @@ class TestChargeReport:
         assert all(tw == -24 for _, tw in rep.negatives)
         assert all("L3.2" in lemmas for _, lemmas in rep.explained)
         assert not rep.contradiction
+
+    def test_explained_by_matches_per_element_oracle(self):
+        """Same lemmas in the same order as scanning every witness for each
+        negative element, on tori, grids with diagonals, K7 and wheels."""
+        rng = random.Random(7)
+        embeddings = [torus_quadrangulation(k) for k in (3, 4, 6)]
+        embeddings += [grid_with_diagonals(w, w, seed) for w in (5, 8, 10) for seed in (1, 2)]
+        embeddings += [k7_torus(), wheel_planar(4), wheel_planar(6), rule_r6_fixture()]
+        several = 0
+        for emb in embeddings:
+            for share in (0, 6, 3):
+                r = frozenset(rng.sample(emb.graph.edges, len(emb.graph.edges) // share if share else 0))
+                audit = full_audit(emb, r)
+                rep = charge_report(settle(emb, r), audit)
+                assert rep.explained == explained_by_reference(rep.negatives, audit)
+                several += sum(len(lemmas) >= 2 for _, lemmas in rep.explained)
+        assert several > 50  # the order of the lemmas is exercised
 
 
 class TestHunt:

@@ -21,15 +21,38 @@ from oddcolor.graphs import (
     r_length,
     r_set,
     r_set_from_indices,
+    relaxed_flags,
 )
 
-from oracles import cycles_by_subsets
+from fixtures import grid_with_diagonals, torus_quadrangulation
+from oracles import cycles_by_subsets, enumerate_cycles_reference, five_pairs_reference
 
 
 def small_random_graph(rng, max_n=8):
     n = rng.randint(1, max_n)
     edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
     return Graph(n, edges)
+
+
+def order_oracle_corpus():
+    """(name, graph, R): seeded random graphs, K7, subdivided K_n, tori and
+    planar grids with diagonals, each with a seeded random R."""
+    rng = random.Random(2026)
+    graphs = []
+    for i in range(30):
+        n = rng.randint(5, 12)
+        p = rng.choice((0.2, 0.3, 0.45))
+        graphs.append((f"random-{i}", Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])))
+    graphs.append(("K7", complete_graph(7)))
+    graphs += [(f"sK{h}", one_subdivision(complete_graph(h))) for h in (4, 5, 6)]
+    graphs += [(f"T{k}", torus_quadrangulation(k).graph) for k in (3, 4, 5, 6)]
+    graphs += [(f"grid-{w}", grid_with_diagonals(w, w, seed=w).graph) for w in (4, 6, 8)]
+    out = []
+    for name, g in graphs:
+        for share in (0, 4, 2):
+            r = frozenset(rng.sample(g.edges, len(g.edges) // share if share else 0))
+            out.append((f"{name}/R{share}", g, r))
+    return out
 
 
 class TestGraphBasics:
@@ -136,6 +159,10 @@ class TestRRelaxed:
         with pytest.raises(ValueError):
             is_r_relaxed(5, cycle_graph(4), frozenset())
 
+    def test_relaxed_flags_match_per_vertex_check(self):
+        for name, g, r in order_oracle_corpus():
+            assert relaxed_flags(g, r) == [is_r_relaxed(v, g, r) for v in range(g.n)], name
+
     def test_monotone_in_r(self):
         rng = random.Random(3)
         for _ in range(40):
@@ -179,6 +206,20 @@ class TestEnumerateCycles:
     def test_bad_bound_rejected(self):
         with pytest.raises(ValueError):
             enumerate_cycles(cycle_graph(4), 2)
+
+    def test_same_list_as_recursive_oracle(self):
+        """Same cycles in the same order, for every bound the library uses
+        and for bounds up to n on the small graphs."""
+        for name, g, r in order_oracle_corpus():
+            if r:
+                continue  # the cycles do not depend on R
+            bounds = range(3, 7) if g.n > 10 else range(3, max(g.n, 6) + 1)
+            for bound in bounds:
+                assert enumerate_cycles(g, bound) == enumerate_cycles_reference(g, bound), (name, bound)
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_long_bound_at_default_recursion_limit(self):
+        assert enumerate_cycles(cycle_graph(1500), 1500) == [Cycle(tuple(range(1500)))]
 
 
 class TestGirth:
@@ -230,6 +271,19 @@ class TestHypothesisCheck:
         rep = hypothesis_check(one_subdivision(complete_graph(7)), frozenset())
         assert not rep.passes
         assert any(L == 6 for _, L in rep.forbidden_cycles)
+
+    def test_same_witnesses_in_same_order_as_pairwise_oracle(self):
+        five_pairs = 0
+        for name, g, r in order_oracle_corpus():
+            cycles = enumerate_cycles_reference(g, 6)
+            forbidden = [(c, r_length(c, r)) for c in cycles if r_length(c, r) in (3, 4, 6)]
+            fives = [c for c in cycles if r_length(c, r) == 5]
+            rep = hypothesis_check(g, r)
+            assert rep.forbidden_cycles == tuple(forbidden), name
+            assert rep.five_pairs == tuple(five_pairs_reference(fives)), name
+            assert rep.passes == (not forbidden and not rep.five_pairs)
+            five_pairs += len(rep.five_pairs)
+        assert five_pairs > 1000  # the corpus exercises the pairing
 
     def test_girth_seven_always_passes(self):
         rng = random.Random(5)

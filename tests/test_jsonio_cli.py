@@ -203,6 +203,29 @@ class TestCli:
         assert run_command(["embed", "--graph", path, "--max-genus", "0"]) == 2
         assert run_command(["hunt", "--graph", path]) == 2
 
+    @pytest.mark.parametrize(
+        "fields, path",
+        [
+            ({"edges": [1, 2]}, "edges[0]: expected a list, got 1"),
+            ({"R": [0.5]}, "R[0]: expected an integer, got 0.5"),
+            ({"lists": {"0": [1, 2], "1": 5, "2": [1, 3]}}, 'lists["1"]: expected a list, got 5'),
+            ({"edges": [[0, 3]]}, "edges[0][1]: 3 is out of range 0..2"),
+            ({"edges": [[0, 1, 2]]}, "edges[0]: expected two distinct vertices"),
+            ({"R": [5]}, "R[0]: 5 is out of range 0..1"),
+            ({"n": "3"}, "n: expected an integer"),
+            ({"rotation": [[1], [0], []]}, "rotation: expected an object with one key per vertex"),
+            ({"rotation": {"0": [1], "1": [0], "2": None}}, 'rotation["2"]: expected a list'),
+            ({"rotation": {"0": [1], "1": [0], "2": []}, "signs": [1, "-1"]}, "signs[1]: expected an integer"),
+        ],
+    )
+    def test_malformed_field_is_input_error_naming_it(self, tmp_path, capsys, fields, path):
+        obj = {"schema": 1, "n": 3, "edges": [[0, 1], [1, 2]], "R": []}
+        obj.update(fields)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert run_command(["solve", "--k", "3", "--graph", str(bad)]) == 2
+        assert path in capsys.readouterr().err
+
     def test_crash_exits_internal_not_refuted(self, tmp_path, capsys, monkeypatch):
         def crash(args, inst):
             raise RuntimeError("boom")
