@@ -257,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: list[str]) -> int:
+    """Run one subcommand, print its report and return its exit code."""
     args = build_parser().parse_args(argv)
     if args.command == "choosable" and args.universe is None:
         args.universe = 2 * args.k

@@ -36,13 +36,16 @@ class RotationSystem:
         for v in range(graph.n):
             order = tuple(int(w) for w in rotation[v])
             if sorted(order) != sorted(graph.adj[v]):
-                raise ValueError(f"rotation at vertex {v} is not a permutation of its neighbors")
+                raise ValueError(f"rotation[{v}]: expected an order of the neighbors {sorted(graph.adj[v])}, got {list(order)}")
             rot.append(order)
         if signs is None:
             signs = (1,) * len(graph.edges)
         signs = tuple(int(s) for s in signs)
-        if len(signs) != len(graph.edges) or any(s not in (-1, 1) for s in signs):
-            raise ValueError("signs must be +1/-1, one per edge")
+        if len(signs) != len(graph.edges):
+            raise ValueError(f"signs: expected {len(graph.edges)} entries, one per edge, got {len(signs)}")
+        for i, s in enumerate(signs):
+            if s not in (-1, 1):
+                raise ValueError(f"signs[{i}]: expected 1 or -1, got {s}")
         self.rotation: tuple[tuple[int, ...], ...] = tuple(rot)
         self.signs: tuple[int, ...] = signs
 
@@ -112,6 +115,7 @@ def trace_faces(graph: Graph, rot: RotationSystem) -> tuple[FaceWalk, ...]:
     The next-dart rule is the rotation successor, reflected on the far side
     of a -1 edge: concretely, flags (vertex, position, side) are advanced by
     alternating the corner involution with the edge-crossing involution.
+    Edge indices come from a per-vertex position -> edge table built once.
     """
     if not graph.is_connected():
         raise ValueError("face tracing needs a connected graph")
@@ -121,11 +125,11 @@ def trace_faces(graph: Graph, rot: RotationSystem) -> tuple[FaceWalk, ...]:
     pos_of = [
         {w: i for i, w in enumerate(rot.rotation[v])} for v in range(graph.n)
     ]
+    edge_at = [[graph.edge_index((v, w)) for w in order] for v, order in enumerate(rot.rotation)]
 
     def cross(v: int, p: int, s: int) -> tuple[int, int, int]:
         w = rot.rotation[v][p]
-        e = graph.edge_index((v, w))
-        s2 = s ^ 1 if rot.signs[e] == 1 else s
+        s2 = s ^ 1 if rot.signs[edge_at[v][p]] == 1 else s
         return (w, pos_of[w][v], s2)
 
     def corner(v: int, p: int, s: int) -> tuple[int, int, int]:
@@ -150,7 +154,7 @@ def trace_faces(graph: Graph, rot: RotationSystem) -> tuple[FaceWalk, ...]:
         while True:
             seen.add(flag)
             v, p, _ = flag
-            walk.append((v, graph.edge_index((v, rot.rotation[v][p]))))
+            walk.append((v, edge_at[v][p]))
             crossed = cross(*flag)
             seen.add(crossed)
             flag = corner(*crossed)
@@ -245,7 +249,9 @@ def normalize_signatures(e: EmbeddedGraph) -> EmbeddedGraph:
     """Switch vertices so every spanning-tree edge gets sign +1.
 
     Switching at v reverses the rotation of v and flips the sign of all its
-    incident edges; the face structure and genus are unchanged.
+    incident edges; the face structure and genus are unchanged.  When no
+    vertex needs switching, ``e`` itself is returned, with no new face
+    trace; ``embed_search`` results are always in that case.
     """
     g = e.graph
     if g.n == 0:
@@ -254,6 +260,8 @@ def normalize_signatures(e: EmbeddedGraph) -> EmbeddedGraph:
     for u, w in _spanning_tree(g):
         s = e.rotation.signs[g.edge_index((u, w))]
         flip[w] = flip[u] ^ (1 if s == -1 else 0)
+    if not any(flip):
+        return e
     new_signs = []
     for i, (u, v) in enumerate(g.edges):
         s = e.rotation.signs[i]

@@ -309,32 +309,32 @@ def edge_sharing_pairs(cycles: list[Cycle]) -> Iterator[tuple[int, int, list[Edg
 def girth(g: Graph) -> int | float:
     """Minimum cycle edge count; ``math.inf`` for forests.
 
-    Computed per edge: remove it and measure the shortest remaining path
-    between its endpoints.
+    One BFS per root vertex.  Each non-tree edge (u, w) met closes a walk
+    through the root of dist[u] + dist[w] + 1 edges, which holds a cycle at
+    most that long, and a BFS rooted on a shortest cycle meets one edge
+    giving its exact length.  Past depth d every new edge closes at least
+    2d + 1 edges, so a root's BFS stops once that reaches the best so far.
     """
     best: int | float = math.inf
-    for u, v in g.edges:
-        # BFS from u to v avoiding the edge uv
-        dist = {u: 0}
-        frontier = [u]
-        found = None
-        while frontier and found is None:
+    for root in range(g.n):
+        dist = {root: 0}
+        parent = {root: -1}
+        frontier = [root]
+        d = 0
+        while frontier and 2 * d + 1 < best:
             nxt = []
-            for a in frontier:
-                for b in g.adj[a]:
-                    if a == u and b == v:
+            for u in frontier:
+                for w in g.adj[u]:
+                    if w == parent[u]:
                         continue
-                    if b not in dist:
-                        dist[b] = dist[a] + 1
-                        if b == v:
-                            found = dist[b]
-                            break
-                        nxt.append(b)
-                if found is not None:
-                    break
+                    if w in dist:
+                        best = min(best, d + dist[w] + 1)
+                    else:
+                        dist[w] = d + 1
+                        parent[w] = u
+                        nxt.append(w)
             frontier = nxt
-        if found is not None and found + 1 < best:
-            best = found + 1
+            d += 1
     return best
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 
 from .graphs import Graph, RSet, r_set_from_indices
@@ -95,8 +96,9 @@ def _per_vertex(value, path: str, n: int) -> list[list[int]]:
 def instance_from_json(obj: dict) -> Instance:
     """Build an instance from a parsed instance file.
 
-    Every field is checked for type, shape and index range; a bad one raises
-    ValueError naming its JSON path, for example ``edges[0]``.
+    Every field is checked for type, shape, index range, order and value; a
+    bad one raises ValueError naming its JSON path, for example ``edges[0]``,
+    ``rotation["2"]`` or ``signs[1]``.
     """
     if not isinstance(obj, dict) or "schema" not in obj:
         raise ValueError("instance file is not a JSON object with a schema version field")
@@ -110,6 +112,9 @@ def instance_from_json(obj: dict) -> Instance:
     for i, e in enumerate(edges):
         if len(_ints(e, f"edges[{i}]", n)) != 2 or e[0] == e[1]:
             raise ValueError(f"edges[{i}]: expected two distinct vertices, got {e}")
+        # R and signs index the sorted edge list, so the file must list it so
+        if i and sorted(e) <= sorted(edges[i - 1]):
+            raise ValueError(f"edges[{i}]: {e} does not follow {edges[i - 1]}; list edges sorted, once each")
     g = Graph(n, edges)
     r = r_set_from_indices(g, _ints(obj.get("R", []), "R", len(g.edges)))
     emb = None
@@ -117,7 +122,10 @@ def instance_from_json(obj: dict) -> Instance:
         rotation = _per_vertex(obj["rotation"], "rotation", g.n)
         signs = obj.get("signs")
         signs = None if signs is None else _ints(signs, "signs")
-        emb = EmbeddedGraph(g, RotationSystem(g, rotation, signs))
+        try:
+            emb = EmbeddedGraph(g, RotationSystem(g, rotation, signs))
+        except ValueError as exc:  # RotationSystem's rotation[v] is the file's rotation["v"]
+            raise ValueError(re.sub(r"^rotation\[(\d+)\]", r'rotation["\1"]', str(exc))) from None
     lists = None
     if "lists" in obj:
         lists = ListAssignment(tuple(frozenset(c) for c in _per_vertex(obj["lists"], "lists", g.n)))

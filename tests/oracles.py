@@ -6,11 +6,13 @@ brute-force embedding search over every rotation system and cotree sign
 vector, and a Kuratowski subdivision search for planarity.  The quadratic
 analysis loops the library replaced (recursive cycle enumeration, the
 all-pairs 5-cycle scan, the per-negative witness scan behind
-``explained_by``) are kept here unchanged to pin the order of their output.
+``explained_by``) are kept here unchanged to pin the order of their output,
+and so is the per-edge-BFS ``girth`` it replaced.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import combinations, permutations, product
 
@@ -124,6 +126,38 @@ def cycles_by_subsets(g: Graph, max_edges: int) -> set[tuple[int, ...]]:
                 ):
                     found.add(seq)
     return found
+
+
+def girth_reference(g: Graph) -> int | float:
+    """Minimum cycle edge count; ``math.inf`` for forests.
+
+    Computed per edge: remove it and measure the shortest remaining path
+    between its endpoints.
+    """
+    best: int | float = math.inf
+    for u, v in g.edges:
+        # BFS from u to v avoiding the edge uv
+        dist = {u: 0}
+        frontier = [u]
+        found = None
+        while frontier and found is None:
+            nxt = []
+            for a in frontier:
+                for b in g.adj[a]:
+                    if a == u and b == v:
+                        continue
+                    if b not in dist:
+                        dist[b] = dist[a] + 1
+                        if b == v:
+                            found = dist[b]
+                            break
+                        nxt.append(b)
+                if found is not None:
+                    break
+            frontier = nxt
+        if found is not None and found + 1 < best:
+            best = found + 1
+    return best
 
 
 def enumerate_cycles_reference(g: Graph, max_edge_count: int) -> list[Cycle]:

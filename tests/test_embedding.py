@@ -197,6 +197,30 @@ class TestNormalizeSignatures:
                         assert norm.rotation.signs[g.edge_index((u, w))] == 1
                         stack.append(w)
 
+    def test_search_results_come_back_unchanged(self):
+        """``embed_search`` fixes the spanning-tree signs to +1 itself, so
+        normalizing its result switches no vertex and traces no faces."""
+        cases = [
+            (complete_graph(5), 1),  # projective plane, from the signed phase
+            (complete_graph(7), 2),
+            (torus_quadrangulation(5).graph, 2),
+            (complete_bipartite_graph(3, 3), 1),
+        ]
+        kinds = set()
+        for g, max_genus in cases:
+            emb = embed_search(g, max_genus)
+            assert normalize_signatures(emb) is emb
+            kinds.add(emb.is_orientable())
+        assert kinds == {True, False}
+
+    def test_switching_needed_gives_a_new_embedding(self):
+        g = complete_graph(4)
+        emb = EmbeddedGraph(g, sorted_rotation(g, [-1] + [1] * (len(g.edges) - 1)))
+        norm = normalize_signatures(emb)
+        assert norm is not emb
+        assert norm.rotation.signs[0] == 1
+        assert norm.euler_genus == emb.euler_genus
+
 
 class TestEmbedSearch:
     def test_k5_not_planar(self):

@@ -1,11 +1,14 @@
-"""Pinned CLI reports: ``check``, ``audit``, ``discharge`` and ``hunt`` on a
-few fixed instances must keep every byte of their JSON (``duration_s``
-aside), so that an optimisation cannot silently change a report.
+"""Pinned CLI reports: ``check``, ``audit``, ``discharge``, ``hunt``,
+``embed`` and ``gen`` on a few fixed instances must keep every byte of their
+JSON (``duration_s`` aside), so that an optimisation cannot silently change a
+report.
 
-The digests were recorded with the quadratic analysis code (pairwise 5-cycle
-and triangle scans, per-negative witness scans, recursive cycle
-enumeration).  A digest that changes means a report changed: find out why
-before recording a new one.
+The ``check`` … ``hunt`` digests were recorded with the quadratic analysis
+code (pairwise 5-cycle and triangle scans, per-negative witness scans,
+recursive cycle enumeration).  The ``embed`` and ``gen`` digests were
+recorded with a parser built on every call, two face traces per ``embed``
+and the per-edge-BFS ``girth``.  A digest that changes means a report
+changed: find out why before recording a new one.
 """
 
 import contextlib
@@ -18,7 +21,8 @@ import pytest
 
 from oddcolor import jsonio
 from oddcolor.cli import run_command
-from oddcolor.graphs import Graph, r_set_from_indices
+from oddcolor.generate import generate_girth_instances
+from oddcolor.graphs import Graph, complete_bipartite_graph, complete_graph, r_set_from_indices
 
 from fixtures import (
     grid_with_diagonals,
@@ -37,23 +41,40 @@ def seeded_r(g: Graph, seed: int, share: int) -> frozenset:
 
 
 def instances():
-    """name -> (file contents, commands run on it)."""
+    """name -> (file contents, commands run on it, each a CLI argument string)."""
     embedded = ("check", "audit", "discharge", "hunt")
+    graph_only = ("check", "audit", "hunt")
+    signed = ("embed --max-genus 1",)  # found by the signed phase, or refuted
+    orientable = ("embed --max-genus 2",)
     t12 = torus_quadrangulation(12)
     grid = grid_with_diagonals(10, 10, seed=7)
     k7 = k7_torus()
     pete = petersen_graph()
-    graph_only = ("check", "audit", "hunt")
+    girth7 = {
+        f"g7-{n}-s{seed}": generate_girth_instances(n, 7, 1, seed)[0]
+        for n, seed in ((16, 1), (20, 2), (24, 3))
+    }
     return {
-        "T12": (jsonio.embedding_to_json(t12, seeded_r(t12.graph, 1, 20)), embedded),
+        "T12": (jsonio.embedding_to_json(t12, seeded_r(t12.graph, 1, 20)), embedded + orientable),
         "grid-10x10": (jsonio.embedding_to_json(grid, seeded_r(grid.graph, 2, 20)), embedded),
-        "K7": (jsonio.embedding_to_json(k7), embedded),
+        "K7": (jsonio.embedding_to_json(k7), embedded + orientable),
         "K7-R": (jsonio.embedding_to_json(k7, seeded_r(k7.graph, 3, 5)), embedded),
-        "petersen": (jsonio.graph_to_json(pete), graph_only),
+        "petersen": (jsonio.graph_to_json(pete), graph_only + signed),
         "petersen-R": (jsonio.graph_to_json(pete, seeded_r(pete, 4, 5)), graph_only),
         "mcgee": (jsonio.graph_to_json(mcgee_graph()), graph_only),
         "theta-4-4-5": (jsonio.embedding_to_json(theta_planar(4, 4, 5)), embedded),
+        "K5": (jsonio.graph_to_json(complete_graph(5)), signed),
+        "K33": (jsonio.graph_to_json(complete_bipartite_graph(3, 3)), signed),
+        "T6": (jsonio.graph_to_json(torus_quadrangulation(6).graph), orientable),
+        **{name: (jsonio.graph_to_json(g), orientable) for name, g in girth7.items()},
     }
+
+
+# ``gen`` reads no file: key -> its CLI argument string
+GEN_RUNS = {
+    "gen-n30-g7-s5": "gen --n 30 --min-girth 7 --count 2 --seed 5",
+    "gen-n20-g5-s11": "gen --n 20 --min-girth 5 --count 3 --seed 11",
+}
 
 
 GOLDEN = {
@@ -86,6 +107,17 @@ GOLDEN = {
     "theta-4-4-5:audit": "96945fa3348dd8174223ed16cd275d80b5ccb5701c7c94130494bcec9b8a0dec",
     "theta-4-4-5:discharge": "e8a956f48d8f40646df13d9a549011229c68096f974ca73d132906eadafc0967",
     "theta-4-4-5:hunt": "d1f7614c67c7b131b1132180a401e2d1218bd794275a138c2cf412b71c3e3505",
+    "T12:embed": "81f6cb1f41d4f9d970d0eb69bd9cd4b3ce3efb96c09e9eebc8c9a46861637779",
+    "K7:embed": "75e6bac37e2bba4920b508e36b7f13067264a705e077eba238ef809e49d464fd",
+    "petersen:embed": "140ad198fb6642b03f4f7a2fe9ad1e223ab22619df862cd13de1422f073b21b3",
+    "K5:embed": "cc90e57c2314ea40c4fa0124144de6f3be06e9e5204f343fe9091e590aafa28a",
+    "K33:embed": "29cf2bacc26dabc0172145cdf999b50a015f71464035dc950207b754abe4d8a6",
+    "T6:embed": "9feedfa78c0a4e4034bdd1a0df82b5f291591071163f269c29a78219de372292",
+    "g7-16-s1:embed": "a07f086adca710d69ad89fd5f0182e1dcaf912e0536d6fd73f9792dea9e006d9",
+    "g7-20-s2:embed": "104a2db910e4239775933fe175885748a33b2724fa79ddf97e1369becd77c4ef",
+    "g7-24-s3:embed": "4da1a55435e04656af2f90f6f0c3e3e65894ece8b20b799f56e5b0c7e59d4117",
+    "gen-n30-g7-s5": "06d6158e844d7567f76b75b58cd69e12023d70a2ed519a07821383e6420c91e1",
+    "gen-n20-g5-s11": "33b496e9f449a524dc64647cfac279ccbe7b4afb1e90a9cd3fc99581991e93d8",
 }
 
 
@@ -93,18 +125,22 @@ GOLDEN = {
 def reports(tmp_path_factory) -> dict[str, dict]:
     """"instance:command" -> CLI report without ``duration_s``."""
     tmp = tmp_path_factory.mktemp("golden")
-    out = {}
+    runs = {key: args.split() for key, args in GEN_RUNS.items()}
     for name, (obj, commands) in instances().items():
         path = tmp / f"{name}.json"
         jsonio.dump_instance(str(path), obj)
         flag = "--instance" if "rotation" in obj else "--graph"
         for command in commands:
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                run_command([command, flag, str(path), "--quiet"])
-            report = json.loads(stdout.getvalue())
-            report.pop("duration_s")
-            out[f"{name}:{command}"] = report
+            command, *extra = command.split()
+            runs[f"{name}:{command}"] = [command, flag, str(path), *extra]
+    out = {}
+    for key, argv in runs.items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            run_command([*argv, "--quiet"])
+        report = json.loads(stdout.getvalue())
+        report.pop("duration_s")
+        out[key] = report
     return out
 
 
@@ -118,8 +154,9 @@ def test_reports_match_golden_digests(reports):
 
 def test_golden_instances_reach_every_stage(reports):
     """The pinned reports are worth pinning: they hold 5-cycle pairs, audit
-    violations, negative charges explained by lemmas, and hunts stopped at
-    the hypothesis, the embedding and the audit."""
+    violations, negative charges explained by lemmas, hunts stopped at the
+    hypothesis, the embedding and the audit, and embeddings found at Euler
+    genus 1 and 2."""
     seen = set()
     for report in reports.values():
         command, res = report["command"], report["result"]
@@ -131,7 +168,10 @@ def test_golden_instances_reach_every_stage(reports):
             seen.add("explained_by")
         if command == "hunt":
             seen.add(f"hunt:{res['eliminated_at']}")
+        if command == "embed":
+            seen.add(f"embed:eg{res['euler_genus']}")
     assert seen == {
         "five_pairs", "violations", "explained_by",
         "hunt:hypothesis", "hunt:embedding", "hunt:audit",
+        "embed:eg1", "embed:eg2",
     }

@@ -25,7 +25,12 @@ from oddcolor.graphs import (
 )
 
 from fixtures import grid_with_diagonals, torus_quadrangulation
-from oracles import cycles_by_subsets, enumerate_cycles_reference, five_pairs_reference
+from oracles import (
+    cycles_by_subsets,
+    enumerate_cycles_reference,
+    five_pairs_reference,
+    girth_reference,
+)
 
 
 def small_random_graph(rng, max_n=8):
@@ -233,6 +238,38 @@ class TestGirth:
 
     def test_subdivided_k7(self):
         assert girth(one_subdivision(complete_graph(7))) == 6
+
+    @staticmethod
+    def oracle_corpus():
+        """Seeded random graphs at several densities, forests, cycles,
+        subdivided K_n and torus quadrangulations."""
+        rng = random.Random(20)
+        graphs = []
+        for n in range(1, 31):
+            pairs = list(combinations(range(n), 2))
+            for p in (0.05, 0.1, 0.2, 0.4):
+                graphs.append(Graph(n, [e for e in pairs if rng.random() < p]))
+            # a random tree: each vertex joins an earlier one
+            graphs.append(Graph(n, [(v, rng.randrange(v)) for v in range(1, n)]))
+        graphs += [cycle_graph(n) for n in range(3, 40)]
+        graphs += [one_subdivision(complete_graph(h)) for h in range(3, 8)]
+        graphs += [torus_quadrangulation(k).graph for k in (3, 4, 5, 8)]
+        return graphs
+
+    def test_matches_per_edge_oracle(self):
+        corpus = self.oracle_corpus()
+        girths = [girth(g) for g in corpus]
+        assert girths == [girth_reference(g) for g in corpus]
+        # the corpus holds forests and every girth from 3 up to the long cycles
+        assert math.inf in girths and set(range(3, 40)) <= set(girths)
+        assert all(type(gi) is int for gi in girths if gi is not math.inf)
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for g in self.oracle_corpus():
+            h = nx.Graph(g.edges)
+            h.add_nodes_from(range(g.n))
+            assert girth(g) == nx.girth(h)
 
 
 class TestHypothesisCheck:

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -216,6 +219,14 @@ class TestCli:
             ({"rotation": [[1], [0], []]}, "rotation: expected an object with one key per vertex"),
             ({"rotation": {"0": [1], "1": [0], "2": None}}, 'rotation["2"]: expected a list'),
             ({"rotation": {"0": [1], "1": [0], "2": []}, "signs": [1, "-1"]}, "signs[1]: expected an integer"),
+            # R and signs index the sorted list: an unsorted or repeated one would move them
+            ({"edges": [[1, 2], [0, 1]], "R": [0]}, "edges[1]: [0, 1] does not follow [1, 2]"),
+            ({"edges": [[0, 1], [1, 0]]}, "edges[1]: [1, 0] does not follow [0, 1]"),
+            ({"edges": [[0, 1], [0, 1]]}, "edges[1]: [0, 1] does not follow [0, 1]"),
+            ({"rotation": {"0": [2], "1": [0, 2], "2": [1]}}, 'rotation["0"]: expected an order of the neighbors [1]'),
+            ({"rotation": {"0": [1], "1": [0], "2": [1]}}, 'rotation["1"]: expected an order of the neighbors [0, 2]'),
+            ({"rotation": {"0": [1], "1": [2, 0], "2": [1]}, "signs": [1, 0]}, "signs[1]: expected 1 or -1, got 0"),
+            ({"rotation": {"0": [1], "1": [2, 0], "2": [1]}, "signs": [1]}, "signs: expected 2 entries, one per edge, got 1"),
         ],
     )
     def test_malformed_field_is_input_error_naming_it(self, tmp_path, capsys, fields, path):
@@ -252,3 +263,74 @@ class TestCli:
         path = write_graph(tmp_path, "c5.json", cycle_graph(5))
         _, rep, _ = self.run(capsys, "chromatic", "--graph", path)
         assert rep["seed"] == 77
+
+
+class TestRunCommandReuse:
+    """Many ``run_command`` calls in one process: later calls must not see
+    the flags, defaults or seed of earlier ones."""
+
+    def report(self, capsys, *argv):
+        code = run_command([*argv, "--quiet"])
+        rep = json.loads(capsys.readouterr().out)
+        rep.pop("duration_s")
+        return code, rep
+
+    def fresh_process(self, *argv):
+        """The same call in a new ``oddcolor`` process, with its own parser."""
+        env = {k: v for k, v in os.environ.items() if k != "ODDCOLOR_SEED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "oddcolor.cli", *argv, "--quiet"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        rep = json.loads(done.stdout)
+        rep.pop("duration_s")
+        return done.returncode, rep
+
+    def calls(self, tmp_path):
+        c5 = write_graph(tmp_path, "c5.json", cycle_graph(5))
+        k5 = write_graph(tmp_path, "k5.json", Graph(5, list(combinations(range(5), 2))))
+        torus = write_embedding(tmp_path, "torus.json", torus_quadrangulation(4))
+        return [
+            ("embed", "--graph", k5, "--max-genus", "1", "--seed", "5"),
+            ("embed", "--graph", k5),  # default --max-genus, no --seed
+            ("choosable", "--graph", c5, "--k", "4", "--trials", "3", "--seed", "2"),
+            ("choosable", "--graph", c5, "--k", "5", "--trials", "2"),  # default --universe
+            ("check", "--graph", c5, "--r", "0"),
+            ("check", "--graph", c5),
+            ("discharge", "--instance", torus),
+            ("gen", "--n", "12", "--min-girth", "5", "--count", "2", "--seed", "3"),
+            ("gen", "--n", "12", "--min-girth", "5"),
+        ]
+
+    def test_same_reports_as_one_process_per_call(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ODDCOLOR_SEED", raising=False)
+        calls = self.calls(tmp_path)
+        # each call twice, in and out of order, in this one process
+        got = [self.report(capsys, *argv) for argv in calls + calls[::-1]]
+        want = [self.fresh_process(*argv) for argv in calls]
+        assert got == want + want[::-1]
+        assert [rep["seed"] for _, rep in want] == [5, 0, 2, 0, 0, 0, 0, 3, 0]
+
+    def test_seed_variable_read_at_each_call(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ODDCOLOR_SEED", raising=False)
+        path = write_graph(tmp_path, "c5.json", cycle_graph(5))
+        assert self.report(capsys, "chromatic", "--graph", path)[1]["seed"] == 0
+        monkeypatch.setenv("ODDCOLOR_SEED", "77")
+        assert self.report(capsys, "chromatic", "--graph", path)[1]["seed"] == 77
+        assert self.report(capsys, "chromatic", "--graph", path, "--seed", "4")[1]["seed"] == 4
+        monkeypatch.delenv("ODDCOLOR_SEED")
+        assert self.report(capsys, "chromatic", "--graph", path)[1]["seed"] == 0
+
+    def test_argparse_error_then_valid_call(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "c5.json", cycle_graph(5))
+        with pytest.raises(SystemExit) as exc:
+            run_command(["embed", "--graph", path, "--max-genus", "5"])
+        assert exc.value.code == 2
+        assert "invalid choice: 5" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            run_command(["nosuchcommand"])
+        capsys.readouterr()
+        code, rep = self.report(capsys, "embed", "--graph", path)
+        assert code == 0
+        assert (rep["command"], rep["result"]["euler_genus"]) == ("embed", 0)
