@@ -211,8 +211,12 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="oddcolor", description=__doc__)
+    env_seed = os.environ.get("ODDCOLOR_SEED", "0")
+    try:
+        default_seed = int(env_seed)
+    except ValueError:
+        top.error(f"ODDCOLOR_SEED must be an integer, got {env_seed!r}")  # exits 2
     sub = top.add_subparsers(dest="command", required=True)
-    default_seed = int(os.environ.get("ODDCOLOR_SEED", "0"))
 
     def add(name, needs_input=True, **extra):
         p = sub.add_parser(name)

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from oddcolor import jsonio
 from oddcolor.graphs import (
     Graph,
     complete_graph,
@@ -141,7 +142,8 @@ class TestSolve:
         rng = random.Random(23)
         for _ in range(120):
             inst = random_instance(rng)
-            assert (solve(inst) is None) == (brute_force_relaxed_odd(inst) is None)
+            want = brute_force_relaxed_odd(inst, solver_order_reference(inst.graph))
+            assert solve(inst) == want
 
     def test_monotone_in_relaxation_set(self):
         rng = random.Random(29)
@@ -171,6 +173,68 @@ class TestSolve:
             r = frozenset(rng.sample(g.edges, rng.randint(0, len(g.edges))))
             inst = RelaxedInstance(g, r, lists)
             assert solve(inst) == brute_force_relaxed_odd(inst, solver_order_reference(g))
+
+
+class TestSymmetryCut:
+    """With one list at every vertex, ``solve`` skips colors no earlier vertex
+    has opened; it must still return the oracle's first coloring, and lists
+    that differ anywhere must keep the full search."""
+
+    @staticmethod
+    def instances(rng, lists_for, count):
+        """Random graphs on at most 7 vertices, sparse to complete, with
+        empty and non-empty relaxation sets."""
+        for i in range(count):
+            n = rng.randint(1, 7)
+            p = rng.choice((0.3, 0.5, 0.7, 0.9, 1.0))
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            r = frozenset()
+            if g.edges and i % 2:
+                r = frozenset(rng.sample(g.edges, rng.randint(1, len(g.edges))))
+            yield RelaxedInstance(g, r, lists_for(rng, n))
+
+    @staticmethod
+    def assert_matches_oracle(insts):
+        outcomes = set()
+        for inst in insts:
+            got = solve(inst)
+            assert got == brute_force_relaxed_odd(inst, solver_order_reference(inst.graph))
+            outcomes.add((got is not None, bool(inst.r)))
+        # both verdicts, each with and without a relaxation set
+        assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_uniform_lists(self, k):
+        rng = random.Random(50 + k)
+        self.assert_matches_oracle(self.instances(rng, lambda rng, n: uniform_lists(n, k), 150))
+
+    @pytest.mark.parametrize(
+        "palette", [(-7, 0, 2**70), (-7, -1, 0, 2, 5), (-(10**9), 0, 3, 10**6, 2**70)]
+    )
+    def test_equal_lists_from_a_file(self, palette):
+        """Equal but separate frozensets over a sparse palette, each vertex's
+        list written in its own order, as ``jsonio`` loads them."""
+
+        def from_file(rng, n):
+            obj = {"schema": 1, "n": n, "edges": []}
+            obj["lists"] = {str(v): rng.sample(palette, len(palette)) for v in range(n)}
+            return jsonio.instance_from_json(obj).lists
+
+        rng = random.Random(len(palette))
+        self.assert_matches_oracle(self.instances(rng, from_file, 150))
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_uniform_but_one_vertex(self, k):
+        """One vertex swaps a color of {1..k} for k + 1 or k + 2."""
+
+        def one_off(rng, n):
+            lists = [frozenset(range(1, k + 1))] * n
+            v = rng.randrange(n)
+            lists[v] = lists[v] - {rng.randint(1, k)} | {k + rng.randint(1, 2)}
+            return ListAssignment(tuple(lists))
+
+        rng = random.Random(60 + k)
+        self.assert_matches_oracle(self.instances(rng, one_off, 150))
 
 
 @pytest.mark.usefixtures("default_recursion_limit")

@@ -1,13 +1,14 @@
 """Pinned CLI reports: ``check``, ``audit``, ``discharge``, ``hunt``,
-``embed`` and ``gen`` on a few fixed instances must keep every byte of their
-JSON (``duration_s`` aside), so that an optimisation cannot silently change a
-report.
+``embed``, ``gen``, ``solve`` and ``chromatic`` on a few fixed instances must
+keep every byte of their JSON (``duration_s`` aside), so that an
+optimisation cannot silently change a report.
 
 The ``check`` … ``hunt`` digests were recorded with the quadratic analysis
 code (pairwise 5-cycle and triangle scans, per-negative witness scans,
 recursive cycle enumeration).  The ``embed`` and ``gen`` digests were
 recorded with a parser built on every call, two face traces per ``embed``
-and the per-edge-BFS ``girth``.  A digest that changes means a report
+and the per-edge-BFS ``girth``.  The ``solve`` and ``chromatic`` digests were
+recorded before ``solve`` cut the color symmetry of uniform lists.  A digest that changes means a report
 changed: find out why before recording a new one.
 """
 
@@ -21,8 +22,16 @@ import pytest
 
 from oddcolor import jsonio
 from oddcolor.cli import run_command
+from oddcolor.coloring import ListAssignment
 from oddcolor.generate import generate_girth_instances
-from oddcolor.graphs import Graph, complete_bipartite_graph, complete_graph, r_set_from_indices
+from oddcolor.graphs import (
+    Graph,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    one_subdivision,
+    r_set_from_indices,
+)
 
 from fixtures import (
     grid_with_diagonals,
@@ -54,6 +63,11 @@ def instances():
         f"g7-{n}-s{seed}": generate_girth_instances(n, 7, 1, seed)[0]
         for n, seed in ((16, 1), (20, 2), (24, 3))
     }
+    c5, c12 = cycle_graph(5), cycle_graph(12)
+    g7 = generate_girth_instances(18, 7, 1, 6)[0]
+    rng = random.Random(8)
+    mixed = ListAssignment(tuple(frozenset(rng.sample(range(1, 7), 3)) for _ in range(g7.n)))
+    wide = ListAssignment((frozenset((-7, 0, 2**70)),) * c12.n)
     return {
         "T12": (jsonio.embedding_to_json(t12, seeded_r(t12.graph, 1, 20)), embedded + orientable),
         "grid-10x10": (jsonio.embedding_to_json(grid, seeded_r(grid.graph, 2, 20)), embedded),
@@ -67,6 +81,17 @@ def instances():
         "K33": (jsonio.graph_to_json(complete_bipartite_graph(3, 3)), signed),
         "T6": (jsonio.graph_to_json(torus_quadrangulation(6).graph), orientable),
         **{name: (jsonio.graph_to_json(g), orientable) for name, g in girth7.items()},
+        # one instance name per ``solve --k``, so the keys stay "name:command"
+        "C5-k4": (jsonio.graph_to_json(c5), ("solve --k 4",)),
+        "C5-k5": (jsonio.graph_to_json(c5), ("solve --k 5", "chromatic")),
+        "sK5-k4": (jsonio.graph_to_json(one_subdivision(complete_graph(5))), ("solve --k 4",)),
+        "sK4": (jsonio.graph_to_json(one_subdivision(complete_graph(4))), ("chromatic",)),
+        "petersen-k3": (jsonio.graph_to_json(pete), ("solve --k 3", "chromatic")),
+        "petersen-k4": (jsonio.graph_to_json(pete), ("solve --k 4",)),
+        "C12-k3": (jsonio.graph_to_json(c12), ("solve --k 3",)),
+        "g7-18-s6-k3": (jsonio.graph_to_json(g7), ("solve --k 3",)),
+        "g7-18-s6-mixed": ({**jsonio.graph_to_json(g7), **jsonio.lists_to_json(mixed)}, ("solve",)),
+        "C12-wide": ({**jsonio.graph_to_json(c12), **jsonio.lists_to_json(wide)}, ("solve",)),
     }
 
 
@@ -118,6 +143,18 @@ GOLDEN = {
     "g7-24-s3:embed": "4da1a55435e04656af2f90f6f0c3e3e65894ece8b20b799f56e5b0c7e59d4117",
     "gen-n30-g7-s5": "06d6158e844d7567f76b75b58cd69e12023d70a2ed519a07821383e6420c91e1",
     "gen-n20-g5-s11": "33b496e9f449a524dc64647cfac279ccbe7b4afb1e90a9cd3fc99581991e93d8",
+    "C5-k4:solve": "307fd687f1824829fa6145e48e0883da642541451902aa92eeb1f9b8516f9f07",
+    "C5-k5:solve": "05b50e6e18e1e4edcf495711ef05687ca29712f52fe79e466a06ff3f8b1076ae",
+    "C5-k5:chromatic": "fe4f1f6b17abf1daf9698329040dc5b742a6e92c19c671f1366998feef7a58c1",
+    "sK5-k4:solve": "5fd3f1aef2fd00280145513a01527467e7a4ffc8f5a30b638069d0a3fba273ec",
+    "sK4:chromatic": "1352755bf0c4981ebb3a772c11782e8d528514ba50cc8305635ddd7ac4ff77b6",
+    "petersen-k3:solve": "fa563619779e642e103005eb6ce194074eed4acde1ad42a059f098cd9a605544",
+    "petersen-k3:chromatic": "d28a43895c0b9839e42de7dc551e9db2aa87b73d4ef9e53862fe9363793b18d6",
+    "petersen-k4:solve": "5b2b38d41cbfcaef0fc6637000a8d732765c774ccf1b8e8545b8025ef5504871",
+    "C12-k3:solve": "154a528eda8deb29a5a319a955c3a5e9ba01e88491919a914abfa28341b88a33",
+    "g7-18-s6-k3:solve": "aa4164620fe8606d652d99be1b82261bbc7cec894d2ae0b2fd50df861fa1ce5a",
+    "g7-18-s6-mixed:solve": "544be7943eebc14d634bdb3837289fdddf2ddb66b78ed0f142ed6e2276c18105",
+    "C12-wide:solve": "3cc131bd38bf057243893cf31297551dc978b3b207272a28bbe6f41df2dc167c",
 }
 
 
@@ -156,7 +193,7 @@ def test_golden_instances_reach_every_stage(reports):
     """The pinned reports are worth pinning: they hold 5-cycle pairs, audit
     violations, negative charges explained by lemmas, hunts stopped at the
     hypothesis, the embedding and the audit, and embeddings found at Euler
-    genus 1 and 2."""
+    genus 1 and 2, and colorings both found and refuted."""
     seen = set()
     for report in reports.values():
         command, res = report["command"], report["result"]
@@ -170,8 +207,11 @@ def test_golden_instances_reach_every_stage(reports):
             seen.add(f"hunt:{res['eliminated_at']}")
         if command == "embed":
             seen.add(f"embed:eg{res['euler_genus']}")
+        if command == "solve":
+            seen.add(f"solve:{res['status']}")
     assert seen == {
         "five_pairs", "violations", "explained_by",
         "hunt:hypothesis", "hunt:embedding", "hunt:audit",
         "embed:eg1", "embed:eg2",
+        "solve:SAT", "solve:UNSAT",
     }

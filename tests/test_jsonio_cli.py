@@ -264,6 +264,21 @@ class TestCli:
         _, rep, _ = self.run(capsys, "chromatic", "--graph", path)
         assert rep["seed"] == 77
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_malformed_seed_variable_is_input_error(self, tmp_path, capsys, monkeypatch, value):
+        path = write_graph(tmp_path, "c5.json", cycle_graph(5))
+        monkeypatch.setenv("ODDCOLOR_SEED", value)
+        monkeypatch.setattr(sys, "argv", ["oddcolor", "chromatic", "--graph", path])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"ODDCOLOR_SEED must be an integer, got {value!r}" in err
+        assert "Traceback" not in err and "internal error" not in err
+        monkeypatch.setenv("ODDCOLOR_SEED", " 12 ")
+        _, rep, _ = self.run(capsys, "chromatic", "--graph", path)
+        assert rep["seed"] == 12
+
 
 class TestRunCommandReuse:
     """Many ``run_command`` calls in one process: later calls must not see
