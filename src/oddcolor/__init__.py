@@ -33,7 +33,6 @@ from .embedding import (
     FaceWalk,
     RotationSystem,
     embed_search,
-    face_adjacency,
     normalize_signatures,
     sorted_rotation,
     trace_faces,
@@ -55,9 +54,10 @@ from .coloring import (
     uniform_lists,
 )
 from .audit import (
+    Analysis,
     AuditEntry,
     AuditReport,
-    audit_graph,
+    analyze,
     check_degree_lemmas,
     check_face_lemmas,
     check_four_vertex_configs,

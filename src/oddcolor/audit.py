@@ -7,6 +7,9 @@ A graph (with embedding) passing all audits is "counterexample-shaped".
 Detection only: the coloring-extension arguments behind the lemmas are not
 re-executed.
 
+Every check, and every discharging rule in ``discharge``, reads one
+``Analysis`` of the instance, built once by ``analyze``.
+
 Lemma identifiers L3.1..L3.16 index the catalog; L3.12 is the statement left
 unnamed between the face lemmas, audited as "L3.12-unnamed".
 """
@@ -24,7 +27,7 @@ from .graphs import (
     r_length,
     relaxed_flags,
 )
-from .embedding import EmbeddedGraph, face_adjacency
+from .embedding import EmbeddedGraph
 
 LEMMA_STATEMENTS = {
     "L3.1": "the graph is connected",
@@ -84,6 +87,59 @@ class AuditReport:
         return [e.to_json() for e in self.entries]
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """The fixed structure of one instance that the audits and the rules read.
+
+    Per vertex: ``deg``, ``relaxed`` and ``corners``, each corner a
+    (face, arrival edge, departure edge) triple, ordered by face and then by
+    walk position, so a walk visiting a vertex twice gives it two corners.
+    Per face: ``lengths``, ``vsets``, ``esets`` and ``neighbors`` (the other
+    faces sharing an edge with it).  ``shared`` maps each face pair (i, j),
+    i <= j, to its shared edges; i == j collects the edges whose two sides
+    both lie on face i.  Without an embedding the face fields are empty.
+    """
+
+    g: Graph
+    r: RSet
+    emb: EmbeddedGraph | None
+    deg: tuple[int, ...]
+    relaxed: tuple[bool, ...]
+    lengths: tuple[int, ...]
+    vsets: tuple[frozenset[int], ...]
+    esets: tuple[frozenset[int], ...]
+    shared: dict[tuple[int, int], frozenset[int]]
+    neighbors: tuple[frozenset[int], ...]
+    corners: tuple[tuple[tuple[int, int, int], ...], ...]
+
+
+def analyze(g: Graph, r: RSet, emb: EmbeddedGraph | None = None) -> Analysis:
+    """The ``Analysis`` of ``g`` with relaxation set ``r``, and of its faces
+    when an embedding ``emb`` of ``g`` is given."""
+    faces = emb.faces if emb is not None else ()
+    corners: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    for fi, f in enumerate(faces):
+        for (v, dep), (_, arr) in zip(f.darts, f.darts[-1:] + f.darts[:-1]):
+            corners[v].append((fi, arr, dep))
+    shared: dict[tuple[int, int], set[int]] = {}
+    neighbors: list[set[int]] = [set() for _ in faces]
+    for ei in range(len(g.edges) if faces else 0):
+        i, j = emb.side_faces(ei)
+        shared.setdefault((i, j) if i <= j else (j, i), set()).add(ei)
+        if i != j:
+            neighbors[i].add(j)
+            neighbors[j].add(i)
+    return Analysis(
+        g, r, emb, tuple(g.degree(v) for v in range(g.n)), tuple(relaxed_flags(g, r)),
+        tuple(f.length for f in faces),
+        tuple(f.vertex_set() for f in faces),
+        tuple(f.edge_set() for f in faces),
+        {k: frozenset(es) for k, es in shared.items()},
+        tuple(map(frozenset, neighbors)),
+        tuple(map(tuple, corners)),
+    )
+
+
 def _entry(lemma: str, witnesses: list[dict]) -> AuditEntry:
     witnesses.sort(key=repr)
     return AuditEntry(lemma, "violated" if witnesses else "holds", tuple(witnesses))
@@ -92,39 +148,35 @@ def _entry(lemma: str, witnesses: list[dict]) -> AuditEntry:
 # -- graph-only checks ---------------------------------------------------------
 
 
-def check_degree_lemmas(g: Graph, r: RSet) -> list[AuditEntry]:
-    comps = g.components()
+def check_degree_lemmas(a: Analysis) -> list[AuditEntry]:
+    comps = a.g.components()
     w1 = [] if len(comps) <= 1 else [{"components": comps}]
-    w2 = [
-        {"vertex": v, "degree": g.degree(v)}
-        for v in range(g.n)
-        if g.degree(v) <= 2
-    ]
+    w2 = [{"vertex": v, "degree": d} for v, d in enumerate(a.deg) if d <= 2]
     return [_entry("L3.1", w1), _entry("L3.2", w2)]
 
 
-def check_relaxed_neighborhoods(g: Graph, r: RSet) -> list[AuditEntry]:
-    relaxed = relaxed_flags(g, r)
+def check_relaxed_neighborhoods(a: Analysis) -> list[AuditEntry]:
+    g, relaxed = a.g, a.relaxed
     w3 = []
     for v in range(g.n):
-        if g.degree(v) != 3:
+        if a.deg[v] != 3:
             continue
         rn = sorted(u for u in g.adj[v] if relaxed[u])
         if len(rn) >= 2:
             w3.append({"vertex": v, "relaxed_neighbors": rn})
     w6 = []
     for v in range(g.n):
-        if g.degree(v) == 4 and relaxed[v] and all(relaxed[u] for u in g.adj[v]):
+        if a.deg[v] == 4 and relaxed[v] and all(relaxed[u] for u in g.adj[v]):
             w6.append({"vertex": v, "neighbors": sorted(g.adj[v])})
     return [_entry("L3.3", w3), _entry("L3.6", w6)]
 
 
-def check_triangle_lemmas(g: Graph, r: RSet) -> list[AuditEntry]:
-    triangles = enumerate_cycles(g, 3)
-    relaxed = relaxed_flags(g, r)
+def check_triangle_lemmas(a: Analysis) -> list[AuditEntry]:
+    triangles = enumerate_cycles(a.g, 3)
+    relaxed = a.relaxed
     w4 = []
     for t in triangles:
-        L = r_length(t, r)
+        L = r_length(t, a.r)
         if L != 5:
             w4.append({"cycle": list(t.vertices), "r_length": L})
         for v in t.vertices:
@@ -134,7 +186,7 @@ def check_triangle_lemmas(g: Graph, r: RSet) -> list[AuditEntry]:
         {"cycle": list(t.vertices), "vertex": v}
         for t in triangles
         for v in t.vertices
-        if g.degree(v) == 3
+        if a.deg[v] == 3
     ]
     w10 = [
         {
@@ -147,16 +199,16 @@ def check_triangle_lemmas(g: Graph, r: RSet) -> list[AuditEntry]:
     return [_entry("L3.4", w4), _entry("L3.5", w5), _entry("L3.10", w10)]
 
 
-def check_four_vertex_configs(g: Graph, r: RSet) -> list[AuditEntry]:
-    relaxed = relaxed_flags(g, r)
+def check_four_vertex_configs(a: Analysis) -> list[AuditEntry]:
+    g, deg, relaxed = a.g, a.deg, a.relaxed
     # at each 4-vertex x: its 3-vertex neighbors u (in increasing order) with
     # a relaxed vertex in N(u) - {x}, mapped to the smallest such vertex
     supported: list[dict[int, int]] = [{} for _ in range(g.n)]
     for x in range(g.n):
-        if g.degree(x) != 4:
+        if deg[x] != 4:
             continue
         for u in sorted(g.adj[x]):
-            if g.degree(u) == 3:
+            if deg[u] == 3:
                 s = min((w for w in g.adj[u] if w != x and relaxed[w]), default=None)
                 if s is not None:
                     supported[x][u] = s
@@ -188,16 +240,11 @@ def check_four_vertex_configs(g: Graph, r: RSet) -> list[AuditEntry]:
 # -- face checks ---------------------------------------------------------------
 
 
-def check_face_lemmas(e: EmbeddedGraph, r: RSet) -> list[AuditEntry]:
-    g = e.graph
-    faces = e.faces
-    lengths = [f.length for f in faces]
-    vsets = [f.vertex_set() for f in faces]
-    adjacency = face_adjacency(e)
-    relaxed = relaxed_flags(g, r)
+def check_face_lemmas(a: Analysis) -> list[AuditEntry]:
+    g, deg, lengths, vsets = a.g, a.deg, a.lengths, a.vsets
 
     w11, w12, w13, w14 = [], [], [], []
-    for (i, j), shared in adjacency.items():
+    for (i, j), shared in a.shared.items():
         if i == j:
             continue
         li, lj = lengths[i], lengths[j]
@@ -206,19 +253,18 @@ def check_face_lemmas(e: EmbeddedGraph, r: RSet) -> list[AuditEntry]:
             if len(shared) != 1:
                 w11.append({"three_face": t, "four_face": q, "shared_edges_count": len(shared)})
             for v in sorted(vsets[t] | vsets[q]):
-                if not relaxed[v]:
+                if not a.relaxed[v]:
                     w11.append({"three_face": t, "four_face": q, "non_relaxed_vertex": v})
             if len(shared) != 1:
                 continue
-            q_edges = faces[q].edge_set()
             for v in sorted(vsets[t] & vsets[q]):
-                if g.degree(v) != 4:
+                if deg[v] != 4:
                     continue
-                for ei in sorted(faces[t].edge_set()):
-                    if v not in g.edges[ei] or ei in q_edges:
+                for ei in sorted(a.esets[t]):
+                    if v not in g.edges[ei] or ei in a.esets[q]:
                         continue
-                    a, b = e.side_faces(ei)
-                    other = b if a == t else a
+                    sa, sb = a.emb.side_faces(ei)
+                    other = sb if sa == t else sa
                     if other != t and lengths[other] < 5:
                         w12.append(
                             {
@@ -232,20 +278,20 @@ def check_face_lemmas(e: EmbeddedGraph, r: RSet) -> list[AuditEntry]:
                         )
         elif li == lj == 4 and len(shared) == 1:
             for v in sorted(vsets[i] & vsets[j]):
-                if g.degree(v) <= 3:
-                    w13.append({"face_a": i, "face_b": j, "vertex": v, "degree": g.degree(v)})
+                if deg[v] <= 3:
+                    w13.append({"face_a": i, "face_b": j, "vertex": v, "degree": deg[v]})
         elif li == lj == 5 and len(shared) == 1:
             (ei,) = shared
             u, v = g.edges[ei]
             for f1, f2 in ((i, j), (j, i)):
                 for a1, a2 in ((u, v), (v, u)):
-                    if g.degree(a1) != 3:
+                    if deg[a1] != 3:
                         continue
                     cand1 = sorted((g.adj[a1] & vsets[f2]) - {a2})
                     cand2 = sorted((g.adj[a2] & vsets[f2]) - {a1})
                     if len(cand1) != 1 or len(cand2) != 1:
                         continue  # "the neighbor" is only defined when unique
-                    if g.degree(cand1[0]) <= 3 and g.degree(cand2[0]) <= 3:
+                    if deg[cand1[0]] <= 3 and deg[cand2[0]] <= 3:
                         w14.append(
                             {
                                 "face_with_primes": f2,
@@ -256,18 +302,14 @@ def check_face_lemmas(e: EmbeddedGraph, r: RSet) -> list[AuditEntry]:
                             }
                         )
 
-    corner_faces: list[list[int]] = [[] for _ in range(g.n)]
-    for fi, f in enumerate(faces):
-        for tail in f.tails():
-            corner_faces[tail].append(fi)
-
     w15, w16 = [], []
     for v in range(g.n):
-        ls = sorted(lengths[fi] for fi in corner_faces[v])
-        witness = {"vertex": v, "faces": sorted(corner_faces[v])}
-        if g.degree(v) == 3 and ls == [4, 5, 5]:
+        faces = [fi for fi, _, _ in a.corners[v]]
+        ls = sorted(lengths[fi] for fi in faces)
+        witness = {"vertex": v, "faces": faces}
+        if deg[v] == 3 and ls == [4, 5, 5]:
             w15.append(witness)
-        elif g.degree(v) == 4 and set(ls) <= {4}:
+        elif deg[v] == 4 and set(ls) <= {4}:
             w16.append(witness)
 
     return [
@@ -280,27 +322,19 @@ def check_face_lemmas(e: EmbeddedGraph, r: RSet) -> list[AuditEntry]:
     ]
 
 
-def audit_graph(g: Graph, r: RSet) -> AuditReport:
-    """All graph-level checks; face checks are reported as skipped."""
+def full_audit(a: Analysis) -> AuditReport:
+    """Union of every structural check; the face checks are reported as
+    skipped when the instance has no embedding."""
+    if a.emb is None:
+        faces = [AuditEntry(lemma, "skipped") for lemma in FACE_LEMMAS]
+    else:
+        faces = check_face_lemmas(a)
     entries = (
-        check_degree_lemmas(g, r)
-        + check_relaxed_neighborhoods(g, r)
-        + check_triangle_lemmas(g, r)
-        + check_four_vertex_configs(g, r)
-        + [AuditEntry(lemma, "skipped") for lemma in FACE_LEMMAS]
-    )
-    return AuditReport(tuple(sorted(entries, key=lambda e: _lemma_key(e.lemma))))
-
-
-def full_audit(e: EmbeddedGraph, r: RSet) -> AuditReport:
-    """Union of every structural check against an embedded instance."""
-    g = e.graph
-    entries = (
-        check_degree_lemmas(g, r)
-        + check_relaxed_neighborhoods(g, r)
-        + check_triangle_lemmas(g, r)
-        + check_four_vertex_configs(g, r)
-        + check_face_lemmas(e, r)
+        check_degree_lemmas(a)
+        + check_relaxed_neighborhoods(a)
+        + check_triangle_lemmas(a)
+        + check_four_vertex_configs(a)
+        + faces
     )
     return AuditReport(tuple(sorted(entries, key=lambda e: _lemma_key(e.lemma))))
 

@@ -17,7 +17,7 @@ import time
 import traceback
 
 from . import jsonio
-from .audit import audit_graph, full_audit
+from .audit import analyze, full_audit
 from .coloring import (
     RelaxedInstance,
     odd_chromatic_number,
@@ -60,6 +60,12 @@ def _load(args) -> tuple[Instance, str]:
         except ValueError as exc:
             raise InputError(f"bad --r value: {exc}") from exc
     return inst, digest
+
+
+def _at_least(flag: str, value: int, low: int) -> int:
+    if value < low:
+        raise InputError(f"{flag} must be at least {low}, got {value}")
+    return value
 
 
 def _need_embedding(inst: Instance) -> None:
@@ -116,7 +122,7 @@ def cmd_solve(args, inst: Instance):
     if lists is None:
         if args.k is None:
             raise InputError("give --k or an instance file with lists")
-        lists = uniform_lists(inst.graph.n, args.k)
+        lists = uniform_lists(inst.graph.n, _at_least("--k", args.k, 1))
     coloring = solve(RelaxedInstance(inst.graph, inst.r, lists))
     if coloring is None:
         return {"status": "UNSAT", "k": lists.k}, EXIT_REFUTED
@@ -128,9 +134,10 @@ def cmd_chromatic(args, inst: Instance):
 
 
 def cmd_choosable(args, inst: Instance):
-    rep = sampled_choosability(
-        inst.graph, args.k, inst.r, args.trials, args.universe, args.seed
-    )
+    k = _at_least("--k", args.k, 1)
+    universe = 2 * k if args.universe is None else _at_least("--universe", args.universe, k)
+    trials = _at_least("--trials", args.trials, 1)
+    rep = sampled_choosability(inst.graph, k, inst.r, trials, universe, args.seed)
     result = {
         "k": rep.k,
         "trials": rep.trials,
@@ -145,10 +152,7 @@ def cmd_choosable(args, inst: Instance):
 
 
 def cmd_audit(args, inst: Instance):
-    if inst.embedding is not None:
-        rep = full_audit(inst.embedding, inst.r)
-    else:
-        rep = audit_graph(inst.graph, inst.r)
+    rep = full_audit(analyze(inst.graph, inst.r, inst.embedding))
     return (
         {
             "audit": rep.to_json(),
@@ -160,9 +164,9 @@ def cmd_audit(args, inst: Instance):
 
 def cmd_discharge(args, inst: Instance):
     _need_embedding(inst)
-    ledger = settle(inst.embedding, inst.r)
-    rep = full_audit(inst.embedding, inst.r)
-    charges = charge_report(ledger, rep)
+    a = analyze(inst.graph, inst.r, inst.embedding)
+    ledger = settle(a)
+    charges = charge_report(ledger, full_audit(a))
     return (
         {"ledger": ledger.to_json(), "charges": charges.to_json()},
         EXIT_OK,
@@ -263,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(argv: list[str]) -> int:
     """Run one subcommand, print its report and return its exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "choosable" and args.universe is None:
-        args.universe = 2 * args.k
     started = time.perf_counter()
     try:
         if args.command == "gen":

@@ -3,8 +3,10 @@
 Initial charges are deg(v) - 4 per vertex and leng(f) - 4 per face, kept as
 integer twelfths so the transfer amounts 1/4, 1/3, 1/2 stay exact.  The
 eight transfer rules all read the static embedded graph (one simultaneous
-batch); R3 in particular fires on a (face, 3-face, edge) triple exactly when
-R2's predicate on that triple is false, so the two are mutually exclusive by
+batch) through the same ``audit.Analysis`` as the audits, so degrees,
+relaxed flags, faces, shared edges and corners are built once per instance.
+R3 in particular fires on a (face, 3-face, edge) triple exactly when R2's
+predicate on that triple is false, so the two are mutually exclusive by
 construction.
 
 Rule incidences are counted with multiplicity along boundary walks: a
@@ -18,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import Graph, RSet, hypothesis_check, relaxed_flags
-from .embedding import EmbeddedGraph, embed_search, face_adjacency
-from .audit import AuditReport, full_audit
+from .graphs import Graph, RSet, hypothesis_check
+from .embedding import EmbeddedGraph, embed_search
+from .audit import Analysis, AuditReport, analyze, full_audit
 
 Element = tuple[str, int]  # ("v", vertex) or ("f", face index)
 
@@ -67,31 +69,22 @@ class Transfer:
         return out
 
 
-def initial_charges(e: EmbeddedGraph) -> dict[Element, int]:
+def initial_charges(a: Analysis) -> dict[Element, int]:
     """deg(v)-4 and leng(f)-4, in twelfths."""
-    charges: dict[Element, int] = {}
-    for v in range(e.graph.n):
-        charges[("v", v)] = 12 * (e.graph.degree(v) - 4)
-    for fi, f in enumerate(e.faces):
-        charges[("f", fi)] = 12 * (f.length - 4)
+    charges = {("v", v): 12 * (d - 4) for v, d in enumerate(a.deg)}
+    charges.update({("f", fi): 12 * (length - 4) for fi, length in enumerate(a.lengths)})
     return charges
 
 
-def generate_transfers(e: EmbeddedGraph, r: RSet) -> tuple[Transfer, ...]:
+def generate_transfers(a: Analysis) -> tuple[Transfer, ...]:
     """The complete transfer multiset mandated by rules R1-R8."""
-    g = e.graph
-    faces = e.faces
-    lengths = [f.length for f in faces]
-    vsets = [f.vertex_set() for f in faces]
-    esets = [f.edge_set() for f in faces]
-    deg = [g.degree(v) for v in range(g.n)]
-    relaxed = relaxed_flags(g, r)
-    adjacency = face_adjacency(e)
+    g, e = a.g, a.emb
+    deg, relaxed, lengths, vsets, esets = a.deg, a.relaxed, a.lengths, a.vsets, a.esets
 
     transfers: list[Transfer] = []
 
     # R1: every long face pays each degree-3 corner on its walk
-    for fi, f in enumerate(faces):
+    for fi, f in enumerate(e.faces):
         if lengths[fi] < 5:
             continue
         for pos, (v, _) in enumerate(f.darts):
@@ -113,14 +106,14 @@ def generate_transfers(e: EmbeddedGraph, r: RSet) -> tuple[Transfer, ...]:
 
     # R2/R3/R4: a long face pays a triangle across a shared edge
     # R5: a (>=6)-face props up a 5-face across a 3/4-degree edge
-    for ei, (a, b) in enumerate(g.edges):
+    for ei, (a_, b_) in enumerate(g.edges):
         fa, fb = e.side_faces(ei)
         if fa == fb:
             continue
         for f, fp in ((fa, fb), (fb, fa)):
-            if lengths[f] >= 5 and lengths[fp] == 3 and deg[a] == 4 and deg[b] == 4:
+            if lengths[f] >= 5 and lengths[fp] == 3 and deg[a_] == 4 and deg[b_] == 4:
                 # the two ends play different roles; try both labelings
-                for aa, bb in ((a, b), (b, a)):
+                for aa, bb in ((a_, b_), (b_, a_)):
                     h1 = walk_edge_to_nonrelaxed(f, ei, aa)
                     outside = (w for w in g.adj[bb] if w not in vsets[fp] and not relaxed[w])
                     h2 = min(outside, default=None)
@@ -131,30 +124,25 @@ def generate_transfers(e: EmbeddedGraph, r: RSet) -> tuple[Transfer, ...]:
                             "edge_at_a": list(g.edges[h1[0]]),
                             "outside_at_b": h2,
                         }
-                        transfers.append(Transfer("R2", ("f", f), ("f", fp), 6, (a, b), witness))
+                        transfers.append(Transfer("R2", ("f", f), ("f", fp), 6, (a_, b_), witness))
                         break
                 else:
-                    transfers.append(Transfer("R3", ("f", f), ("f", fp), 6, (a, b), {}))
-            elif lengths[f] >= 5 and lengths[fp] == 3 and min(deg[a], deg[b]) == 4:
-                transfers.append(Transfer("R4", ("f", f), ("f", fp), 3, (a, b), {}))
-            elif lengths[f] >= 6 and lengths[fp] == 5 and sorted((deg[a], deg[b])) == [3, 4]:
+                    transfers.append(Transfer("R3", ("f", f), ("f", fp), 6, (a_, b_), {}))
+            elif lengths[f] >= 5 and lengths[fp] == 3 and min(deg[a_], deg[b_]) == 4:
+                transfers.append(Transfer("R4", ("f", f), ("f", fp), 3, (a_, b_), {}))
+            elif lengths[f] >= 6 and lengths[fp] == 5 and sorted((deg[a_], deg[b_])) == [3, 4]:
                 uniques = []
-                for vv in (a, b):
-                    cands = sorted((g.adj[vv] & vsets[fp]) - {a, b})
+                for vv in (a_, b_):
+                    cands = sorted((g.adj[vv] & vsets[fp]) - {a_, b_})
                     if len(cands) == 1 and relaxed[cands[0]]:
                         uniques.append(cands[0])
                 if len(uniques) == 2:
                     transfers.append(
-                        Transfer("R5", ("f", f), ("f", fp), 3, (a, b), {"unique_relaxed": uniques})
+                        Transfer("R5", ("f", f), ("f", fp), 3, (a_, b_), {"unique_relaxed": uniques})
                     )
 
     # R6: a (>=6)-face reaches a second 5-face two steps away
-    neighbors: list[set[int]] = [set() for _ in faces]  # faces sharing an edge
-    for i, j in adjacency:
-        if i != j:
-            neighbors[i].add(j)
-            neighbors[j].add(i)
-    for fi, f in enumerate(faces):
+    for fi in range(len(lengths)):
         if lengths[fi] < 6:
             continue
         for v in sorted(vsets[fi]):
@@ -173,16 +161,16 @@ def generate_transfers(e: EmbeddedGraph, r: RSet) -> tuple[Transfer, ...]:
                 fp = sb if sa == fi else sa
                 if lengths[fp] != 5:
                     continue
-                for fpp in neighbors[fp]:
+                for fpp in a.neighbors[fp]:
                     if fpp == fi or lengths[fpp] != 5:
                         continue
-                    shared = sorted(adjacency[(fp, fpp) if fp <= fpp else (fpp, fp)])
+                    shared = sorted(a.shared[(fp, fpp) if fp <= fpp else (fpp, fp)])
                     if len(shared) != 1 or v not in g.edges[shared[0]]:
                         continue
                     m = sorted(g.adj[v] & vsets[fpp])
                     if len(m) != 2 or any(deg[w] != 3 for w in m):
                         continue
-                    if not any(lengths[ft] == 3 for ft in neighbors[fpp]):
+                    if not any(lengths[ft] == 3 for ft in a.neighbors[fpp]):
                         continue
                     ep = shared[0]
                     transfers.append(
@@ -198,32 +186,19 @@ def generate_transfers(e: EmbeddedGraph, r: RSet) -> tuple[Transfer, ...]:
                     )
 
     # R7: big vertices pay their triangles
-    corner_faces: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
-    for fi, f in enumerate(faces):
-        for v, arr, dep in f.corners():
-            corner_faces[v].append((fi, arr, dep, len(corner_faces[v])))
-    for v in range(g.n):
-        if deg[v] < 5:
-            continue
-        for fi, _, _, _ in corner_faces[v]:
-            if lengths[fi] == 3:
-                transfers.append(Transfer("R7", ("v", v), ("f", fi), 6, None, {}))
-
     # R8: (>=6)-vertices pay 5-face corners whose flanking edges avoid triangles
     def on_triangle(ei: int) -> bool:
         sa, sb = e.side_faces(ei)
         return lengths[sa] == 3 or lengths[sb] == 3
 
     for v in range(g.n):
-        if deg[v] < 6:
+        if deg[v] < 5:
             continue
-        for fi, arr, dep, k in corner_faces[v]:
-            if lengths[fi] != 5:
-                continue
-            if not on_triangle(arr) and not on_triangle(dep):
-                transfers.append(
-                    Transfer("R8", ("v", v), ("f", fi), 4, None, {"corner": k})
-                )
+        for k, (fi, arr, dep) in enumerate(a.corners[v]):
+            if lengths[fi] == 3:
+                transfers.append(Transfer("R7", ("v", v), ("f", fi), 6, None, {}))
+            elif deg[v] >= 6 and lengths[fi] == 5 and not on_triangle(arr) and not on_triangle(dep):
+                transfers.append(Transfer("R8", ("v", v), ("f", fi), 4, None, {"corner": k}))
 
     transfers.sort(key=lambda t: (t.rule, t.source, t.target, t.via or (), repr(t.witness)))
     return tuple(transfers)
@@ -250,10 +225,11 @@ class ChargeLedger:
         }
 
 
-def settle(e: EmbeddedGraph, r: RSet) -> ChargeLedger:
-    """Apply all rules and return the exact ledger; conservation is checked."""
-    init = initial_charges(e)
-    transfers = generate_transfers(e, r)
+def settle(a: Analysis) -> ChargeLedger:
+    """Apply all rules to an embedded instance's analysis and return the
+    exact ledger; conservation is checked."""
+    init = initial_charges(a)
+    transfers = generate_transfers(a)
     final = dict(init)
     for t in transfers:
         final[t.source] -= t.amount_twelfths
@@ -384,8 +360,9 @@ def hunt(g: Graph, r: RSet, max_genus: int = 2) -> HuntReport:
     emb = embed_search(g, max_genus)
     if emb is None:
         return HuntReport("embedding", hyp, False, None, None, None, None)
-    audit = full_audit(emb, r)
-    ledger = settle(emb, r)
+    a = analyze(g, r, emb)
+    audit = full_audit(a)
+    ledger = settle(a)
     charges = charge_report(ledger, audit)
     if not audit.counterexample_shaped:
         stage = "audit"

@@ -81,9 +81,6 @@ class FaceWalk:
     def length(self) -> int:
         return len(self.darts)
 
-    def tails(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.darts)
-
     def walk_edges(self) -> tuple[int, ...]:
         return tuple(e for _, e in self.darts)
 
@@ -92,12 +89,6 @@ class FaceWalk:
 
     def vertex_set(self) -> frozenset[int]:
         return frozenset(v for v, _ in self.darts)
-
-    def corners(self) -> tuple[tuple[int, int, int], ...]:
-        """(vertex, arrival edge, departure edge) per walk position."""
-        ds = self.darts
-        k = len(ds)
-        return tuple((ds[i][0], ds[i - 1][1], ds[i][1]) for i in range(k))
 
 
 def _canonical_walk(darts: list[Dart]) -> FaceWalk:
@@ -210,19 +201,6 @@ class EmbeddedGraph:
                 elif mark[w] != mark[u] ^ s:
                     return False
         return True
-
-
-def face_adjacency(e: EmbeddedGraph) -> dict[tuple[int, int], frozenset[int]]:
-    """Shared edge sets per face pair.
-
-    Keys are ordered pairs (i, j) with i <= j of face indices; i == j collects
-    the edges whose two sides both lie on face i (self-incidence).
-    """
-    shared: dict[tuple[int, int], set[int]] = {}
-    for ei, (a, b) in enumerate(e._side_faces):
-        key = (a, b) if a <= b else (b, a)
-        shared.setdefault(key, set()).add(ei)
-    return {k: frozenset(v) for k, v in shared.items()}
 
 
 # -- signature normalization -------------------------------------------------

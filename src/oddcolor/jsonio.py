@@ -102,8 +102,8 @@ def instance_from_json(obj: dict) -> Instance:
     """
     if not isinstance(obj, dict) or "schema" not in obj:
         raise ValueError("instance file is not a JSON object with a schema version field")
-    if obj["schema"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {obj['schema']}")
+    if type(obj["schema"]) is not int or obj["schema"] != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {obj['schema']!r}")
     n, edges = obj.get("n"), obj.get("edges")
     if type(n) is not int:
         raise ValueError(f"n: expected an integer, got {n!r}")

@@ -11,6 +11,12 @@ import math
 
 from oddcolor.graphs import Graph, normalize_edge
 from oddcolor.embedding import EmbeddedGraph, RotationSystem
+from oddcolor.audit import Analysis, analyze
+
+
+def analyze_embedded(emb: EmbeddedGraph, r: frozenset = frozenset()) -> Analysis:
+    """The analysis of an embedded instance, graph taken from the embedding."""
+    return analyze(emb.graph, r, emb)
 
 
 def rotation_from_coords(g: Graph, coords: dict[int, tuple[float, float]]) -> RotationSystem:

@@ -46,6 +46,7 @@ from oddcolor.discharge import (
 from oddcolor.generate import generate_girth_instances
 
 from fixtures import (
+    analyze_embedded,
     cube_planar,
     face_of_length,
     find_small_embedding,
@@ -179,7 +180,7 @@ def test_04_conservation_and_euler_identity():
                 if emb.graph.edges
                 else EMPTY
             )
-            led = settle(emb, r)
+            led = settle(analyze_embedded(emb, r))
             want = euler_identity_twelfths(emb)
             assert sum(led.initial.values()) == want
             assert sum(led.final.values()) == want
@@ -213,19 +214,19 @@ def test_06_rule_fixtures():
         # R1: theta graph, each of the three long faces pays both hubs 1/2
         emb = rule_r1_fixture()
         want = _merge(*[_expect("R1", ("f", f), ("v", h)) for f in range(3) for h in (0, 1)])
-        assert Counter(generate_transfers(emb, EMPTY)) == want
+        assert Counter(generate_transfers(analyze_embedded(emb, EMPTY))) == want
 
         # R2: 1/2 across the shared edge when both side conditions hold
         emb = rule_r2_fixture()
         tri, outer = face_of_length(emb, 3), face_of_length(emb, 15)
-        assert Counter(generate_transfers(emb, EMPTY)) == _merge(
+        assert Counter(generate_transfers(analyze_embedded(emb, EMPTY))) == _merge(
             _expect("R2", ("f", outer), ("f", tri), (0, 1))
         )
 
         # R3: same shape, conditions broken, the fallback 1/2 fires instead
         emb = rule_r3_fixture()
         tri, outer = face_of_length(emb, 3), face_of_length(emb, 11)
-        assert Counter(generate_transfers(emb, EMPTY)) == _merge(
+        assert Counter(generate_transfers(analyze_embedded(emb, EMPTY))) == _merge(
             _expect("R3", ("f", outer), ("f", tri), (0, 1))
         )
 
@@ -234,7 +235,7 @@ def test_06_rule_fixtures():
         emb = rule_r23_adversarial_fixture()
         r = r_set(emb.graph, [(0, 1), (1, 2)])
         tri, outer = face_of_length(emb, 3), face_of_length(emb, 19)
-        got = Counter(generate_transfers(emb, r))
+        got = Counter(generate_transfers(analyze_embedded(emb, r)))
         assert got == _merge(
             _expect("R2", ("f", outer), ("f", tri), (0, 1)),
             _expect("R3", ("f", outer), ("f", tri), (0, 2)),
@@ -246,7 +247,7 @@ def test_06_rule_fixtures():
         # R4: 1/4 across a 4/(>=5) degree edge, plus the unavoidable R7
         emb = rule_r4_fixture()
         tri, outer = face_of_length(emb, 3), face_of_length(emb, 13)
-        assert Counter(generate_transfers(emb, EMPTY)) == _merge(
+        assert Counter(generate_transfers(analyze_embedded(emb, EMPTY))) == _merge(
             _expect("R4", ("f", outer), ("f", tri), (0, 1)),
             _expect("R7", ("v", 1), ("f", tri)),
         )
@@ -254,7 +255,7 @@ def test_06_rule_fixtures():
         # R5: 1/4 from the big face to the pentagon over the 3/4 edge
         emb = rule_r5_fixture()
         pent, outer = face_of_length(emb, 5), face_of_length(emb, 15)
-        assert Counter(generate_transfers(emb, EMPTY)) == _merge(
+        assert Counter(generate_transfers(analyze_embedded(emb, EMPTY))) == _merge(
             _expect("R5", ("f", outer), ("f", pent), (0, 1)),
             *[_expect("R1", ("f", pent), ("v", v)) for v in (0, 2, 4)],
             *[_expect("R1", ("f", outer), ("v", v), times=2) for v in (0, 2, 4)],
@@ -265,7 +266,7 @@ def test_06_rule_fixtures():
         first = face_of_length(emb, 5, containing={1})
         second = face_of_length(emb, 5, containing={6})
         outer = face_of_length(emb, 15)
-        assert Counter(generate_transfers(emb, EMPTY)) == _merge(
+        assert Counter(generate_transfers(analyze_embedded(emb, EMPTY))) == _merge(
             _expect("R6", ("f", outer), ("f", second), (0, 4)),
             _expect("R1", ("f", first), ("v", 4)),
             *[_expect("R1", ("f", second), ("v", v)) for v in (4, 5, 7)],
@@ -278,7 +279,7 @@ def test_06_rule_fixtures():
         emb = rule_r7_fixture()
         outer = face_of_length(emb, 5)
         tris = [i for i, f in enumerate(emb.faces) if f.length == 3]
-        assert Counter(generate_transfers(emb, EMPTY)) == _merge(
+        assert Counter(generate_transfers(analyze_embedded(emb, EMPTY))) == _merge(
             *[_expect("R7", ("v", 0), ("f", t)) for t in tris],
             *[_expect("R1", ("f", outer), ("v", v)) for v in range(1, 6)],
         )
@@ -294,7 +295,7 @@ def test_06_rule_fixtures():
             ):
                 pieces.append(_expect("R1", ("f", s), ("v", v)))
         pieces += [_expect("R1", ("f", outer), ("v", v)) for v in range(1, 7)]
-        assert Counter(generate_transfers(emb, EMPTY)) == _merge(*pieces)
+        assert Counter(generate_transfers(analyze_embedded(emb, EMPTY))) == _merge(*pieces)
 
         # amounts are bound to rules
         amounts = {"R1": 6, "R2": 6, "R3": 6, "R7": 6, "R8": 4, "R4": 3, "R5": 3, "R6": 3}

@@ -8,7 +8,7 @@ from oddcolor.graphs import (
 from oddcolor.embedding import EmbeddedGraph, sorted_rotation
 from oddcolor.audit import (
     FACE_LEMMAS,
-    audit_graph,
+    analyze,
     check_degree_lemmas,
     check_face_lemmas,
     check_four_vertex_configs,
@@ -18,6 +18,7 @@ from oddcolor.audit import (
 )
 
 from fixtures import (
+    analyze_embedded,
     embed_planar,
     lemma_4v_two_supported_graph,
     lemma_44_supported_graph,
@@ -37,17 +38,17 @@ def by_lemma(entries):
 
 class TestDegreeLemmas:
     def test_c5_every_vertex_flagged(self):
-        frag = by_lemma(check_degree_lemmas(cycle_graph(5), EMPTY))
+        frag = by_lemma(check_degree_lemmas(analyze(cycle_graph(5), EMPTY)))
         assert frag["L3.1"].verdict == "holds"
         assert len(frag["L3.2"].witnesses) == 5
 
     def test_petersen_clean(self):
-        frag = by_lemma(check_degree_lemmas(petersen_graph(), EMPTY))
+        frag = by_lemma(check_degree_lemmas(analyze(petersen_graph(), EMPTY)))
         assert frag["L3.2"].verdict == "holds"
 
     def test_disconnected_flagged(self):
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        frag = by_lemma(check_degree_lemmas(g, EMPTY))
+        frag = by_lemma(check_degree_lemmas(analyze(g, EMPTY)))
         assert frag["L3.1"].verdict == "violated"
         assert frag["L3.1"].witnesses[0]["components"] == [[0, 1, 2], [3, 4, 5]]
 
@@ -55,11 +56,11 @@ class TestDegreeLemmas:
 class TestRelaxedNeighborhoods:
     def test_petersen_all_relaxed_everywhere(self):
         # 3-regular: every vertex is relaxed, so every 3-vertex violates
-        frag = by_lemma(check_relaxed_neighborhoods(petersen_graph(), EMPTY))
+        frag = by_lemma(check_relaxed_neighborhoods(analyze(petersen_graph(), EMPTY)))
         assert len(frag["L3.3"].witnesses) == 10
 
     def test_four_regular_clean(self):
-        frag = by_lemma(check_relaxed_neighborhoods(complete_graph(5), EMPTY))
+        frag = by_lemma(check_relaxed_neighborhoods(analyze(complete_graph(5), EMPTY)))
         assert frag["L3.3"].verdict == "holds"
         assert frag["L3.6"].verdict == "holds"  # nobody is relaxed with empty R
 
@@ -67,40 +68,40 @@ class TestRelaxedNeighborhoods:
         # star of 4 triangles: center has degree 4 after adding a marked edge
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
         r = r_set(g, [(1, 2)])
-        frag = by_lemma(check_relaxed_neighborhoods(g, r))
+        frag = by_lemma(check_relaxed_neighborhoods(analyze(g, r)))
         # center 0: degree 4, relaxed? no marked edge at 0, even degree: not relaxed
         assert frag["L3.6"].verdict == "holds"
         r2 = r_set(g, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        frag2 = by_lemma(check_relaxed_neighborhoods(g, r2))
+        frag2 = by_lemma(check_relaxed_neighborhoods(analyze(g, r2)))
         assert frag2["L3.6"].verdict == "violated"
         assert frag2["L3.6"].witnesses[0]["vertex"] == 0
 
 
 class TestTriangleLemmas:
     def test_unmarked_triangle_flagged(self):
-        frag = by_lemma(check_triangle_lemmas(complete_graph(3), EMPTY))
+        frag = by_lemma(check_triangle_lemmas(analyze(complete_graph(3), EMPTY)))
         assert frag["L3.4"].verdict == "violated"
         assert any(w.get("r_length") == 3 for w in frag["L3.4"].witnesses)
 
     def test_doubly_marked_triangle_passes_length(self):
         k3 = complete_graph(3)
-        frag = by_lemma(check_triangle_lemmas(k3, r_set(k3, [(0, 1), (1, 2)])))
+        frag = by_lemma(check_triangle_lemmas(analyze(k3, r_set(k3, [(0, 1), (1, 2)]))))
         assert frag["L3.4"].verdict == "holds"
         assert frag["L3.5"].verdict == "holds"  # no degree-3 vertex in K3
 
     def test_three_vertex_on_triangle(self):
         # K4: every vertex has degree 3 and sits on triangles
-        frag = by_lemma(check_triangle_lemmas(complete_graph(4), EMPTY))
+        frag = by_lemma(check_triangle_lemmas(analyze(complete_graph(4), EMPTY)))
         assert frag["L3.5"].verdict == "violated"
         assert len(frag["L3.5"].witnesses) == 12  # 4 triangles x 3 vertices
 
     def test_k4_triangles_share_edges(self):
-        frag = by_lemma(check_triangle_lemmas(complete_graph(4), EMPTY))
+        frag = by_lemma(check_triangle_lemmas(analyze(complete_graph(4), EMPTY)))
         assert frag["L3.10"].verdict == "violated"
         assert len(frag["L3.10"].witnesses) == 6  # C(4,2) pairs sharing one edge
 
     def test_girth_seven_vacuous(self):
-        frag = by_lemma(check_triangle_lemmas(mcgee_graph(), EMPTY))
+        frag = by_lemma(check_triangle_lemmas(analyze(mcgee_graph(), EMPTY)))
         assert all(frag[l].verdict == "holds" for l in ("L3.4", "L3.5", "L3.10"))
 
     def test_length_check_monotone_for_off_triangle_edges(self):
@@ -108,10 +109,10 @@ class TestTriangleLemmas:
         # edge outside it cannot create a length violation on it
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
         r = r_set(g, [(0, 1), (1, 2)])
-        before = by_lemma(check_triangle_lemmas(g, r))
+        before = by_lemma(check_triangle_lemmas(analyze(g, r)))
         assert before["L3.4"].verdict == "holds"
         for extra in ((2, 3), (3, 4)):
-            after = by_lemma(check_triangle_lemmas(g, r | r_set(g, [extra])))
+            after = by_lemma(check_triangle_lemmas(analyze(g, r | r_set(g, [extra]))))
             assert not any(
                 "r_length" in w for w in after["L3.4"].witnesses
             )
@@ -120,7 +121,7 @@ class TestTriangleLemmas:
 class TestFourVertexConfigs:
     def test_two_supported_pattern(self):
         g = lemma_4v_two_supported_graph()
-        frag = by_lemma(check_four_vertex_configs(g, EMPTY))
+        frag = by_lemma(check_four_vertex_configs(analyze(g, EMPTY)))
         assert frag["L3.7"].verdict == "violated"
         w = frag["L3.7"].witnesses[0]
         assert (w["x"], w["y"], w["z"]) == (0, 1, 2)
@@ -139,13 +140,13 @@ class TestFourVertexConfigs:
             edges += [(i, nxt), (i, nxt + 1)]
             nxt += 2
         g = Graph(nxt, edges)
-        frag = by_lemma(check_four_vertex_configs(g, EMPTY))
+        frag = by_lemma(check_four_vertex_configs(analyze(g, EMPTY)))
         assert frag["L3.8"].verdict == "violated"
         assert frag["L3.8"].witnesses[0]["vertex"] == 0
 
     def test_adjacent_pair_pattern(self):
         g = lemma_44_supported_graph()
-        frag = by_lemma(check_four_vertex_configs(g, EMPTY))
+        frag = by_lemma(check_four_vertex_configs(analyze(g, EMPTY)))
         assert frag["L3.9"].verdict == "violated"
         w = frag["L3.9"].witnesses[0]
         assert (w["x"], w["y"]) == (0, 1)
@@ -153,14 +154,14 @@ class TestFourVertexConfigs:
         assert w["y_children"] == [5, 6]
 
     def test_cubic_graph_vacuous(self):
-        frag = by_lemma(check_four_vertex_configs(mcgee_graph(), EMPTY))
+        frag = by_lemma(check_four_vertex_configs(analyze(mcgee_graph(), EMPTY)))
         assert all(frag[l].verdict == "holds" for l in ("L3.7", "L3.8", "L3.9"))
 
 
 class TestFaceLemmas:
     def test_quadrangulation_every_vertex_flagged(self):
         emb = torus_quadrangulation(4)
-        frag = by_lemma(check_face_lemmas(emb, EMPTY))
+        frag = by_lemma(check_face_lemmas(analyze_embedded(emb, EMPTY)))
         assert frag["L3.16"].verdict == "violated"
         assert len(frag["L3.16"].witnesses) == 16
         for lemma in ("L3.11", "L3.12-unnamed", "L3.13", "L3.14", "L3.15"):
@@ -172,12 +173,12 @@ class TestFaceLemmas:
         g = mcgee_graph()
         emb = EmbeddedGraph(g, sorted_rotation(g))
         assert min(f.length for f in emb.faces) >= 7
-        frag = by_lemma(check_face_lemmas(emb, EMPTY))
+        frag = by_lemma(check_face_lemmas(analyze_embedded(emb, EMPTY)))
         assert all(e.verdict == "holds" for e in frag.values())
 
     def test_triangle_beside_quad_non_relaxed_vertex(self):
         emb = tri_quad_planar()
-        frag = by_lemma(check_face_lemmas(emb, EMPTY))
+        frag = by_lemma(check_face_lemmas(analyze_embedded(emb, EMPTY)))
         assert frag["L3.11"].verdict == "violated"
         flagged = {
             w["non_relaxed_vertex"]
@@ -190,7 +191,7 @@ class TestFaceLemmas:
         emb = tri_quad_planar()
         g = emb.graph
         r = r_set(g, [(1, 2), (0, 2), (1, 3), (0, 4)])  # everyone touched
-        frag = by_lemma(check_face_lemmas(emb, r))
+        frag = by_lemma(check_face_lemmas(analyze_embedded(emb, r)))
         assert frag["L3.11"].verdict == "holds"
 
     def test_two_quads_sharing_edge_with_low_degree_end(self):
@@ -200,7 +201,7 @@ class TestFaceLemmas:
             g, {0: (0, 1), 1: (1, 1), 2: (2, 1), 3: (0, 0), 4: (1, 0), 5: (2, 0)}
         )
         assert sorted(f.length for f in emb.faces) == [4, 4, 6]
-        frag = by_lemma(check_face_lemmas(emb, EMPTY))
+        frag = by_lemma(check_face_lemmas(analyze_embedded(emb, EMPTY)))
         assert frag["L3.13"].verdict == "violated"
         assert {w["vertex"] for w in frag["L3.13"].witnesses} == {1, 4}
 
@@ -222,7 +223,7 @@ class TestFaceLemmas:
         )
         lengths = sorted(f.length for f in emb.faces)
         assert lengths == [4, 5, 5, 8]
-        frag = by_lemma(check_face_lemmas(emb, EMPTY))
+        frag = by_lemma(check_face_lemmas(analyze_embedded(emb, EMPTY)))
         assert frag["L3.15"].verdict == "violated"
         assert frag["L3.15"].witnesses[0]["vertex"] == 0
 
@@ -230,35 +231,39 @@ class TestFaceLemmas:
 class TestFullAudit:
     def test_c5_not_shaped(self):
         emb = EmbeddedGraph(cycle_graph(5), sorted_rotation(cycle_graph(5)))
-        rep = full_audit(emb, EMPTY)
+        rep = full_audit(analyze_embedded(emb, EMPTY))
         assert not rep.counterexample_shaped
         assert rep.entry("L3.2").verdict == "violated"
 
     def test_quadrangulation_not_shaped(self):
-        rep = full_audit(torus_quadrangulation(4), EMPTY)
+        rep = full_audit(analyze_embedded(torus_quadrangulation(4), EMPTY))
         assert not rep.counterexample_shaped
         assert rep.entry("L3.16").verdict == "violated"
 
     def test_matches_fragment_union(self):
-        emb = theta_planar()
-        g, r = emb.graph, EMPTY
-        rep = full_audit(emb, r)
+        a = analyze_embedded(theta_planar(), EMPTY)
+        rep = full_audit(a)
         pieces = (
-            check_degree_lemmas(g, r)
-            + check_relaxed_neighborhoods(g, r)
-            + check_triangle_lemmas(g, r)
-            + check_four_vertex_configs(g, r)
-            + check_face_lemmas(emb, r)
+            check_degree_lemmas(a)
+            + check_relaxed_neighborhoods(a)
+            + check_triangle_lemmas(a)
+            + check_four_vertex_configs(a)
+            + check_face_lemmas(a)
         )
         assert {e.lemma: e for e in rep.entries} == {e.lemma: e for e in pieces}
 
     def test_graph_only_skips_face_lemmas(self):
-        rep = audit_graph(cycle_graph(7), EMPTY)
+        g = cycle_graph(7)
+        rep = full_audit(analyze(g, EMPTY))
         for lemma in FACE_LEMMAS:
             assert rep.entry(lemma).verdict == "skipped"
+        embedded = full_audit(analyze_embedded(EmbeddedGraph(g, sorted_rotation(g)), EMPTY))
+        assert [e for e in rep.entries if e.lemma not in FACE_LEMMAS] == [
+            e for e in embedded.entries if e.lemma not in FACE_LEMMAS
+        ]
 
     def test_report_json_shape(self):
-        rep = audit_graph(cycle_graph(5), EMPTY)
+        rep = full_audit(analyze(cycle_graph(5), EMPTY))
         js = rep.to_json()
         assert all({"lemma", "statement", "verdict", "witnesses"} <= set(e) for e in js)
 
@@ -311,7 +316,7 @@ class TestWitnessesSelfVerify:
         ]
         seen = set()
         for emb, r in cases:
-            rep = full_audit(emb, r)
+            rep = full_audit(analyze_embedded(emb, r))
             for entry in rep.violated():
                 for w in entry.witnesses:
                     self.recheck(emb, r, entry, w)

@@ -19,6 +19,7 @@ from oddcolor.discharge import (
 )
 
 from fixtures import (
+    analyze_embedded,
     cube_planar,
     face_of_length,
     grid_with_diagonals,
@@ -62,7 +63,7 @@ def merge(*dicts):
 class TestInitialCharges:
     def test_degree_and_length_offsets(self):
         emb = theta_planar(3, 4, 4)
-        ch = initial_charges(emb)
+        ch = initial_charges(analyze_embedded(emb))
         assert ch[("v", 0)] == -12  # degree 3
         deg2 = next(v for v in range(emb.graph.n) if emb.graph.degree(v) == 2)
         assert ch[("v", deg2)] == -24
@@ -71,10 +72,10 @@ class TestInitialCharges:
 
     def test_sum_is_euler_identity(self):
         for emb in (theta_planar(), cube_planar(), torus_quadrangulation(4), k4_planar()):
-            assert sum(initial_charges(emb).values()) == euler_identity_twelfths(emb)
+            assert sum(initial_charges(analyze_embedded(emb)).values()) == euler_identity_twelfths(emb)
 
     def test_torus_total_zero(self):
-        assert sum(initial_charges(torus_quadrangulation(4)).values()) == 0
+        assert sum(initial_charges(analyze_embedded(torus_quadrangulation(4))).values()) == 0
 
 
 class TestRuleFixtures:
@@ -83,7 +84,7 @@ class TestRuleFixtures:
 
     def test_r1_theta(self):
         emb = rule_r1_fixture()  # faces 7, 7, 8; hubs 0 and 1 have degree 3
-        got = transfer_multiset(generate_transfers(emb, EMPTY))
+        got = transfer_multiset(generate_transfers(analyze_embedded(emb, EMPTY)))
         want = merge(
             *[
                 expect("R1", ("f", fi), ("v", hub))
@@ -97,12 +98,12 @@ class TestRuleFixtures:
         emb = rule_r2_fixture()
         tri = face_of_length(emb, 3)
         outer = face_of_length(emb, 15)
-        got = transfer_multiset(generate_transfers(emb, EMPTY))
+        got = transfer_multiset(generate_transfers(analyze_embedded(emb, EMPTY)))
         assert got == merge(expect("R2", ("f", outer), ("f", tri), (0, 1)))
 
     def test_r2_witness_self_verifies(self):
         emb = rule_r2_fixture()
-        (t,) = generate_transfers(emb, EMPTY)
+        (t,) = generate_transfers(analyze_embedded(emb, EMPTY))
         g = emb.graph
         a, b = t.witness["role_a"], t.witness["role_b"]
         assert g.degree(a) == 4 and g.degree(b) == 4
@@ -119,7 +120,7 @@ class TestRuleFixtures:
         emb = rule_r3_fixture()
         tri = face_of_length(emb, 3)
         outer = face_of_length(emb, 11)
-        got = transfer_multiset(generate_transfers(emb, EMPTY))
+        got = transfer_multiset(generate_transfers(analyze_embedded(emb, EMPTY)))
         assert got == merge(expect("R3", ("f", outer), ("f", tri), (0, 1)))
 
     def test_r2_r3_adversarial_exclusivity(self):
@@ -130,7 +131,7 @@ class TestRuleFixtures:
         r = r_set(emb.graph, [(0, 1), (1, 2)])
         tri = face_of_length(emb, 3)
         outer = face_of_length(emb, 19)
-        got = transfer_multiset(generate_transfers(emb, r))
+        got = transfer_multiset(generate_transfers(analyze_embedded(emb, r)))
         want = merge(
             expect("R2", ("f", outer), ("f", tri), (0, 1)),
             expect("R3", ("f", outer), ("f", tri), (0, 2)),
@@ -148,7 +149,7 @@ class TestRuleFixtures:
         ]
         for emb, r in fixtures:
             g = emb.graph
-            transfers = generate_transfers(emb, r)
+            transfers = generate_transfers(analyze_embedded(emb, r))
             lengths = [f.length for f in emb.faces]
             for ei, (a, b) in enumerate(g.edges):
                 fa, fb = emb.side_faces(ei)
@@ -173,7 +174,7 @@ class TestRuleFixtures:
         emb = rule_r4_fixture()
         tri = face_of_length(emb, 3)
         outer = face_of_length(emb, 13)
-        got = transfer_multiset(generate_transfers(emb, EMPTY))
+        got = transfer_multiset(generate_transfers(analyze_embedded(emb, EMPTY)))
         want = merge(
             expect("R4", ("f", outer), ("f", tri), (0, 1)),
             expect("R7", ("v", 1), ("f", tri)),
@@ -184,7 +185,7 @@ class TestRuleFixtures:
         emb = rule_r5_fixture()
         pent = face_of_length(emb, 5)
         outer = face_of_length(emb, 15)
-        got = transfer_multiset(generate_transfers(emb, EMPTY))
+        got = transfer_multiset(generate_transfers(analyze_embedded(emb, EMPTY)))
         want = merge(
             expect("R5", ("f", outer), ("f", pent), (0, 1)),
             expect("R1", ("f", pent), ("v", 0)),
@@ -201,7 +202,7 @@ class TestRuleFixtures:
         first = face_of_length(emb, 5, containing={1})
         second = face_of_length(emb, 5, containing={6})
         outer = face_of_length(emb, 15)
-        got = transfer_multiset(generate_transfers(emb, EMPTY))
+        got = transfer_multiset(generate_transfers(analyze_embedded(emb, EMPTY)))
         want = merge(
             expect("R6", ("f", outer), ("f", second), (0, 4)),
             expect("R1", ("f", first), ("v", 4)),
@@ -218,7 +219,7 @@ class TestRuleFixtures:
         emb = rule_r7_fixture()
         outer = face_of_length(emb, 5)
         triangles = [i for i, f in enumerate(emb.faces) if f.length == 3]
-        got = transfer_multiset(generate_transfers(emb, EMPTY))
+        got = transfer_multiset(generate_transfers(analyze_embedded(emb, EMPTY)))
         want = merge(
             *[expect("R7", ("v", 0), ("f", t)) for t in triangles],
             *[expect("R1", ("f", outer), ("v", v)) for v in range(1, 6)],
@@ -230,7 +231,7 @@ class TestRuleFixtures:
         outer = face_of_length(emb, 18)
         sectors = [i for i, f in enumerate(emb.faces) if f.length == 5]
         assert len(sectors) == 6
-        got = transfer_multiset(generate_transfers(emb, EMPTY))
+        got = transfer_multiset(generate_transfers(analyze_embedded(emb, EMPTY)))
         pieces = [expect("R8", ("v", 0), ("f", s)) for s in sectors]
         for s in sectors:
             corners = sorted(
@@ -253,7 +254,7 @@ class TestRuleFixtures:
             coords[1 + i] = (2 * m.cos(2 * m.pi * i / 6), 2 * m.sin(2 * m.pi * i / 6))
         from fixtures import embed_planar
         emb = embed_planar(g, coords)
-        got = generate_transfers(emb, EMPTY)
+        got = generate_transfers(analyze_embedded(emb, EMPTY))
         assert not any(t.rule == "R8" for t in got)
         assert sum(1 for t in got if t.rule == "R7") == 6
 
@@ -264,7 +265,7 @@ class TestCubicGirthSeven:
         # triangles, no pentagons, no big vertices: R1 is the only rule
         g = mcgee_graph()
         emb = EmbeddedGraph(g, sorted_rotation(g))
-        transfers = generate_transfers(emb, EMPTY)
+        transfers = generate_transfers(analyze_embedded(emb, EMPTY))
         assert {t.rule for t in transfers} == {"R1"}
         # every corner belongs to a 3-vertex on a long face: 2|E| transfers
         assert len(transfers) == 2 * len(g.edges)
@@ -273,7 +274,7 @@ class TestCubicGirthSeven:
         # each 3-vertex starts at -1 and collects 1/2 per corner on a long
         # face; with all three corners paying, it settles at +1/2
         g = mcgee_graph()
-        led = settle(EmbeddedGraph(g, sorted_rotation(g)), EMPTY)
+        led = settle(analyze_embedded(EmbeddedGraph(g, sorted_rotation(g)), EMPTY))
         for v in range(g.n):
             assert led.final[("v", v)] == -12 + 3 * 6
 
@@ -281,7 +282,7 @@ class TestCubicGirthSeven:
 class TestAmountsAndDeterminism:
     def test_rule_amount_binding(self):
         for emb in (rule_r5_fixture(), rule_r6_fixture(), rule_r8_fixture()):
-            for t in generate_transfers(emb, EMPTY):
+            for t in generate_transfers(analyze_embedded(emb, EMPTY)):
                 assert t.amount_twelfths == RULE_TWELFTHS[t.rule]
 
     def test_wrong_amount_rejected(self):
@@ -290,12 +291,12 @@ class TestAmountsAndDeterminism:
 
     def test_generate_deterministic(self):
         emb = rule_r6_fixture()
-        assert generate_transfers(emb, EMPTY) == generate_transfers(emb, EMPTY)
+        assert generate_transfers(analyze_embedded(emb, EMPTY)) == generate_transfers(analyze_embedded(emb, EMPTY))
 
     def test_quiet_embeddings(self):
         # no 3-vertices w.r.t. long faces, no 3-faces, no big vertices
         for emb in (torus_quadrangulation(4), cube_planar(), k4_planar()):
-            assert generate_transfers(emb, EMPTY) == ()
+            assert generate_transfers(analyze_embedded(emb, EMPTY)) == ()
 
 
 class TestSettle:
@@ -309,13 +310,13 @@ class TestSettle:
 
     def test_conservation_and_euler_identity(self):
         for emb in self.fixtures():
-            led = settle(emb, EMPTY)
+            led = settle(analyze_embedded(emb, EMPTY))
             assert sum(led.final.values()) == sum(led.initial.values())
             assert sum(led.initial.values()) == euler_identity_twelfths(emb)
 
     def test_final_recomputed_independently(self):
         emb = rule_r5_fixture()
-        led = settle(emb, EMPTY)
+        led = settle(analyze_embedded(emb, EMPTY))
         recomputed = dict(led.initial)
         for t in led.transfers:
             recomputed[t.source] -= t.amount_twelfths
@@ -323,12 +324,12 @@ class TestSettle:
         assert recomputed == led.final
 
     def test_quadrangulation_all_zero(self):
-        led = settle(torus_quadrangulation(4), EMPTY)
+        led = settle(analyze_embedded(torus_quadrangulation(4), EMPTY))
         assert set(led.final.values()) == {0}
         assert led.initial == led.final
 
     def test_ledger_json_shape(self):
-        led = settle(rule_r4_fixture(), EMPTY)
+        led = settle(analyze_embedded(rule_r4_fixture(), EMPTY))
         js = led.to_json()
         assert set(js) == {"initial", "transfers", "final", "total_twelfths"}
         assert js["transfers"][0]["amount_twelfths"] in (3, 4, 6)
@@ -337,8 +338,8 @@ class TestSettle:
 class TestChargeReport:
     def test_quadrangulation_consistent(self):
         emb = torus_quadrangulation(4)
-        led = settle(emb, EMPTY)
-        rep = charge_report(led, full_audit(emb, EMPTY))
+        led = settle(analyze_embedded(emb, EMPTY))
+        rep = charge_report(led, full_audit(analyze_embedded(emb, EMPTY)))
         assert rep.total_twelfths == 0
         assert rep.negatives == ()
         assert not rep.audits_hold  # every vertex sits on four 4-faces
@@ -347,8 +348,8 @@ class TestChargeReport:
     def test_c5_negatives_explained_by_degree_lemma(self):
         g = cycle_graph(5)
         emb = EmbeddedGraph(g, sorted_rotation(g))
-        led = settle(emb, EMPTY)
-        rep = charge_report(led, full_audit(emb, EMPTY))
+        led = settle(analyze_embedded(emb, EMPTY))
+        rep = charge_report(led, full_audit(analyze_embedded(emb, EMPTY)))
         assert len(rep.negatives) == 5  # all degree-2 vertices
         assert all(tw == -24 for _, tw in rep.negatives)
         assert all("L3.2" in lemmas for _, lemmas in rep.explained)
@@ -365,8 +366,8 @@ class TestChargeReport:
         for emb in embeddings:
             for share in (0, 6, 3):
                 r = frozenset(rng.sample(emb.graph.edges, len(emb.graph.edges) // share if share else 0))
-                audit = full_audit(emb, r)
-                rep = charge_report(settle(emb, r), audit)
+                audit = full_audit(analyze_embedded(emb, r))
+                rep = charge_report(settle(analyze_embedded(emb, r)), audit)
                 assert rep.explained == explained_by_reference(rep.negatives, audit)
                 several += sum(len(lemmas) >= 2 for _, lemmas in rep.explained)
         assert several > 50  # the order of the lemmas is exercised

@@ -16,13 +16,13 @@ from oddcolor.embedding import (
     EmbeddedGraph,
     RotationSystem,
     embed_search,
-    face_adjacency,
     normalize_signatures,
     sorted_rotation,
     trace_faces,
 )
 
 from fixtures import (
+    analyze_embedded,
     bowtie_planar,
     cube_graph,
     cube_planar,
@@ -88,7 +88,7 @@ class TestTraceFaces:
         assert sorted(f.length for f in emb.faces) == [3, 3, 6]
         outer = max(emb.faces, key=lambda f: f.length)
         # the shared vertex appears twice on the outer walk
-        assert outer.tails().count(2) == 2
+        assert [v for v, _ in outer.darts].count(2) == 2
 
     def test_dart_conservation(self):
         rng = random.Random(9)
@@ -158,21 +158,60 @@ class TestEulerGenus:
 
 
 class TestFaceAdjacency:
+    """``Analysis.shared``, ``neighbors`` and ``corners`` of embedded graphs."""
+
     def test_c4_inner_outer_share_all(self):
         emb = EmbeddedGraph(cycle_graph(4), sorted_rotation(cycle_graph(4)))
-        adj = face_adjacency(emb)
+        adj = analyze_embedded(emb).shared
         assert adj == {(0, 1): frozenset({0, 1, 2, 3})}
 
     def test_k4_each_pair_one_edge(self):
         emb = k4_planar()
-        adj = face_adjacency(emb)
+        adj = analyze_embedded(emb).shared
         assert len(adj) == 6  # all four faces pairwise adjacent
         assert all(len(es) == 1 for es in adj.values())
 
     def test_path_self_incidence(self):
         g = path_graph(3)
         emb = EmbeddedGraph(g, sorted_rotation(g))
-        assert face_adjacency(emb) == {(0, 0): frozenset({0, 1})}
+        assert analyze_embedded(emb).shared == {(0, 0): frozenset({0, 1})}
+
+    def test_neighbors_exclude_self_incidence(self):
+        k4 = analyze_embedded(k4_planar())
+        assert k4.neighbors == tuple(frozenset({0, 1, 2, 3} - {f}) for f in range(4))
+        g = path_graph(3)
+        assert analyze_embedded(EmbeddedGraph(g, sorted_rotation(g))).neighbors == (frozenset(),)
+        bowtie = analyze_embedded(bowtie_planar())
+        outer = bowtie.lengths.index(6)
+        assert bowtie.neighbors[outer] == frozenset(range(3)) - {outer}
+        assert all(bowtie.neighbors[f] == {outer} for f in range(3) if f != outer)
+
+    def test_corners_follow_the_walk(self):
+        # the path 0-1-2 has one face, walked 0 -> 1 -> 2 -> 1 -> 0: the
+        # middle vertex has two corners, each end one corner that turns back
+        g = path_graph(3)
+        emb = EmbeddedGraph(g, sorted_rotation(g))
+        a = analyze_embedded(emb)
+        e01, e12 = g.edge_index((0, 1)), g.edge_index((1, 2))
+        assert a.corners[0] == ((0, e01, e01),)
+        assert a.corners[2] == ((0, e12, e12),)
+        assert sorted(a.corners[1]) == [(0, e01, e12), (0, e12, e01)]
+        # one vertex, no edges: one face with an empty walk, no corners
+        point = Graph(1, [])
+        assert analyze_embedded(EmbeddedGraph(point, sorted_rotation(point))).corners == ((),)
+
+    def test_corners_match_the_face_walks(self):
+        rng = random.Random(11)
+        for emb in [bowtie_planar(), k4_planar(), torus_quadrangulation(4)] + [
+            random_embedded(rng) for _ in range(20)
+        ]:
+            a = analyze_embedded(emb)
+            want = [[] for _ in range(emb.graph.n)]
+            for fi, f in enumerate(emb.faces):
+                for i, (v, dep) in enumerate(f.darts):
+                    want[v].append((fi, f.darts[i - 1][1], dep))
+            assert [list(cs) for cs in a.corners] == want
+            assert [len(cs) for cs in a.corners] == [emb.graph.degree(v) for v in range(emb.graph.n)]
 
 
 class TestNormalizeSignatures:

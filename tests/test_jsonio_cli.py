@@ -5,6 +5,7 @@ import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oddcolor import cli, jsonio
 from oddcolor.cli import run_command
@@ -12,7 +13,7 @@ from oddcolor.coloring import RelaxedInstance, uniform_lists
 from oddcolor.embedding import EmbeddedGraph, sorted_rotation
 from oddcolor.graphs import Graph, cycle_graph, r_set
 
-from fixtures import torus_quadrangulation
+from fixtures import k4_planar, torus_quadrangulation
 from oracles import brute_force_relaxed_odd, solver_order_reference
 
 
@@ -68,6 +69,74 @@ class TestRoundTrips:
     def test_edges_serialized_sorted(self):
         g = Graph(4, [(3, 2), (1, 0)])
         assert jsonio.graph_to_json(g)["edges"] == [[0, 1], [2, 3]]
+
+
+SOLVE_K3 = ["solve", "--k", "3"]
+
+# a valid instance file with every optional field: K4 embedded in the plane
+FUZZ_BASE = {
+    **jsonio.embedding_to_json(k4_planar(), r_set(k4_planar().graph, [(0, 1)])),
+    **jsonio.lists_to_json(uniform_lists(4, 3)),
+}
+N, M = FUZZ_BASE["n"], len(FUZZ_BASE["edges"])
+DELETE = object()
+NOT_INT = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.lists(st.integers(0, N - 1), max_size=2),
+)
+NOT_LIST = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+NOT_OBJECT = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=3)
+)
+
+
+def out_of_range(bound):
+    return st.one_of(st.integers(max_value=-1), st.integers(min_value=bound))
+
+
+VERTEX = st.integers(0, N - 1)
+EDGE = st.integers(0, M - 1)
+KEY = st.sampled_from([str(v) for v in range(N)])
+NOT_A_PAIR = st.one_of(
+    NOT_LIST,
+    st.lists(VERTEX, max_size=4).filter(lambda e: len(e) != 2),
+    VERTEX.map(lambda v: [v, v]),
+    st.tuples(VERTEX, out_of_range(N)).map(list),
+)
+# (JSON path, value) pairs that each make exactly one field of FUZZ_BASE wrong
+BAD_FIELD = st.one_of(
+    st.tuples(st.sampled_from([("schema",), ("n",), ("edges",)]), st.just(DELETE)),
+    st.tuples(st.just(("schema",)), st.one_of(NOT_INT, st.integers().filter(lambda x: x != 1), st.just(1.0))),
+    st.tuples(st.just(("n",)), st.one_of(NOT_INT, st.integers(max_value=N - 1))),
+    st.tuples(st.just(("edges",)), st.one_of(
+        NOT_LIST,
+        st.sampled_from([FUZZ_BASE["edges"][::-1], FUZZ_BASE["edges"] + FUZZ_BASE["edges"][-1:]]),
+    )),
+    st.tuples(EDGE.map(lambda i: ("edges", i)), NOT_A_PAIR),
+    st.tuples(st.tuples(st.just("edges"), EDGE, st.integers(0, 1)), NOT_INT),
+    st.tuples(st.just(("R",)), NOT_LIST),
+    st.tuples(st.just(("R", 0)), st.one_of(NOT_INT, out_of_range(M))),
+    st.tuples(st.just(("rotation",)), st.one_of(
+        NOT_OBJECT,
+        KEY.map(lambda k: {v: o for v, o in FUZZ_BASE["rotation"].items() if v != k}),
+        st.just({**FUZZ_BASE["rotation"], str(N): []}),
+    )),
+    st.tuples(KEY.map(lambda k: ("rotation", k)), st.one_of(
+        NOT_LIST, st.lists(VERTEX, max_size=4).filter(lambda o: len(o) != 3 or len(set(o)) != 3),
+    )),
+    st.tuples(st.tuples(st.just("rotation"), KEY, st.integers(0, 2)), NOT_INT),
+    st.tuples(st.just(("signs",)), st.one_of(
+        NOT_LIST.filter(lambda x: x is not None),
+        st.lists(st.sampled_from([1, -1]), max_size=2 * M).filter(lambda s: len(s) != M),
+    )),
+    st.tuples(EDGE.map(lambda i: ("signs", i)), st.one_of(NOT_INT, st.integers().filter(lambda x: x not in (1, -1)))),
+    st.tuples(st.just(("lists",)), NOT_OBJECT),
+    st.tuples(KEY.map(lambda k: ("lists", k)), NOT_LIST),
+    st.tuples(st.tuples(st.just("lists"), KEY, st.integers(0, 2)), NOT_INT),
+)
 
 
 class TestCli:
@@ -207,35 +276,67 @@ class TestCli:
         assert run_command(["hunt", "--graph", path]) == 2
 
     @pytest.mark.parametrize(
-        "fields, path",
+        "fields, path, flags",
         [
-            ({"edges": [1, 2]}, "edges[0]: expected a list, got 1"),
-            ({"R": [0.5]}, "R[0]: expected an integer, got 0.5"),
-            ({"lists": {"0": [1, 2], "1": 5, "2": [1, 3]}}, 'lists["1"]: expected a list, got 5'),
-            ({"edges": [[0, 3]]}, "edges[0][1]: 3 is out of range 0..2"),
-            ({"edges": [[0, 1, 2]]}, "edges[0]: expected two distinct vertices"),
-            ({"R": [5]}, "R[0]: 5 is out of range 0..1"),
-            ({"n": "3"}, "n: expected an integer"),
-            ({"rotation": [[1], [0], []]}, "rotation: expected an object with one key per vertex"),
-            ({"rotation": {"0": [1], "1": [0], "2": None}}, 'rotation["2"]: expected a list'),
-            ({"rotation": {"0": [1], "1": [0], "2": []}, "signs": [1, "-1"]}, "signs[1]: expected an integer"),
+            ({"edges": [1, 2]}, "edges[0]: expected a list, got 1", SOLVE_K3),
+            ({"R": [0.5]}, "R[0]: expected an integer, got 0.5", SOLVE_K3),
+            ({"lists": {"0": [1, 2], "1": 5, "2": [1, 3]}}, 'lists["1"]: expected a list, got 5', SOLVE_K3),
+            ({"edges": [[0, 3]]}, "edges[0][1]: 3 is out of range 0..2", SOLVE_K3),
+            ({"edges": [[0, 1, 2]]}, "edges[0]: expected two distinct vertices", SOLVE_K3),
+            ({"R": [5]}, "R[0]: 5 is out of range 0..1", SOLVE_K3),
+            ({"n": "3"}, "n: expected an integer", SOLVE_K3),
+            ({"rotation": [[1], [0], []]}, "rotation: expected an object with one key per vertex", SOLVE_K3),
+            ({"rotation": {"0": [1], "1": [0], "2": None}}, 'rotation["2"]: expected a list', SOLVE_K3),
+            ({"rotation": {"0": [1], "1": [0], "2": []}, "signs": [1, "-1"]}, "signs[1]: expected an integer", SOLVE_K3),
             # R and signs index the sorted list: an unsorted or repeated one would move them
-            ({"edges": [[1, 2], [0, 1]], "R": [0]}, "edges[1]: [0, 1] does not follow [1, 2]"),
-            ({"edges": [[0, 1], [1, 0]]}, "edges[1]: [1, 0] does not follow [0, 1]"),
-            ({"edges": [[0, 1], [0, 1]]}, "edges[1]: [0, 1] does not follow [0, 1]"),
-            ({"rotation": {"0": [2], "1": [0, 2], "2": [1]}}, 'rotation["0"]: expected an order of the neighbors [1]'),
-            ({"rotation": {"0": [1], "1": [0], "2": [1]}}, 'rotation["1"]: expected an order of the neighbors [0, 2]'),
-            ({"rotation": {"0": [1], "1": [2, 0], "2": [1]}, "signs": [1, 0]}, "signs[1]: expected 1 or -1, got 0"),
-            ({"rotation": {"0": [1], "1": [2, 0], "2": [1]}, "signs": [1]}, "signs: expected 2 entries, one per edge, got 1"),
+            ({"edges": [[1, 2], [0, 1]], "R": [0]}, "edges[1]: [0, 1] does not follow [1, 2]", SOLVE_K3),
+            ({"edges": [[0, 1], [1, 0]]}, "edges[1]: [1, 0] does not follow [0, 1]", SOLVE_K3),
+            ({"edges": [[0, 1], [0, 1]]}, "edges[1]: [0, 1] does not follow [0, 1]", SOLVE_K3),
+            ({"rotation": {"0": [2], "1": [0, 2], "2": [1]}}, 'rotation["0"]: expected an order of the neighbors [1]', SOLVE_K3),
+            ({"rotation": {"0": [1], "1": [0], "2": [1]}}, 'rotation["1"]: expected an order of the neighbors [0, 2]', SOLVE_K3),
+            ({"rotation": {"0": [1], "1": [2, 0], "2": [1]}, "signs": [1, 0]}, "signs[1]: expected 1 or -1, got 0", SOLVE_K3),
+            ({"rotation": {"0": [1], "1": [2, 0], "2": [1]}, "signs": [1]}, "signs: expected 2 entries, one per edge, got 1", SOLVE_K3),
+            # a valid file with a flag out of range
+            ({}, "--k must be at least 1, got 0", ["solve", "--k", "0"]),
+            ({}, "--k must be at least 1, got -3", ["solve", "--k", "-3"]),
+            ({}, "--k must be at least 1, got 0", ["choosable", "--k", "0"]),
+            ({}, "--trials must be at least 1, got -4", ["choosable", "--k", "3", "--trials", "-4"]),
+            ({}, "--universe must be at least 3, got 2", ["choosable", "--k", "3", "--universe", "2"]),
         ],
     )
-    def test_malformed_field_is_input_error_naming_it(self, tmp_path, capsys, fields, path):
+    def test_malformed_field_is_input_error_naming_it(self, tmp_path, capsys, fields, path, flags):
         obj = {"schema": 1, "n": 3, "edges": [[0, 1], [1, 2]], "R": []}
         obj.update(fields)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
-        assert run_command(["solve", "--k", "3", "--graph", str(bad)]) == 2
-        assert path in capsys.readouterr().err
+        assert run_command([*flags, "--graph", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert path in err and out == ""
+
+    @given(
+        bad=BAD_FIELD,
+        flags=st.sampled_from([["check"], SOLVE_K3, ["audit"], ["discharge"], ["faces"], ["hunt"]]),
+    )
+    @settings(
+        max_examples=150, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_one_malformed_field_exits_2_never_a_verdict_or_crash(self, tmp_path, capsys, bad, flags):
+        (*head, last), value = bad
+        obj = json.loads(json.dumps(FUZZ_BASE))
+        jsonio.instance_from_json(obj)  # the base file is valid
+        parent = obj
+        for key in head:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[last]
+        else:
+            parent[last] = value
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(obj))
+        code = run_command([*flags, "--graph", str(path), "--quiet"])
+        out, err = capsys.readouterr()  # read first, so no example sees another's output
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
     def test_crash_exits_internal_not_refuted(self, tmp_path, capsys, monkeypatch):
         def crash(args, inst):
