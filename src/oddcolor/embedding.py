@@ -281,7 +281,15 @@ def _face_search(
     sign, +1 then -1, when a walk first crosses them; all others are +1.  A
     face closes when the walk returns to its starting state.  Prunes with
     the bound faces_done + remaining_sides // min_len < min_faces, where
-    ``min_len`` is a lower bound on every face length.
+    ``min_len`` is a lower bound on every face length, and looks ahead: a
+    face opened at root v may close with at most
+    limit = total - (min_faces - faces_done - 1) * min_len darts in use, so
+    an open walk steps onto dart b only if
+    used_count + 1 + dist(head(b), v) <= limit.  Distances come from one BFS
+    ball per root, built when a face first opens there and cut at the
+    longest face the target allows.  Both bounds cut only subtrees that hold
+    no embedding with min_faces faces, so the search returns the first such
+    embedding in search order, as it would unpruned.
     Complete: every rotation system, under every choice of the free signs,
     corresponds to exactly one search path.
     """
@@ -361,6 +369,29 @@ def _face_search(
     total = 2 * m
     used = [False] * (2 * total)
 
+    # A walk standing at w needs at least dist(w, root) more darts to close.
+    # Balls are cut at the longest face the target allows, less the two darts
+    # a walk holds when it is tested, so a vertex outside one counts as
+    # ``far``, which prunes as its true distance would.
+    reach = total - (min_faces - 1) * min_len - 2
+    far = reach + 1
+    balls: dict[int, dict[int, int]] = {}
+
+    def ball(v: int) -> dict[int, int]:
+        dist = {v: 0}
+        frontier = [v]
+        for d in range(1, reach + 1):
+            if not frontier:
+                break
+            nxt = []
+            for u in frontier:
+                for w in g.adj[u]:
+                    if w not in dist:
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        return dist
+
     # Each node of the search is a generator that yields its children, also
     # generators, in search order, and restores the state it changed when
     # resumed.  Only children that pass the bound are yielded.  A child that
@@ -377,6 +408,13 @@ def _face_search(
             s += 1
         plus = s < total  # eps = +1 at the start
         b = s if plus else s - total
+        root = tail[b]
+        dist = balls.get(root)
+        if dist is None:
+            dist = balls[root] = ball(root)
+        # the most darts in use once this face closes that still leave
+        # min_len darts for each face still missing
+        limit = total - (min_faces - faces_done - 1) * min_len
         e = edge_of[b]
         was = sign[e]
         for sg in choices[was]:
@@ -384,14 +422,18 @@ def _face_search(
             ahead = plus == (sg == 1)
             mirror = rev[b] + total if ahead else rev[b]
             used[s] = used[mirror] = True
-            yield extend(faces_done, used_count + 1, s, b, ahead)
+            yield extend(faces_done, used_count + 1, s, b, ahead, dist, limit)
             used[s] = used[mirror] = False
         sign[e] = was
 
-    def extend(faces_done: int, used_count: int, start: int, d: int, forward: bool):
+    def extend(
+        faces_done: int, used_count: int, start: int, d: int, forward: bool,
+        dist: dict[int, int], limit: int,
+    ):
         """Continue an open walk whose last dart is d, arriving at head(d)
-        with eps' = +1 iff ``forward``."""
-        grow = faces_done + 1 + (total - used_count - 1) // min_len >= min_faces
+        with eps' = +1 iff ``forward``; ``dist`` is the ball of the face's
+        root and ``limit`` the most darts in use when the face closes."""
+        slack = limit - used_count - 1  # darts left to close after one more
         offset = 0 if forward else total
         a = rev[d]  # the return dart
         for b in out_darts[head[d]]:
@@ -401,7 +443,7 @@ def _face_search(
                 if token is not None:
                     yield begin(faces_done + 1, used_count, start) if used_count < total else None
                     undo(token)
-            elif grow and not used[s]:
+            elif not used[s] and dist.get(head[b], far) <= slack:
                 token = try_assign(a, b) if forward else try_assign(b, a)
                 if token is not None:
                     e = edge_of[b]
@@ -411,7 +453,7 @@ def _face_search(
                         ahead = forward == (sg == 1)
                         mirror = rev[b] + total if ahead else rev[b]
                         used[s] = used[mirror] = True
-                        yield extend(faces_done, used_count + 1, start, b, ahead)
+                        yield extend(faces_done, used_count + 1, start, b, ahead, dist, limit)
                         used[s] = used[mirror] = False
                     sign[e] = was
                     undo(token)
@@ -427,7 +469,11 @@ def _face_search(
         if child is None:
             break
         push(child)
-    else:
+    # extend refers to itself and to begin, which refers back: break the
+    # cycle, so the search state is freed on return and not at the next
+    # full garbage collection
+    del begin, extend
+    if not stack:
         return None
 
     rotation = []
@@ -454,6 +500,9 @@ def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
     max_genus >= 1, the second run leaves free the signs of the edges
     outside one spanning tree.  That covers every surface: switching
     vertices turns any embedding into one whose tree edges are all +1.
+    Each run needs F = E - V + 2 - eg faces, each at least the girth long,
+    and prunes an open face walk that cannot return to its first vertex, by
+    BFS distance, within the darts the other faces leave it.
     Exponential in general; practical for small graphs.
     """
     if max_genus not in (0, 1, 2):

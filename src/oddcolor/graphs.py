@@ -311,12 +311,20 @@ def girth(g: Graph) -> int | float:
 
     One BFS per root vertex.  Each non-tree edge (u, w) met closes a walk
     through the root of dist[u] + dist[w] + 1 edges, which holds a cycle at
-    most that long, and a BFS rooted on a shortest cycle meets one edge
-    giving its exact length.  Past depth d every new edge closes at least
-    2d + 1 edges, so a root's BFS stops once that reaches the best so far.
+    most that long.  Every cycle through the root has a non-tree edge, and
+    on each of its edges that sum is at most the cycle's length, so after
+    the BFS the best so far is at most the shortest cycle through the root.
+    Past depth d every new edge closes at least 2d + 1 edges, so a root's
+    BFS stops once that reaches the best so far.  The root is then deleted,
+    as no shorter cycle runs through it, and so are the vertices left with
+    degree <= 1, which lie on no cycle.
     """
     best: int | float = math.inf
+    deg = [len(a) for a in g.adj]
+    gone = [False] * g.n
     for root in range(g.n):
+        if gone[root]:
+            continue
         dist = {root: 0}
         parent = {root: -1}
         frontier = [root]
@@ -325,7 +333,7 @@ def girth(g: Graph) -> int | float:
             nxt = []
             for u in frontier:
                 for w in g.adj[u]:
-                    if w == parent[u]:
+                    if w == parent[u] or gone[w]:
                         continue
                     if w in dist:
                         best = min(best, d + dist[w] + 1)
@@ -335,6 +343,15 @@ def girth(g: Graph) -> int | float:
                         nxt.append(w)
             frontier = nxt
             d += 1
+        gone[root] = True
+        peel = [root]
+        while peel:
+            for w in g.adj[peel.pop()]:
+                if not gone[w]:
+                    deg[w] -= 1
+                    if deg[w] <= 1:
+                        gone[w] = True
+                        peel.append(w)
     return best
 
 

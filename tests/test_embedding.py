@@ -10,6 +10,8 @@ from oddcolor.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    girth,
+    one_subdivision,
     path_graph,
 )
 from oddcolor.embedding import (
@@ -361,6 +363,26 @@ class TestEmbedSearch:
                 emb = embed_search(g, max_genus)
                 assert (emb is not None) == embeds_brute_force(g, max_genus)
                 assert emb is None or emb.euler_genus <= max_genus
+
+    @pytest.mark.parametrize(
+        "name, max_genus",
+        [("cube", 0), ("K33", 1), ("petersen", 1), ("sK4", 0), ("sK4", 1), ("sK33", 1)],
+    )
+    def test_agrees_with_brute_force_oracle_at_tight_slack(self, name, max_genus):
+        # 2E - min_faces * girth is 0 to 6 darts: open walks have little
+        # room to wander, so the distance cut in the face search fires often
+        g = {
+            "cube": cube_graph(),
+            "K33": complete_bipartite_graph(3, 3),
+            "petersen": petersen_graph(),
+            "sK4": one_subdivision(complete_graph(4)),
+            "sK33": one_subdivision(complete_bipartite_graph(3, 3)),
+        }[name]
+        m = len(g.edges)
+        assert 0 <= 2 * m - (m - g.n + 2 - max_genus) * girth(g) <= 6
+        emb = embed_search(g, max_genus)
+        assert (emb is not None) == embeds_brute_force(g, max_genus)
+        assert emb is None or emb.euler_genus <= max_genus
 
     def test_known_nonplanar_cases(self):
         for g in (complete_graph(5), complete_bipartite_graph(3, 3), petersen_graph()):

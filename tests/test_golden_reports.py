@@ -8,8 +8,11 @@ code (pairwise 5-cycle and triangle scans, per-negative witness scans,
 recursive cycle enumeration).  The ``embed`` and ``gen`` digests were
 recorded with a parser built on every call, two face traces per ``embed``
 and the per-edge-BFS ``girth``.  The ``solve`` and ``chromatic`` digests were
-recorded before ``solve`` cut the color symmetry of uniform lists.  A digest that changes means a report
-changed: find out why before recording a new one.
+recorded before ``solve`` cut the color symmetry of uniform lists.  The
+``g7-28b``, ``g7-29a`` and ``g7-30c`` digests were recorded before the face
+search pruned open walks by their distance back to the face's root.  A
+digest that changes means a report changed: find out why before recording a
+new one.
 """
 
 import contextlib
@@ -63,6 +66,12 @@ def instances():
         f"g7-{n}-s{seed}": generate_girth_instances(n, 7, 1, seed)[0]
         for n, seed in ((16, 1), (20, 2), (24, 3))
     }
+    # where the Euler bound leaves exactly genus 2: two refuted, and one the
+    # signed phase embeds in the Klein bottle
+    tight = {
+        f"g7-{n}{'abc'[i]}": generate_girth_instances(n, 7, 3, 5000 + n)[i]
+        for n, i in ((28, 1), (29, 0), (30, 2))
+    }
     c5, c12 = cycle_graph(5), cycle_graph(12)
     g7 = generate_girth_instances(18, 7, 1, 6)[0]
     rng = random.Random(8)
@@ -81,6 +90,7 @@ def instances():
         "K33": (jsonio.graph_to_json(complete_bipartite_graph(3, 3)), signed),
         "T6": (jsonio.graph_to_json(torus_quadrangulation(6).graph), orientable),
         **{name: (jsonio.graph_to_json(g), orientable) for name, g in girth7.items()},
+        **{name: (jsonio.graph_to_json(g), ("hunt",) + orientable) for name, g in tight.items()},
         # one instance name per ``solve --k``, so the keys stay "name:command"
         "C5-k4": (jsonio.graph_to_json(c5), ("solve --k 4",)),
         "C5-k5": (jsonio.graph_to_json(c5), ("solve --k 5", "chromatic")),
@@ -97,6 +107,12 @@ def instances():
 
 # ``gen`` reads no file: key -> its CLI argument string
 GEN_RUNS = {
+    "g7-28b:hunt": "69bc891631ea915710ac198901d92d91c3057e160e3e91652943c4445cb1d9db",
+    "g7-28b:embed": "d5e1977e414f0b2a0fc6c54a70d96d8d134b8e8202991823a700ee758d5b671a",
+    "g7-29a:hunt": "eded32ad3614871425d88c4528347c4b8cc47330d4ed81aabf98f84c36a4682b",
+    "g7-29a:embed": "c198ae89456239cc079e5a2719d0924672d646bf1963312aa04ba039d4ceb375",
+    "g7-30c:hunt": "b56cc8bbf34dc3720d3a866d421c2b80db6b14f0111fe52eb016b9f1527dd64f",
+    "g7-30c:embed": "28e084ea7230964386c1038b0618497593f57ab496a6ac0571578ed33d4ce8a8",
     "gen-n30-g7-s5": "gen --n 30 --min-girth 7 --count 2 --seed 5",
     "gen-n20-g5-s11": "gen --n 20 --min-girth 5 --count 3 --seed 11",
 }
@@ -141,6 +157,12 @@ GOLDEN = {
     "g7-16-s1:embed": "a07f086adca710d69ad89fd5f0182e1dcaf912e0536d6fd73f9792dea9e006d9",
     "g7-20-s2:embed": "104a2db910e4239775933fe175885748a33b2724fa79ddf97e1369becd77c4ef",
     "g7-24-s3:embed": "4da1a55435e04656af2f90f6f0c3e3e65894ece8b20b799f56e5b0c7e59d4117",
+    "g7-28b:hunt": "69bc891631ea915710ac198901d92d91c3057e160e3e91652943c4445cb1d9db",
+    "g7-28b:embed": "d5e1977e414f0b2a0fc6c54a70d96d8d134b8e8202991823a700ee758d5b671a",
+    "g7-29a:hunt": "eded32ad3614871425d88c4528347c4b8cc47330d4ed81aabf98f84c36a4682b",
+    "g7-29a:embed": "c198ae89456239cc079e5a2719d0924672d646bf1963312aa04ba039d4ceb375",
+    "g7-30c:hunt": "b56cc8bbf34dc3720d3a866d421c2b80db6b14f0111fe52eb016b9f1527dd64f",
+    "g7-30c:embed": "28e084ea7230964386c1038b0618497593f57ab496a6ac0571578ed33d4ce8a8",
     "gen-n30-g7-s5": "06d6158e844d7567f76b75b58cd69e12023d70a2ed519a07821383e6420c91e1",
     "gen-n20-g5-s11": "33b496e9f449a524dc64647cfac279ccbe7b4afb1e90a9cd3fc99581991e93d8",
     "C5-k4:solve": "307fd687f1824829fa6145e48e0883da642541451902aa92eeb1f9b8516f9f07",
@@ -192,8 +214,8 @@ def test_reports_match_golden_digests(reports):
 def test_golden_instances_reach_every_stage(reports):
     """The pinned reports are worth pinning: they hold 5-cycle pairs, audit
     violations, negative charges explained by lemmas, hunts stopped at the
-    hypothesis, the embedding and the audit, and embeddings found at Euler
-    genus 1 and 2, and colorings both found and refuted."""
+    hypothesis, the embedding and the audit, embeddings found at Euler genus
+    1 and 2 and refuted at genus 2, and colorings both found and refuted."""
     seen = set()
     for report in reports.values():
         command, res = report["command"], report["result"]
@@ -206,12 +228,12 @@ def test_golden_instances_reach_every_stage(reports):
         if command == "hunt":
             seen.add(f"hunt:{res['eliminated_at']}")
         if command == "embed":
-            seen.add(f"embed:eg{res['euler_genus']}")
+            seen.add(f"embed:eg{res['euler_genus']}" if res["embedding"] else "embed:refuted")
         if command == "solve":
             seen.add(f"solve:{res['status']}")
     assert seen == {
         "five_pairs", "violations", "explained_by",
         "hunt:hypothesis", "hunt:embedding", "hunt:audit",
-        "embed:eg1", "embed:eg2",
+        "embed:eg1", "embed:eg2", "embed:refuted",
         "solve:SAT", "solve:UNSAT",
     }

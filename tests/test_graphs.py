@@ -239,10 +239,14 @@ class TestGirth:
     def test_subdivided_k7(self):
         assert girth(one_subdivision(complete_graph(7))) == 6
 
+    def test_long_cycle(self):
+        assert girth(cycle_graph(5000)) == 5000
+
     @staticmethod
     def oracle_corpus():
-        """Seeded random graphs at several densities, forests, cycles,
-        subdivided K_n and torus quadrangulations."""
+        """Seeded random graphs at several densities, forests, sparse graphs
+        with a few long cycles and hanging trees, cycles, subdivided K_n and
+        torus quadrangulations."""
         rng = random.Random(20)
         graphs = []
         for n in range(1, 31):
@@ -251,6 +255,12 @@ class TestGirth:
                 graphs.append(Graph(n, [e for e in pairs if rng.random() < p]))
             # a random tree: each vertex joins an earlier one
             graphs.append(Graph(n, [(v, rng.randrange(v)) for v in range(1, n)]))
+        for n in range(4, 61, 2):
+            # a random tree plus one to three chords, under shuffled labels
+            edges = [(v, rng.randrange(v)) for v in range(1, n)]
+            edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3))]
+            label = rng.sample(range(n), n)
+            graphs.append(Graph(n, [(label[u], label[w]) for u, w in edges]))
         graphs += [cycle_graph(n) for n in range(3, 40)]
         graphs += [one_subdivision(complete_graph(h)) for h in range(3, 8)]
         graphs += [torus_quadrangulation(k).graph for k in (3, 4, 5, 8)]
