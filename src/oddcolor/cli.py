@@ -26,7 +26,7 @@ from .coloring import (
     uniform_lists,
 )
 from .discharge import charge_report, hunt, settle
-from .embedding import embed_search, normalize_signatures
+from .embedding import embed_search
 from .generate import GenerationBudgetError, generate_girth_instances
 from .graphs import girth, hypothesis_check, one_subdivision, r_set_from_indices
 from .jsonio import Instance
@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-EMBED_SEARCH_WARN_VERTICES = 12
 
 
 class InputError(ValueError):
@@ -100,16 +98,9 @@ def cmd_genus(args, inst: Instance):
 
 
 def cmd_embed(args, inst: Instance):
-    if inst.graph.n > EMBED_SEARCH_WARN_VERTICES:
-        print(
-            f"warning: embedding search is exponential; {inst.graph.n} vertices "
-            "may take very long",
-            file=sys.stderr,
-        )
     emb = embed_search(inst.graph, args.max_genus)
     if emb is None:
         return {"embedding": None, "max_genus": args.max_genus}, EXIT_REFUTED
-    emb = normalize_signatures(emb)
     out = jsonio.embedding_to_json(emb, inst.r)
     return (
         {"embedding": out, "euler_genus": emb.euler_genus, "faces": len(emb.faces)},

@@ -183,24 +183,13 @@ class EmbeddedGraph:
         return self._side_faces[e]
 
     def is_orientable(self) -> bool:
-        # after contracting a spanning tree, orientability is the product of
-        # signs over every cycle; equivalently no cycle has an odd number of
-        # -1 edges
-        n = self.graph.n
-        if n == 0:
-            return True
-        mark: dict[int, int] = {0: 0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.graph.adj[u]:
-                s = 0 if self.rotation.signs[self.graph.edge_index((u, w))] == 1 else 1
-                if w not in mark:
-                    mark[w] = mark[u] ^ s
-                    stack.append(w)
-                elif mark[w] != mark[u] ^ s:
-                    return False
-        return True
+        # switching every vertex by its flip leaves the spanning tree +1; the
+        # embedding is orientable exactly when no edge is then -1
+        flip = _switches(self.graph, self.rotation.signs)
+        return all(
+            (s == -1) == (flip[u] != flip[v])
+            for (u, v), s in zip(self.graph.edges, self.rotation.signs)
+        )
 
 
 # -- signature normalization -------------------------------------------------
@@ -223,6 +212,15 @@ def _spanning_tree(g: Graph) -> list[tuple[int, int]]:
     return tree
 
 
+def _switches(g: Graph, signs: Sequence[int]) -> list[int]:
+    """The flip, 0 or 1, of each vertex that switches every edge of
+    ``_spanning_tree`` to +1."""
+    flip = [0] * g.n
+    for u, w in _spanning_tree(g) if g.n else ():
+        flip[w] = flip[u] ^ (signs[g.edge_index((u, w))] == -1)
+    return flip
+
+
 def normalize_signatures(e: EmbeddedGraph) -> EmbeddedGraph:
     """Switch vertices so every spanning-tree edge gets sign +1.
 
@@ -232,12 +230,7 @@ def normalize_signatures(e: EmbeddedGraph) -> EmbeddedGraph:
     trace; ``embed_search`` results are always in that case.
     """
     g = e.graph
-    if g.n == 0:
-        return e
-    flip = [0] * g.n
-    for u, w in _spanning_tree(g):
-        s = e.rotation.signs[g.edge_index((u, w))]
-        flip[w] = flip[u] ^ (1 if s == -1 else 0)
+    flip = _switches(g, e.rotation.signs)
     if not any(flip):
         return e
     new_signs = []
@@ -314,55 +307,29 @@ def _face_search(
     # one (+1, or -1 as the last index) keeps its own
     choices = ((1, -1), (1,), (-1,))
 
-    # per-dart successor within its vertex rotation; chain bookkeeping keeps
-    # each vertex a single cycle
-    succ: list[int | None] = [None] * (2 * m)
-    has_pred = [False] * (2 * m)
-    chain_head = {i: i for i in range(2 * m)}  # tail dart -> head of its chain
-    chain_tail = {i: i for i in range(2 * m)}  # head dart -> tail of its chain
-    chain_size = {i: 1 for i in range(2 * m)}  # keyed by head dart
+    # per-dart rotation links: succ[a] = b and pred[b] = a when sigma(a) = b,
+    # -1 when unset.  The links at a vertex form paths until the last one
+    # closes them into a single cycle through all its darts.
+    succ = [-1] * (2 * m)
+    pred = [-1] * (2 * m)
 
-    def try_assign(a: int, b: int):
-        """sigma(a) = b; returns an undo token or None if illegal."""
-        if succ[a] is not None or has_pred[b]:
-            return None
-        ha = chain_head[a]
-        if ha == b:
-            if chain_size[b] != deg[tail[a]]:
-                return None  # would close a proper sub-cycle of the rotation
-            succ[a] = b
-            has_pred[b] = True
-            del chain_head[a]
-            del chain_tail[b]
-            return ("close", a, b)
-        tb = chain_tail[b]
+    def link(a: int, b: int) -> bool:
+        """Set sigma(a) = b, unless a already has a successor, b already has
+        a predecessor, or the link would close a cycle through fewer than
+        all the darts at tail(a).  b has no predecessor, so the walk from b
+        along succ ends, after at most deg - 1 steps, at the end of b's
+        path; the link closes a cycle exactly when that end is a."""
+        if succ[a] != -1 or pred[b] != -1:
+            return False
+        end, size = b, 1
+        while succ[end] != -1:
+            end = succ[end]
+            size += 1
+        if end == a and size != deg[tail[a]]:
+            return False
         succ[a] = b
-        has_pred[b] = True
-        del chain_head[a]
-        del chain_tail[b]
-        chain_head[tb] = ha
-        chain_tail[ha] = tb
-        old = chain_size.pop(b)
-        chain_size[ha] += old
-        return ("merge", a, b, tb, ha, old)
-
-    def undo(token) -> None:
-        if token[0] == "close":
-            _, a, b = token
-            succ[a] = None
-            has_pred[b] = False
-            chain_head[a] = b
-            chain_tail[b] = a
-        else:
-            _, a, b, tb, ha, old = token
-            succ[a] = None
-            has_pred[b] = False
-            chain_size[ha] -= old
-            chain_size[b] = old
-            chain_head[tb] = b
-            chain_head[a] = ha
-            chain_tail[b] = tb
-            chain_tail[ha] = a
+        pred[b] = a
+        return True
 
     # state s < total walks dart s with eps = +1, state s >= total walks
     # dart s - total with eps = -1
@@ -438,25 +405,23 @@ def _face_search(
         a = rev[d]  # the return dart
         for b in out_darts[head[d]]:
             s = b + offset
+            x, y = (a, b) if forward else (b, a)
             if s == start:
-                token = try_assign(a, b) if forward else try_assign(b, a)
-                if token is not None:
+                if link(x, y):
                     yield begin(faces_done + 1, used_count, start) if used_count < total else None
-                    undo(token)
-            elif not used[s] and dist.get(head[b], far) <= slack:
-                token = try_assign(a, b) if forward else try_assign(b, a)
-                if token is not None:
-                    e = edge_of[b]
-                    was = sign[e]
-                    for sg in choices[was]:
-                        sign[e] = sg
-                        ahead = forward == (sg == 1)
-                        mirror = rev[b] + total if ahead else rev[b]
-                        used[s] = used[mirror] = True
-                        yield extend(faces_done, used_count + 1, start, b, ahead, dist, limit)
-                        used[s] = used[mirror] = False
-                    sign[e] = was
-                    undo(token)
+                    succ[x] = pred[y] = -1
+            elif not used[s] and dist.get(head[b], far) <= slack and link(x, y):
+                e = edge_of[b]
+                was = sign[e]
+                for sg in choices[was]:
+                    sign[e] = sg
+                    ahead = forward == (sg == 1)
+                    mirror = rev[b] + total if ahead else rev[b]
+                    used[s] = used[mirror] = True
+                    yield extend(faces_done, used_count + 1, start, b, ahead, dist, limit)
+                    used[s] = used[mirror] = False
+                sign[e] = was
+                succ[x] = pred[y] = -1
 
     stack = [begin(0, 0, -1)]
     push, pop = stack.append, stack.pop

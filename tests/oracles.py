@@ -255,6 +255,28 @@ def trace_faces_orientable_oracle(g: Graph, rotation) -> list[int]:
     return sorted(lengths)
 
 
+def is_orientable_reference(e: EmbeddedGraph) -> bool:
+    """Orientability by a DFS that 2-colors the vertices by sign parity."""
+    # after contracting a spanning tree, orientability is the product of
+    # signs over every cycle; equivalently no cycle has an odd number of
+    # -1 edges
+    n = e.graph.n
+    if n == 0:
+        return True
+    mark: dict[int, int] = {0: 0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in e.graph.adj[u]:
+            s = 0 if e.rotation.signs[e.graph.edge_index((u, w))] == 1 else 1
+            if w not in mark:
+                mark[w] = mark[u] ^ s
+                stack.append(w)
+            elif mark[w] != mark[u] ^ s:
+                return False
+    return True
+
+
 # -- embedding oracle ------------------------------------------------------------
 
 

@@ -31,8 +31,14 @@ from fixtures import (
     k4_planar,
     petersen_graph,
     torus_quadrangulation,
+    wheel_planar,
 )
-from oracles import embeds_brute_force, is_planar, trace_faces_orientable_oracle
+from oracles import (
+    embeds_brute_force,
+    is_orientable_reference,
+    is_planar,
+    trace_faces_orientable_oracle,
+)
 
 
 def random_embedded(rng, max_n=7, signed=True):
@@ -157,6 +163,34 @@ class TestEulerGenus:
         assert [f.length for f in emb.faces] == [6]
         assert emb.euler_genus == 1
         assert not emb.is_orientable()
+
+
+class TestIsOrientable:
+    def test_agrees_with_dfs_oracle(self):
+        rng = random.Random(15)
+        kinds = set()
+        for _ in range(250):
+            emb = random_embedded(rng)
+            assert emb.is_orientable() == is_orientable_reference(emb)
+            kinds.add(emb.is_orientable())
+        assert kinds == {True, False}
+
+    def test_small_cases_agree_with_dfs_oracle(self):
+        tree = path_graph(4)
+        k4 = complete_graph(4)
+        cases = [
+            (EmbeddedGraph(tree, sorted_rotation(tree, [-1, 1, -1])), True),
+            (EmbeddedGraph(Graph(1, []), sorted_rotation(Graph(1, []))), True),
+            (EmbeddedGraph(k4, sorted_rotation(k4, [1] * 5 + [-1])), False),
+        ]
+        for emb, orientable in cases:
+            assert emb.is_orientable() == is_orientable_reference(emb) == orientable
+
+    def test_normalizing_keeps_orientability(self):
+        rng = random.Random(16)
+        for _ in range(100):
+            emb = random_embedded(rng)
+            assert normalize_signatures(emb).is_orientable() == is_orientable_reference(emb)
 
 
 class TestFaceAdjacency:
@@ -344,6 +378,11 @@ class TestEmbedSearch:
                 continue
             planar, _ = nx.check_planarity(nx.Graph(g.edges))
             assert (embed_search(g, 0) is not None) == planar
+        # hubs of degree 6 to 9, where closing a rotation walks the longest path
+        for k in range(6, 10):
+            for g in (wheel_planar(k).graph, complete_bipartite_graph(2, k)):
+                planar, _ = nx.check_planarity(nx.Graph(g.edges))
+                assert (embed_search(g, 0) is not None) == planar
 
     def test_agrees_with_brute_force_oracle(self):
         # the oracle enumerates every rotation system, times every cotree
@@ -363,6 +402,7 @@ class TestEmbedSearch:
                 emb = embed_search(g, max_genus)
                 assert (emb is not None) == embeds_brute_force(g, max_genus)
                 assert emb is None or emb.euler_genus <= max_genus
+                assert emb is None or normalize_signatures(emb) is emb
 
     @pytest.mark.parametrize(
         "name, max_genus",
@@ -383,6 +423,7 @@ class TestEmbedSearch:
         emb = embed_search(g, max_genus)
         assert (emb is not None) == embeds_brute_force(g, max_genus)
         assert emb is None or emb.euler_genus <= max_genus
+        assert emb is None or normalize_signatures(emb) is emb
 
     def test_known_nonplanar_cases(self):
         for g in (complete_graph(5), complete_bipartite_graph(3, 3), petersen_graph()):

@@ -10,9 +10,11 @@ recorded with a parser built on every call, two face traces per ``embed``
 and the per-edge-BFS ``girth``.  The ``solve`` and ``chromatic`` digests were
 recorded before ``solve`` cut the color symmetry of uniform lists.  The
 ``g7-28b``, ``g7-29a`` and ``g7-30c`` digests were recorded before the face
-search pruned open walks by their distance back to the face's root.  A
-digest that changes means a report changed: find out why before recording a
-new one.
+search pruned open walks by their distance back to the face's root.  The
+``W9``, ``K29`` and ``K34`` digests were recorded while the face search kept
+each vertex rotation as merged chains with undo tokens; the first two close
+rotations at vertices of degree 9.  A digest that changes means a report
+changed: find out why before recording a new one.
 """
 
 import contextlib
@@ -43,6 +45,7 @@ from fixtures import (
     petersen_graph,
     theta_planar,
     torus_quadrangulation,
+    wheel_planar,
 )
 
 
@@ -58,6 +61,7 @@ def instances():
     graph_only = ("check", "audit", "hunt")
     signed = ("embed --max-genus 1",)  # found by the signed phase, or refuted
     orientable = ("embed --max-genus 2",)
+    planar = ("embed --max-genus 0",)
     t12 = torus_quadrangulation(12)
     grid = grid_with_diagonals(10, 10, seed=7)
     k7 = k7_torus()
@@ -89,6 +93,9 @@ def instances():
         "K5": (jsonio.graph_to_json(complete_graph(5)), signed),
         "K33": (jsonio.graph_to_json(complete_bipartite_graph(3, 3)), signed),
         "T6": (jsonio.graph_to_json(torus_quadrangulation(6).graph), orientable),
+        "W9": (jsonio.graph_to_json(wheel_planar(9).graph), planar),
+        "K29": (jsonio.graph_to_json(complete_bipartite_graph(2, 9)), planar),
+        "K34": (jsonio.graph_to_json(complete_bipartite_graph(3, 4)), signed),
         **{name: (jsonio.graph_to_json(g), orientable) for name, g in girth7.items()},
         **{name: (jsonio.graph_to_json(g), ("hunt",) + orientable) for name, g in tight.items()},
         # one instance name per ``solve --k``, so the keys stay "name:command"
@@ -107,12 +114,6 @@ def instances():
 
 # ``gen`` reads no file: key -> its CLI argument string
 GEN_RUNS = {
-    "g7-28b:hunt": "69bc891631ea915710ac198901d92d91c3057e160e3e91652943c4445cb1d9db",
-    "g7-28b:embed": "d5e1977e414f0b2a0fc6c54a70d96d8d134b8e8202991823a700ee758d5b671a",
-    "g7-29a:hunt": "eded32ad3614871425d88c4528347c4b8cc47330d4ed81aabf98f84c36a4682b",
-    "g7-29a:embed": "c198ae89456239cc079e5a2719d0924672d646bf1963312aa04ba039d4ceb375",
-    "g7-30c:hunt": "b56cc8bbf34dc3720d3a866d421c2b80db6b14f0111fe52eb016b9f1527dd64f",
-    "g7-30c:embed": "28e084ea7230964386c1038b0618497593f57ab496a6ac0571578ed33d4ce8a8",
     "gen-n30-g7-s5": "gen --n 30 --min-girth 7 --count 2 --seed 5",
     "gen-n20-g5-s11": "gen --n 20 --min-girth 5 --count 3 --seed 11",
 }
@@ -154,6 +155,9 @@ GOLDEN = {
     "K5:embed": "cc90e57c2314ea40c4fa0124144de6f3be06e9e5204f343fe9091e590aafa28a",
     "K33:embed": "29cf2bacc26dabc0172145cdf999b50a015f71464035dc950207b754abe4d8a6",
     "T6:embed": "9feedfa78c0a4e4034bdd1a0df82b5f291591071163f269c29a78219de372292",
+    "W9:embed": "7b21324025f52c9ce7729f3429e6ba089d42ca0998a9bf2da4619eb9963cd48e",
+    "K29:embed": "b3feb513af5c8919f629ca89ba281c91dfeebd5a3182e62860784ea71b6f748f",
+    "K34:embed": "98ad719ffb647dcf027796073d72b3d5ff658143db85a9bd4b6bd706ad197d27",
     "g7-16-s1:embed": "a07f086adca710d69ad89fd5f0182e1dcaf912e0536d6fd73f9792dea9e006d9",
     "g7-20-s2:embed": "104a2db910e4239775933fe175885748a33b2724fa79ddf97e1369becd77c4ef",
     "g7-24-s3:embed": "4da1a55435e04656af2f90f6f0c3e3e65894ece8b20b799f56e5b0c7e59d4117",
@@ -215,7 +219,7 @@ def test_golden_instances_reach_every_stage(reports):
     """The pinned reports are worth pinning: they hold 5-cycle pairs, audit
     violations, negative charges explained by lemmas, hunts stopped at the
     hypothesis, the embedding and the audit, embeddings found at Euler genus
-    1 and 2 and refuted at genus 2, and colorings both found and refuted."""
+    0, 1 and 2 and refuted at genus 2, and colorings both found and refuted."""
     seen = set()
     for report in reports.values():
         command, res = report["command"], report["result"]
@@ -234,6 +238,6 @@ def test_golden_instances_reach_every_stage(reports):
     assert seen == {
         "five_pairs", "violations", "explained_by",
         "hunt:hypothesis", "hunt:embedding", "hunt:audit",
-        "embed:eg1", "embed:eg2", "embed:refuted",
+        "embed:eg0", "embed:eg1", "embed:eg2", "embed:refuted",
         "solve:SAT", "solve:UNSAT",
     }
