@@ -176,7 +176,12 @@ def cmd_subdivide(args, inst: Instance):
 
 def cmd_gen(args, _inst=None):
     try:
-        graphs = generate_girth_instances(args.n, args.min_girth, args.count, args.seed)
+        graphs = generate_girth_instances(
+            _at_least("--n", args.n, 3),
+            _at_least("--min-girth", args.min_girth, 3),
+            _at_least("--count", args.count, 1),
+            args.seed,
+        )
     except GenerationBudgetError as exc:
         raise InputError(str(exc)) from exc
     return (

@@ -5,6 +5,11 @@ candidate edges are shuffled and added only when the endpoints are still far
 enough apart, then the graph is trimmed to the largest component of its
 2-core so that every surviving vertex has degree at least 2.  Everything is
 driven by one seeded generator, so output is reproducible per seed.
+
+"Far enough apart" is read off distance balls: each vertex keeps a bitmask
+of the vertices within distance ``min_girth - 2`` of it, so refusing a
+candidate is one bit test, and only an accepted edge pays for a BFS, which
+grows the balls it shortens.
 """
 
 from __future__ import annotations
@@ -20,23 +25,20 @@ class GenerationBudgetError(RuntimeError):
     """The requested number of instances was not reached within the budget."""
 
 
-def _bfs_distance(adj: list[set[int]], s: int, t: int, cap: int) -> int:
-    """Shortest path length s..t, or cap if it is at least cap."""
-    if s == t:
-        return 0
-    dist = {s: 0}
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        if dist[u] + 1 >= cap:
-            continue
-        for w in adj[u]:
-            if w not in dist:
-                if w == t:
-                    return dist[u] + 1
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return cap
+def _balls(adj: list[set[int]], s: int, depth: int) -> tuple[list[list[int]], list[int]]:
+    """BFS layers 0..depth around s, and the bitmask of each ball: vertices
+    within distance i of s are ``balls[i]``."""
+    layers, balls = [[s]], [1 << s]
+    for _ in range(depth):
+        seen, layer = balls[-1], []
+        for a in layers[-1]:
+            for b in adj[a]:
+                if not seen >> b & 1:
+                    seen |= 1 << b
+                    layer.append(b)
+        layers.append(layer)
+        balls.append(seen)
+    return layers, balls
 
 
 def _two_core_component(n: int, edges: set[tuple[int, int]]) -> Graph | None:
@@ -92,6 +94,13 @@ def generate_girth_instances(
     """``count`` connected graphs on <= n vertices, girth >= min_girth,
     minimum degree >= 2; deterministic per seed.
 
+    A candidate uv is refused when v lies in the ball of radius
+    ``min_girth - 2`` around u.  The balls stay exact: a path shortened by
+    a new edge uv runs a..u, uv, v..b with both halves shortest in the old
+    graph, so accepting uv ORs into the ball of each a at distance i from u
+    the ball of radius ``min_girth - 3 - i`` around v, and the same with u
+    and v swapped.
+
     Raises GenerationBudgetError when the attempt budget runs out, which is
     the expected outcome for unreachable parameter combinations (for example
     a required cycle longer than the vertex budget allows).
@@ -115,12 +124,21 @@ def generate_girth_instances(
         rng.shuffle(candidates)
         adj: list[set[int]] = [set() for _ in range(n)]
         edges: set[tuple[int, int]] = set()
+        # near[a]: bit b set iff dist(a, b) <= min_girth - 2
+        near = [1 << a for a in range(n)]
         for u, v in candidates:
             # adding uv closes a cycle of length dist(u,v) + 1
-            if _bfs_distance(adj, u, v, min_girth - 1) >= min_girth - 1:
-                adj[u].add(v)
-                adj[v].add(u)
-                edges.add((u, v))
+            if near[u] >> v & 1:
+                continue
+            depth = min_girth - 3
+            (lu, bu), (lv, bv) = _balls(adj, u, depth), _balls(adj, v, depth)
+            for layers, balls in ((lu, bv), (lv, bu)):
+                for i, layer in enumerate(layers):
+                    for a in layer:
+                        near[a] |= balls[depth - i]
+            adj[u].add(v)
+            adj[v].add(u)
+            edges.add((u, v))
         g = _two_core_component(n, edges)
         if g is None:
             continue

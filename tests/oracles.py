@@ -7,17 +7,21 @@ vector, and a Kuratowski subdivision search for planarity.  The quadratic
 analysis loops the library replaced (recursive cycle enumeration, the
 all-pairs 5-cycle scan, the per-negative witness scan behind
 ``explained_by``) are kept here unchanged to pin the order of their output,
-and so is the per-edge-BFS ``girth`` it replaced.
+and so is the per-edge-BFS ``girth`` it replaced.  The generator loop that
+ran one bounded BFS per candidate edge is kept as ``girth_instances_reference``
+to pin the distance-ball generator to the same graphs.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+import random
+from collections import Counter, deque
 from itertools import combinations, permutations, product
 
 from oddcolor.embedding import EmbeddedGraph, RotationSystem
-from oddcolor.graphs import Cycle, Graph
+from oddcolor.generate import GenerationBudgetError, _two_core_component
+from oddcolor.graphs import Cycle, Graph, girth
 
 
 def solver_order_reference(g: Graph) -> list[int]:
@@ -158,6 +162,64 @@ def girth_reference(g: Graph) -> int | float:
         if found is not None and found + 1 < best:
             best = found + 1
     return best
+
+
+def _bfs_distance(adj: list[set[int]], s: int, t: int, cap: int) -> int:
+    """Shortest path length s..t, or cap if it is at least cap."""
+    if s == t:
+        return 0
+    dist = {s: 0}
+    q = deque([s])
+    while q:
+        u = q.popleft()
+        if dist[u] + 1 >= cap:
+            continue
+        for w in adj[u]:
+            if w not in dist:
+                if w == t:
+                    return dist[u] + 1
+                dist[w] = dist[u] + 1
+                q.append(w)
+    return cap
+
+
+def girth_instances_reference(
+    n: int, min_girth: int, count: int, seed: int, attempts_per_instance: int = 60
+) -> list[Graph]:
+    """``generate_girth_instances`` with one bounded BFS per candidate edge."""
+    if min_girth < 3:
+        raise ValueError("min_girth must be at least 3")
+    if n < 3 or count < 1:
+        raise ValueError("need n >= 3 and count >= 1")
+    rng = random.Random(seed)
+    out: list[Graph] = []
+    budget = count * attempts_per_instance
+    attempts = 0
+    while len(out) < count:
+        if attempts >= budget:
+            raise GenerationBudgetError(
+                f"generated {len(out)} of {count} instances in {attempts} attempts"
+                f" (n={n}, min_girth={min_girth})"
+            )
+        attempts += 1
+        candidates = list(combinations(range(n), 2))
+        rng.shuffle(candidates)
+        adj: list[set[int]] = [set() for _ in range(n)]
+        edges: set[tuple[int, int]] = set()
+        for u, v in candidates:
+            # adding uv closes a cycle of length dist(u,v) + 1
+            if _bfs_distance(adj, u, v, min_girth - 1) >= min_girth - 1:
+                adj[u].add(v)
+                adj[v].add(u)
+                edges.add((u, v))
+        g = _two_core_component(n, edges)
+        if g is None:
+            continue
+        gi = girth(g)
+        if gi < min_girth:
+            raise AssertionError("girth rejection failed")
+        out.append(g)
+    return out
 
 
 def enumerate_cycles_reference(g: Graph, max_edge_count: int) -> list[Cycle]:

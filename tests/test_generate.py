@@ -3,6 +3,16 @@ import pytest
 from oddcolor.generate import GenerationBudgetError, generate_girth_instances
 from oddcolor.graphs import girth, hypothesis_check
 
+from oracles import girth_instances_reference, girth_reference
+
+
+def outcome(generate, n, min_girth, count, seed):
+    """The graphs, or the budget error's message."""
+    try:
+        return generate(n, min_girth, count, seed)
+    except GenerationBudgetError as exc:
+        return f"budget: {exc}"
+
 
 class TestGenerator:
     def test_properties_hold(self):
@@ -40,3 +50,19 @@ class TestGenerator:
             generate_girth_instances(10, 2, count=1, seed=0)
         with pytest.raises(ValueError):
             generate_girth_instances(2, 3, count=1, seed=0)
+
+    @pytest.mark.parametrize("min_girth", range(3, 10))
+    def test_same_graphs_as_per_candidate_bfs(self, min_girth):
+        graphs_compared = 0
+        for n in [*range(3, 15), 20, 33, 50, 80]:
+            for seed, count in ((0, 1), (1, 2), (7, 3)):
+                got = outcome(generate_girth_instances, n, min_girth, count, seed)
+                assert got == outcome(girth_instances_reference, n, min_girth, count, seed)
+                graphs_compared += not isinstance(got, str)
+        assert graphs_compared >= 20
+
+    def test_large_instance_properties(self):
+        (g,) = generate_girth_instances(600, 7, 1, 600)
+        assert g.is_connected()
+        assert min(g.degree(v) for v in range(g.n)) >= 2
+        assert girth_reference(g) >= 7

@@ -13,7 +13,9 @@ recorded before ``solve`` cut the color symmetry of uniform lists.  The
 search pruned open walks by their distance back to the face's root.  The
 ``W9``, ``K29`` and ``K34`` digests were recorded while the face search kept
 each vertex rotation as merged chains with undo tokens; the first two close
-rotations at vertices of degree 9.  A digest that changes means a report
+rotations at vertices of degree 9.  The ``gen`` digests of the perfbench
+catalogue graphs (n = 300, 40, 30 and 32) were recorded while the generator
+ran one bounded BFS per candidate edge.  A digest that changes means a report
 changed: find out why before recording a new one.
 """
 
@@ -116,6 +118,11 @@ def instances():
 GEN_RUNS = {
     "gen-n30-g7-s5": "gen --n 30 --min-girth 7 --count 2 --seed 5",
     "gen-n20-g5-s11": "gen --n 20 --min-girth 5 --count 3 --seed 11",
+    # the girth-7 graphs of the perfbench catalogues
+    "gen-n300-g7-s7300": "gen --n 300 --min-girth 7 --seed 7300",
+    "gen-n40-g7-s7040": "gen --n 40 --min-girth 7 --seed 7040",
+    "gen-n30-g7-s7130": "gen --n 30 --min-girth 7 --seed 7130",
+    "gen-n32-g7-c3-s5032": "gen --n 32 --min-girth 7 --count 3 --seed 5032",
 }
 
 
@@ -169,6 +176,10 @@ GOLDEN = {
     "g7-30c:embed": "28e084ea7230964386c1038b0618497593f57ab496a6ac0571578ed33d4ce8a8",
     "gen-n30-g7-s5": "06d6158e844d7567f76b75b58cd69e12023d70a2ed519a07821383e6420c91e1",
     "gen-n20-g5-s11": "33b496e9f449a524dc64647cfac279ccbe7b4afb1e90a9cd3fc99581991e93d8",
+    "gen-n300-g7-s7300": "6dc5179000c82626e3ea71c862f3416e3798b2f821efb2b8c7504fbe50e43e29",
+    "gen-n40-g7-s7040": "11d706595db921902e409776fc6fb7f1132806b7d0cf6152f79358351911e0ac",
+    "gen-n30-g7-s7130": "f65d668c75c20d96625f2e944edfea956b724396b499beb41b00116227ba57a9",
+    "gen-n32-g7-c3-s5032": "b2e27a589354c03ee41cb7acd5de6e3c6cb1967e7f21a93a8700b67afb3b84b7",
     "C5-k4:solve": "307fd687f1824829fa6145e48e0883da642541451902aa92eeb1f9b8516f9f07",
     "C5-k5:solve": "05b50e6e18e1e4edcf495711ef05687ca29712f52fe79e466a06ff3f8b1076ae",
     "C5-k5:chromatic": "fe4f1f6b17abf1daf9698329040dc5b742a6e92c19c671f1366998feef7a58c1",

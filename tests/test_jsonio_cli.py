@@ -267,6 +267,20 @@ class TestCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "2", "--min-girth", "7"], "--n must be at least 3, got 2"),
+            (["--n", "12", "--min-girth", "2"], "--min-girth must be at least 3, got 2"),
+            (["--n", "12", "--min-girth", "7", "--count", "0"], "--count must be at least 1, got 0"),
+            (["--n", "12", "--min-girth", "7", "--count", "-1"], "--count must be at least 1, got -1"),
+        ],
+    )
+    def test_gen_flag_out_of_range_is_input_error_naming_it(self, capsys, flags, message):
+        assert run_command(["gen", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert message in err and out == ""
+
     def test_missing_file_is_input_error(self):
         assert run_command(["solve", "--graph", "/nonexistent.json", "--k", "3"]) == 2
 
