@@ -13,7 +13,9 @@ comparison with 0, and forward checking backtracks as soon as a neighbor of
 the last assigned vertex has no color left.  When every vertex has the same
 list, the colors are interchangeable, so a vertex never tries a color above
 the highest one already used plus one (value-interchangeability symmetry
-breaking).  Neither cut changes which coloring the search returns: the first
+breaking).  A failure jumps back to the latest position that helps explain
+it, not just to the previous one (conflict-directed backjumping, Prosser
+1993).  None of this changes which coloring the search returns: the first
 valid one in its fixed order.
 """
 
@@ -190,8 +192,8 @@ def solver_order(g: Graph) -> list[int]:
 def solve(inst: RelaxedInstance) -> Coloring | None:
     """Exact search for a relaxed-odd list coloring; None iff none exists.
 
-    Depth-first search over solver_order on an explicit stack of (position,
-    untried allowed colors), trying colors in increasing order, so the result
+    Iterative depth-first search over solver_order that keeps each position's
+    untried allowed colors, trying colors in increasing order, so the result
     is the first valid coloring in that lexicographic order.  Colors are
     bits indexed by rank in the union of the lists.  Each vertex keeps the
     XOR mask of the colors on its colored neighbors (the colors seen an odd
@@ -210,6 +212,22 @@ def solve(inst: RelaxedInstance) -> Coloring | None:
     prefix, both in every list) would give a valid coloring that comes
     earlier in the search order.  UNSAT proofs shrink by up to k! this way.
     Lists that differ anywhere get the full search.
+
+    Backjumping: conflict[p] is a bit mask of the earlier positions whose
+    colors explain why colors failed at p.  reason(x) holds the positions
+    allowed(x) reads: x's colored neighbors, and those of each constrained
+    neighbor down to one uncolored neighbor and a one-color mask.  A color
+    that wipes out some x adds reason(x); an exhausted p adds reason(order[p])
+    for what allowed() removed on entry, or every earlier position if the cap
+    removed a color, as the cap reads the whole prefix.  The search then jumps
+    to the latest position h in the set and merges the rest into conflict[h];
+    an empty set means UNSAT.  No choice between h and p changes an input of
+    the failure, so the skipped subtrees hold no solution and the first
+    coloring is the same.  A level's mask is cleared when the search leaves
+    the level, so memory stays linear in n.  Time is not: a mask that holds a
+    low position costs O(p) words per operation, and on a long UNSAT cycle
+    every level's mask holds position 0.  Sets of positions avoid that, but
+    they were slower on the search's typical inputs.
     """
     g = inst.graph
     n = g.n
@@ -245,40 +263,82 @@ def solve(inst: RelaxedInstance) -> Coloring | None:
             uncolored[w] += 1
         color[u] = -1
 
-    def forward_ok(u: int) -> bool:
+    def wiped_out(u: int) -> int:
+        """A vertex left with no allowed color after coloring u, else -1."""
         for w in adj[u]:
             if color[w] < 0 and not allowed(w):
-                return False
+                return w
             if constrained[w] and uncolored[w] == 1:
-                if not allowed(next(x for x in adj[w] if color[x] < 0)):
-                    return False
-        return True
+                x = next(x for x in adj[w] if color[x] < 0)
+                if not allowed(x):
+                    return x
+        return -1
 
+    def reason(x: int) -> int:
+        """The positions whose colors allowed(x) reads, as a bit mask."""
+        out = 0
+        for y in adj[x]:
+            if color[y] >= 0:
+                out |= 1 << pos[y]
+            if uncolored[y] == 1 and constrained[y]:
+                m = mask[y]
+                if m and not m & (m - 1):
+                    for z in adj[y]:
+                        if z != x:
+                            out |= 1 << pos[z]
+        return out
+
+    order = solver_order(g)
+    pos = {v: p for p, v in enumerate(order)}
     # cap[p]: the ranks position p may try, as a bit mask.  With one list
     # everywhere these are the ranks up to top[p] + 1, else all ranks (-1).
     cap = [1 if len(set(list_mask)) == 1 else -1] * n
-    order = solver_order(g)
-    stack = [(0, allowed(order[0]) & cap[0])]
-    while stack:
-        p, untried = stack.pop()
+    entry = [0] * n  # allowed(order[p]) when p was entered
+    untried = [0] * n
+    conflict = [0] * n
+    p = 0
+    entry[0] = left = allowed(order[0])
+    left &= cap[0]
+    while True:
         u = order[p]
-        if color[u] >= 0:
-            unassign(u)
-        while untried:
-            c = (untried & -untried).bit_length() - 1  # lowest untried color
-            untried ^= 1 << c
+        while left:
+            c = (left & -left).bit_length() - 1  # lowest untried color
+            left ^= 1 << c
             assign(u, c)
-            if forward_ok(u):
+            x = wiped_out(u)
+            if x < 0:
                 break
+            conflict[p] |= reason(x)
             unassign(u)
         else:
+            # p is exhausted: jump to the latest position in its conflict set
+            why = conflict[p]
+            conflict[p] = 0
+            a = entry[p]
+            if a & ~cap[p]:
+                why = (1 << p) - 1
+            elif a != list_mask[u]:
+                why |= reason(u)
+            h = why.bit_length() - 1
+            if h == p:  # a wipe-out reason can name p itself
+                why ^= 1 << p
+                h = why.bit_length() - 1
+            if h < 0:
+                return None
+            conflict[h] |= why ^ (1 << h)
+            for q in range(h + 1, p):
+                unassign(order[q])
+                conflict[q] = 0
+            unassign(order[h])
+            p, left = h, untried[h]
             continue
         if p + 1 == n:
             return {v: palette[color[v]] for v in range(n)}
-        stack.append((p, untried))
+        untried[p] = left
         cap[p + 1] = cap[p] | 2 << c  # ranks up to max(top[p], c) + 1
-        stack.append((p + 1, allowed(order[p + 1]) & cap[p + 1]))
-    return None
+        p += 1
+        entry[p] = left = allowed(order[p])
+        left &= cap[p]
 
 
 def odd_chromatic_number(g: Graph) -> int:

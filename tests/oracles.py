@@ -9,7 +9,9 @@ all-pairs 5-cycle scan, the per-negative witness scan behind
 ``explained_by``) are kept here unchanged to pin the order of their output,
 and so is the per-edge-BFS ``girth`` it replaced.  The generator loop that
 ran one bounded BFS per candidate edge is kept as ``girth_instances_reference``
-to pin the distance-ball generator to the same graphs.
+to pin the distance-ball generator to the same graphs.  The solver's
+chronological backtracking search is kept as ``solve_chronological_reference``
+to pin the backjumping search to the same first colorings.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import random
 from collections import Counter, deque
 from itertools import combinations, permutations, product
 
+from oddcolor.coloring import Coloring, RelaxedInstance, solver_order
 from oddcolor.embedding import EmbeddedGraph, RotationSystem
 from oddcolor.generate import GenerationBudgetError, _two_core_component
-from oddcolor.graphs import Cycle, Graph, girth
+from oddcolor.graphs import Cycle, Graph, girth, relaxed_flags
 
 
 def solver_order_reference(g: Graph) -> list[int]:
@@ -85,6 +88,102 @@ def brute_force_relaxed_odd(inst, order=None) -> dict[int, int] | None:
         return None
 
     return rec(0)
+
+
+def solve_chronological_reference(inst: RelaxedInstance) -> Coloring | None:
+    """The solver before conflict-directed backjumping, kept verbatim.
+
+    Exact search for a relaxed-odd list coloring; None iff none exists.
+
+    Depth-first search over solver_order on an explicit stack of (position,
+    untried allowed colors), trying colors in increasing order, so the result
+    is the first valid coloring in that lexicographic order.  Colors are
+    bits indexed by rank in the union of the lists.  Each vertex keeps the
+    XOR mask of the colors on its colored neighbors (the colors seen an odd
+    number of times) and its count of uncolored neighbors.  A constrained
+    vertex needs a nonzero mask once the count is 0, so at count 1 a
+    single-color mask forbids that color to the last neighbor.  After each
+    assignment, every uncolored neighbor and the last uncolored neighbor of
+    each constrained neighbor must keep an allowed color.  This forward
+    check only cuts subtrees without a solution, so it never changes which
+    coloring is returned.
+
+    When every vertex has the same list mask, position p tries only ranks up
+    to top[p] + 1, where top[p] is the highest rank on order[:p].  This keeps
+    the returned coloring: if the first valid coloring gave order[p] a rank
+    c > top[p] + 1, swapping c and top[p] + 1 everywhere (both unused on the
+    prefix, both in every list) would give a valid coloring that comes
+    earlier in the search order.  UNSAT proofs shrink by up to k! this way.
+    Lists that differ anywhere get the full search.
+    """
+    g = inst.graph
+    n = g.n
+    if n == 0:
+        return {}
+    palette = sorted(set().union(*inst.lists.lists))
+    rank = {col: i for i, col in enumerate(palette)}
+    list_mask = [sum(1 << rank[col] for col in inst.lists[v]) for v in range(n)]
+    adj = [tuple(g.adj[v]) for v in range(n)]
+    constrained = [not x for x in relaxed_flags(g, inst.r)]
+    color = [-1] * n
+    mask = [0] * n
+    uncolored = [len(a) for a in adj]
+
+    def allowed(x: int) -> int:
+        forbid = 0
+        for y in adj[x]:
+            if color[y] >= 0:
+                forbid |= 1 << color[y]
+            if constrained[y] and uncolored[y] == 1 and mask[y] & (mask[y] - 1) == 0:
+                forbid |= mask[y]
+        return list_mask[x] & ~forbid
+
+    def assign(u: int, c: int) -> None:
+        color[u] = c
+        for w in adj[u]:
+            mask[w] ^= 1 << c
+            uncolored[w] -= 1
+
+    def unassign(u: int) -> None:
+        for w in adj[u]:
+            mask[w] ^= 1 << color[u]
+            uncolored[w] += 1
+        color[u] = -1
+
+    def forward_ok(u: int) -> bool:
+        for w in adj[u]:
+            if color[w] < 0 and not allowed(w):
+                return False
+            if constrained[w] and uncolored[w] == 1:
+                if not allowed(next(x for x in adj[w] if color[x] < 0)):
+                    return False
+        return True
+
+    # cap[p]: the ranks position p may try, as a bit mask.  With one list
+    # everywhere these are the ranks up to top[p] + 1, else all ranks (-1).
+    cap = [1 if len(set(list_mask)) == 1 else -1] * n
+    order = solver_order(g)
+    stack = [(0, allowed(order[0]) & cap[0])]
+    while stack:
+        p, untried = stack.pop()
+        u = order[p]
+        if color[u] >= 0:
+            unassign(u)
+        while untried:
+            c = (untried & -untried).bit_length() - 1  # lowest untried color
+            untried ^= 1 << c
+            assign(u, c)
+            if forward_ok(u):
+                break
+            unassign(u)
+        else:
+            continue
+        if p + 1 == n:
+            return {v: palette[color[v]] for v in range(n)}
+        stack.append((p, untried))
+        cap[p + 1] = cap[p] | 2 << c  # ranks up to max(top[p], c) + 1
+        stack.append((p + 1, allowed(order[p + 1]) & cap[p + 1]))
+    return None
 
 
 def chromatic_number(g: Graph) -> int:

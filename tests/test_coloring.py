@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
 from oddcolor import jsonio
+from oddcolor.generate import generate_girth_instances
 from oddcolor.graphs import (
     Graph,
     complete_graph,
@@ -11,6 +13,7 @@ from oddcolor.graphs import (
     one_subdivision,
     path_graph,
     r_set,
+    r_set_from_indices,
 )
 from oddcolor.coloring import (
     ListAssignment,
@@ -36,6 +39,7 @@ from oracles import (
     brute_force_relaxed_odd,
     chromatic_number,
     connected_graphs_up_to_iso,
+    solve_chronological_reference,
     solver_order_reference,
 )
 
@@ -237,6 +241,53 @@ class TestSymmetryCut:
         self.assert_matches_oracle(self.instances(rng, one_off, 150))
 
 
+class TestBackjumping:
+    """Backjumping skips only levels whose other colors cannot cure a failure,
+    so ``solve`` must return the chronological search's first coloring, or
+    its None, everywhere."""
+
+    @staticmethod
+    def random_instance(rng):
+        """n in 6..30: a girth 4-6 generated graph from n = 16, a sparse
+        random graph below; k in 2..4, uniform or random k-lists from a
+        palette of k + 2; up to 3 relaxation edges."""
+        n = rng.randint(6, 30)
+        if n >= 16:
+            g = generate_girth_instances(n, rng.randint(4, 6), 1, rng.randrange(10**6))[0]
+        else:
+            p = rng.uniform(1.5, 3.5) / (n - 1)
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        k = rng.choice((2, 3, 4))
+        uniform = rng.random() < 0.5
+        if uniform:
+            lists = uniform_lists(g.n, k)
+        else:
+            lists = ListAssignment(
+                tuple(frozenset(rng.sample(range(1, k + 3), k)) for _ in range(g.n))
+            )
+        chosen = rng.sample(range(len(g.edges)), min(len(g.edges), rng.randint(0, 3)))
+        return RelaxedInstance(g, r_set_from_indices(g, chosen), lists), uniform
+
+    def test_matches_chronological_search_on_random_instances(self):
+        rng = random.Random(1101)
+        outcomes = set()
+        for _ in range(1200):
+            inst, uniform = self.random_instance(rng)
+            got = solve(inst)
+            assert got == solve_chronological_reference(inst)
+            outcomes.add((got is not None, uniform))
+        # both verdicts, each with uniform and with random lists
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("n", range(40, 61, 4))
+    def test_matches_chronological_search_on_hard_girth7_graphs(self, n):
+        """perfbench's hard family: k = 3 on girth-7 graphs, where the
+        chronological search retries thousands of levels in between."""
+        g = generate_girth_instances(n, 7, 1, 7000 + n)[0]
+        inst = RelaxedInstance(g, frozenset(), uniform_lists(g.n, 3))
+        assert solve(inst) == solve_chronological_reference(inst)
+
+
 @pytest.mark.usefixtures("default_recursion_limit")
 class TestLongCycles:
     def test_c5000(self):
@@ -244,6 +295,23 @@ class TestLongCycles:
         assert solve(RelaxedInstance(c, frozenset(), uniform_lists(5000, 3))) is None
         inst = RelaxedInstance(c, frozenset(), uniform_lists(5000, 5))
         assert is_relaxed_odd(inst, solve(inst))
+
+    def test_memory_grows_linearly(self):
+        """The UNSAT search backtracks through every level of C_n, and every
+        level's conflict set holds position 0.  Linear growth doubles the
+        traced peak when n doubles.  Conflict sets kept as bit masks over
+        positions after their level is left take O(n^2) bits, and the peak
+        grows 3.2-fold at these sizes."""
+        peaks = []
+        for n in (5000, 10000):
+            inst = RelaxedInstance(cycle_graph(n), frozenset(), uniform_lists(n, 3))
+            tracemalloc.start()
+            try:
+                assert solve(inst) is None
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] / peaks[0] <= 2.6
 
     @pytest.mark.parametrize("n", [1500, 1501, 1502])
     def test_three_colors_iff_three_divides_n(self, n):

@@ -15,7 +15,9 @@ search pruned open walks by their distance back to the face's root.  The
 each vertex rotation as merged chains with undo tokens; the first two close
 rotations at vertices of degree 9.  The ``gen`` digests of the perfbench
 catalogue graphs (n = 300, 40, 30 and 32) were recorded while the generator
-ran one bounded BFS per candidate edge.  A digest that changes means a report
+ran one bounded BFS per candidate edge.  The ``hard-*`` digests (girth-7
+graphs of 48 to 60 vertices at k = 3; n = 56 is UNSAT) were recorded while
+``solve`` backtracked chronologically.  A digest that changes means a report
 changed: find out why before recording a new one.
 """
 
@@ -83,6 +85,8 @@ def instances():
     rng = random.Random(8)
     mixed = ListAssignment(tuple(frozenset(rng.sample(range(1, 7), 3)) for _ in range(g7.n)))
     wide = ListAssignment((frozenset((-7, 0, 2**70)),) * c12.n)
+    # the perfbench hard family, where backjumping skips most levels
+    hard = {f"hard-{n}-k3": generate_girth_instances(n, 7, 1, 7000 + n)[0] for n in (48, 52, 56, 60)}
     return {
         "T12": (jsonio.embedding_to_json(t12, seeded_r(t12.graph, 1, 20)), embedded + orientable),
         "grid-10x10": (jsonio.embedding_to_json(grid, seeded_r(grid.graph, 2, 20)), embedded),
@@ -111,6 +115,7 @@ def instances():
         "g7-18-s6-k3": (jsonio.graph_to_json(g7), ("solve --k 3",)),
         "g7-18-s6-mixed": ({**jsonio.graph_to_json(g7), **jsonio.lists_to_json(mixed)}, ("solve",)),
         "C12-wide": ({**jsonio.graph_to_json(c12), **jsonio.lists_to_json(wide)}, ("solve",)),
+        **{name: (jsonio.graph_to_json(g), ("solve --k 3",)) for name, g in hard.items()},
     }
 
 
@@ -192,6 +197,10 @@ GOLDEN = {
     "g7-18-s6-k3:solve": "aa4164620fe8606d652d99be1b82261bbc7cec894d2ae0b2fd50df861fa1ce5a",
     "g7-18-s6-mixed:solve": "544be7943eebc14d634bdb3837289fdddf2ddb66b78ed0f142ed6e2276c18105",
     "C12-wide:solve": "3cc131bd38bf057243893cf31297551dc978b3b207272a28bbe6f41df2dc167c",
+    "hard-48-k3:solve": "44db97e93cef54e8d46ef93407f168478af35191aeefdec56f63d2b11c1f79ff",
+    "hard-52-k3:solve": "f3421ed6623771066cb95bf47ac865b71099a748933a77126e08b612c0cce3af",
+    "hard-56-k3:solve": "b19b405716f8b1f62f1d571cccbeb444bac6392b2294edc8adbbb21913045748",
+    "hard-60-k3:solve": "4b3165ee337d023139b1417d6de1af0d7638a81827acce441dccebd5e95ee446",
 }
 
 
