@@ -218,16 +218,19 @@ def solve(inst: RelaxedInstance) -> Coloring | None:
     allowed(x) reads: x's colored neighbors, and those of each constrained
     neighbor down to one uncolored neighbor and a one-color mask.  A color
     that wipes out some x adds reason(x); an exhausted p adds reason(order[p])
-    for what allowed() removed on entry, or every earlier position if the cap
-    removed a color, as the cap reads the whole prefix.  The search then jumps
-    to the latest position h in the set and merges the rest into conflict[h];
-    an empty set means UNSAT.  No choice between h and p changes an input of
-    the failure, so the skipped subtrees hold no solution and the first
-    coloring is the same.  A level's mask is cleared when the search leaves
-    the level, so memory stays linear in n.  Time is not: a mask that holds a
-    low position costs O(p) words per operation, and on a long UNSAT cycle
-    every level's mask holds position 0.  Sets of positions avoid that, but
-    they were slower on the search's typical inputs.
+    for what allowed() removed on entry.  A color c the cap removed needs no
+    reason: c mirrors top[p] + 1, which allowed() never removes (no prefix
+    vertex uses it) and p tries, and swapping the two maps any solution that
+    gives p color c onto one that gives it top[p] + 1, which a reason in the
+    set already refutes.  The search then jumps to the latest position h in
+    the set and merges the rest into conflict[h]; an empty set means UNSAT.
+    No choice between h and p changes an input of the failure, so the skipped
+    subtrees hold no solution and the first coloring is the same.  A level's
+    mask is cleared when the search leaves the level, so memory stays linear
+    in n.  Time is not: a mask that holds a low position costs O(p) words per
+    operation, and on a long UNSAT cycle every level's mask holds position 0.
+    Sets of positions avoid that, but they were slower on the search's
+    typical inputs.
     """
     g = inst.graph
     n = g.n
@@ -314,10 +317,7 @@ def solve(inst: RelaxedInstance) -> Coloring | None:
             # p is exhausted: jump to the latest position in its conflict set
             why = conflict[p]
             conflict[p] = 0
-            a = entry[p]
-            if a & ~cap[p]:
-                why = (1 << p) - 1
-            elif a != list_mask[u]:
+            if entry[p] != list_mask[u]:
                 why |= reason(u)
             h = why.bit_length() - 1
             if h == p:  # a wipe-out reason can name p itself

@@ -34,8 +34,8 @@ class RotationSystem:
             raise ValueError("rotation must list every vertex")
         rot = []
         for v in range(graph.n):
-            order = tuple(int(w) for w in rotation[v])
-            if sorted(order) != sorted(graph.adj[v]):
+            order = tuple(map(int, rotation[v]))
+            if len(order) != len(graph.adj[v]) or graph.adj[v] != set(order):
                 raise ValueError(f"rotation[{v}]: expected an order of the neighbors {sorted(graph.adj[v])}, got {list(order)}")
             rot.append(order)
         if signs is None:
@@ -104,75 +104,75 @@ def trace_faces(graph: Graph, rot: RotationSystem) -> tuple[FaceWalk, ...]:
     """Partition all darts into face boundary walks.
 
     The next-dart rule is the rotation successor, reflected on the far side
-    of a -1 edge: concretely, flags (vertex, position, side) are advanced by
-    alternating the corner involution with the edge-crossing involution.
-    Edge indices come from a per-vertex position -> edge table built once.
+    of a -1 edge.  A flag is a (vertex, rotation position, side) triple,
+    numbered 2 * slot + side, where the slots count rotation positions vertex
+    by vertex.  One pass over the rotation and one over the edges build
+    ``crossed[f]``, the flag across f's edge (the side flips on a +1 edge and
+    stays on a -1 edge), and ``step[f]``, the corner turn from ``crossed[f]``
+    (side 1 turns to the next position, side 0 to the previous one).  Each
+    face walk then follows ``step`` from the first unseen flag.
     """
     if not graph.is_connected():
         raise ValueError("face tracing needs a connected graph")
     if graph.n == 1 and not graph.edges:
         return (FaceWalk(()),)
 
-    pos_of = [
-        {w: i for i, w in enumerate(rot.rotation[v])} for v in range(graph.n)
-    ]
-    edge_at = [[graph.edge_index((v, w)) for w in order] for v, order in enumerate(rot.rotation)]
+    slot_of: dict[tuple[int, int], int] = {}
+    turn: list[int] = []  # the corner turn of every flag
+    for v, order in enumerate(rot.rotation):
+        base, d = len(slot_of), len(order)
+        for p, w in enumerate(order):
+            slot_of[v, w] = base + p
+            turn += (2 * (base + (p - 1) % d) + 1, 2 * (base + (p + 1) % d))
+    crossed = [0] * len(turn)
+    darts: list = [None] * len(slot_of)
+    for e, ((a, b), sign) in enumerate(zip(graph.edges, rot.signs)):
+        x, y = slot_of[a, b], slot_of[b, a]
+        darts[x], darts[y] = (a, e), (b, e)
+        flip = sign == 1
+        crossed[2 * x], crossed[2 * x + 1] = 2 * y + flip, 2 * y + 1 - flip
+        crossed[2 * y], crossed[2 * y + 1] = 2 * x + flip, 2 * x + 1 - flip
+    step = [turn[c] for c in crossed]
 
-    def cross(v: int, p: int, s: int) -> tuple[int, int, int]:
-        w = rot.rotation[v][p]
-        s2 = s ^ 1 if rot.signs[edge_at[v][p]] == 1 else s
-        return (w, pos_of[w][v], s2)
-
-    def corner(v: int, p: int, s: int) -> tuple[int, int, int]:
-        d = len(rot.rotation[v])
-        if s == 1:
-            return (v, (p + 1) % d, 0)
-        return (v, (p - 1) % d, 1)
-
-    seen: set[tuple[int, int, int]] = set()
+    seen = bytearray(len(turn))
     faces: list[FaceWalk] = []
-    all_flags = [
-        (v, p, s)
-        for v in range(graph.n)
-        for p in range(len(rot.rotation[v]))
-        for s in (0, 1)
-    ]
-    for start in all_flags:
-        if start in seen:
+    for start in range(len(turn)):
+        if seen[start]:
             continue
         walk: list[Dart] = []
-        flag = start
+        f = start
         while True:
-            seen.add(flag)
-            v, p, _ = flag
-            walk.append((v, edge_at[v][p]))
-            crossed = cross(*flag)
-            seen.add(crossed)
-            flag = corner(*crossed)
-            if flag == start:
+            seen[f] = seen[crossed[f]] = 1
+            walk.append(darts[f >> 1])
+            f = step[f]
+            if f == start:
                 break
         faces.append(_canonical_walk(walk))
     return tuple(faces)
 
 
 class EmbeddedGraph:
-    """A graph together with a rotation system and its traced faces."""
+    """A graph together with a rotation system and its faces.
 
-    __slots__ = ("graph", "rotation", "faces", "_side_faces")
+    The faces are traced on the first read of ``faces``, ``side_faces`` or
+    ``euler_genus`` and kept; connectivity is checked on construction.
+    """
+
+    __slots__ = ("graph", "rotation", "_faces", "_side_faces")
 
     def __init__(self, graph: Graph, rotation: RotationSystem):
+        if not graph.is_connected():
+            raise ValueError("face tracing needs a connected graph")
         self.graph = graph
         self.rotation = rotation
-        self.faces: tuple[FaceWalk, ...] = trace_faces(graph, rotation)
-        sides: list[list[int]] = [[] for _ in graph.edges]
-        for fi, f in enumerate(self.faces):
-            for e in f.walk_edges():
-                sides[e].append(fi)
-        # every edge has exactly two sides
-        assert all(len(s) == 2 for s in sides)
-        self._side_faces: tuple[tuple[int, int], ...] = tuple(
-            (s[0], s[1]) for s in sides
-        )
+        self._faces: tuple[FaceWalk, ...] | None = None
+        self._side_faces: tuple[tuple[int, int], ...] = ()
+
+    @property
+    def faces(self) -> tuple[FaceWalk, ...]:
+        if self._faces is None:
+            self._trace()
+        return self._faces
 
     @property
     def euler_genus(self) -> int:
@@ -180,7 +180,20 @@ class EmbeddedGraph:
 
     def side_faces(self, e: int) -> tuple[int, int]:
         """The two faces carrying the sides of edge index ``e``."""
+        if self._faces is None:
+            self._trace()
         return self._side_faces[e]
+
+    def _trace(self) -> None:
+        faces = trace_faces(self.graph, self.rotation)
+        sides: list[list[int]] = [[] for _ in self.graph.edges]
+        for fi, f in enumerate(faces):
+            for e in f.walk_edges():
+                sides[e].append(fi)
+        # every edge has exactly two sides
+        assert all(len(s) == 2 for s in sides)
+        self._side_faces = tuple((s[0], s[1]) for s in sides)
+        self._faces = faces
 
     def is_orientable(self) -> bool:
         # switching every vertex by its flip leaves the spanning tree +1; the

@@ -392,7 +392,10 @@ def hypothesis_check(g: Graph, r: RSet) -> HypothesisReport:
     forbidden = []
     fives = []
     for c in cycles:
-        L = r_length(c, r)
+        vs = c.vertices
+        L = len(vs)
+        if r:  # r_length(c, r), one R lookup per edge
+            L += sum(((a, b) if a < b else (b, a)) in r for a, b in zip(vs, vs[1:] + vs[:1]))
         if L in (3, 4, 6):
             forbidden.append((c, L))
         elif L == 5:

@@ -109,12 +109,19 @@ def instance_from_json(obj: dict) -> Instance:
         raise ValueError(f"n: expected an integer, got {n!r}")
     if not isinstance(edges, list):
         raise ValueError(f"edges: expected a list of vertex pairs, got {edges!r}")
+    prev = None  # the previous edge, sorted
     for i, e in enumerate(edges):
-        if len(_ints(e, f"edges[{i}]", n)) != 2 or e[0] == e[1]:
+        a = b = None
+        if isinstance(e, list) and len(e) == 2:
+            a, b = e
+        if not (type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n and a != b):
+            _ints(e, f"edges[{i}]", n)  # names a bad element, if there is one
             raise ValueError(f"edges[{i}]: expected two distinct vertices, got {e}")
+        pair = (a, b) if a < b else (b, a)
         # R and signs index the sorted edge list, so the file must list it so
-        if i and sorted(e) <= sorted(edges[i - 1]):
+        if i and pair <= prev:
             raise ValueError(f"edges[{i}]: {e} does not follow {edges[i - 1]}; list edges sorted, once each")
+        prev = pair
     g = Graph(n, edges)
     r = r_set_from_indices(g, _ints(obj.get("R", []), "R", len(g.edges)))
     emb = None

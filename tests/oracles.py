@@ -11,7 +11,9 @@ and so is the per-edge-BFS ``girth`` it replaced.  The generator loop that
 ran one bounded BFS per candidate edge is kept as ``girth_instances_reference``
 to pin the distance-ball generator to the same graphs.  The solver's
 chronological backtracking search is kept as ``solve_chronological_reference``
-to pin the backjumping search to the same first colorings.
+to pin the backjumping search to the same first colorings.  The face tracer
+that advanced tuple flags through two closures is kept as
+``trace_faces_reference`` to pin the flat-table tracer to the same faces.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections import Counter, deque
 from itertools import combinations, permutations, product
 
 from oddcolor.coloring import Coloring, RelaxedInstance, solver_order
-from oddcolor.embedding import EmbeddedGraph, RotationSystem
+from oddcolor.embedding import EmbeddedGraph, FaceWalk, RotationSystem, _canonical_walk
 from oddcolor.generate import GenerationBudgetError, _two_core_component
 from oddcolor.graphs import Cycle, Graph, girth, relaxed_flags
 
@@ -414,6 +416,56 @@ def trace_faces_orientable_oracle(g: Graph, rotation) -> list[int]:
                 break
         lengths.append(steps)
     return sorted(lengths)
+
+
+def trace_faces_reference(graph: Graph, rot: RotationSystem) -> tuple[FaceWalk, ...]:
+    """Face walks by flag tracing: flags (vertex, position, side) are advanced
+    by alternating the corner involution with the edge-crossing involution."""
+    if not graph.is_connected():
+        raise ValueError("face tracing needs a connected graph")
+    if graph.n == 1 and not graph.edges:
+        return (FaceWalk(()),)
+
+    pos_of = [
+        {w: i for i, w in enumerate(rot.rotation[v])} for v in range(graph.n)
+    ]
+    edge_at = [[graph.edge_index((v, w)) for w in order] for v, order in enumerate(rot.rotation)]
+
+    def cross(v: int, p: int, s: int) -> tuple[int, int, int]:
+        w = rot.rotation[v][p]
+        s2 = s ^ 1 if rot.signs[edge_at[v][p]] == 1 else s
+        return (w, pos_of[w][v], s2)
+
+    def corner(v: int, p: int, s: int) -> tuple[int, int, int]:
+        d = len(rot.rotation[v])
+        if s == 1:
+            return (v, (p + 1) % d, 0)
+        return (v, (p - 1) % d, 1)
+
+    seen: set[tuple[int, int, int]] = set()
+    faces: list[FaceWalk] = []
+    all_flags = [
+        (v, p, s)
+        for v in range(graph.n)
+        for p in range(len(rot.rotation[v]))
+        for s in (0, 1)
+    ]
+    for start in all_flags:
+        if start in seen:
+            continue
+        walk = []
+        flag = start
+        while True:
+            seen.add(flag)
+            v, p, _ = flag
+            walk.append((v, edge_at[v][p]))
+            crossed = cross(*flag)
+            seen.add(crossed)
+            flag = corner(*crossed)
+            if flag == start:
+                break
+        faces.append(_canonical_walk(walk))
+    return tuple(faces)
 
 
 def is_orientable_reference(e: EmbeddedGraph) -> bool:

@@ -5,6 +5,7 @@ from math import factorial, prod
 
 import pytest
 
+from oddcolor import embedding
 from oddcolor.graphs import (
     Graph,
     complete_bipartite_graph,
@@ -38,6 +39,7 @@ from oracles import (
     is_orientable_reference,
     is_planar,
     trace_faces_orientable_oracle,
+    trace_faces_reference,
 )
 
 
@@ -114,10 +116,46 @@ class TestTraceFaces:
                     per_edge[e] += 1
             assert all(c == 2 for c in per_edge.values())
 
+    def test_matches_flag_reference_on_random_signed_rotations(self):
+        rng = random.Random(12)
+        edge = Graph(2, [(0, 1)])
+        embs = [
+            EmbeddedGraph(Graph(1, []), sorted_rotation(Graph(1, []))),
+            EmbeddedGraph(edge, sorted_rotation(edge)),
+            EmbeddedGraph(edge, sorted_rotation(edge, [-1])),
+        ] + [random_embedded(rng) for _ in range(300)]
+        for i, emb in enumerate(embs):
+            g = emb.graph
+            ref = trace_faces_reference(g, emb.rotation)
+            sides = [[] for _ in g.edges]
+            for fi, f in enumerate(ref):
+                for _, e in f.darts:
+                    sides[e].append(fi)
+            want = [tuple(s) for s in sides]
+            if i % 2:  # side_faces is the first read, so it traces
+                assert [emb.side_faces(e) for e in range(len(g.edges))] == want
+            assert emb.faces == ref
+            assert [emb.side_faces(e) for e in range(len(g.edges))] == want
+            assert trace_faces(g, emb.rotation) == ref
+        degrees = {len(order) for emb in embs for order in emb.rotation.rotation}
+        assert {0, 1, 2} <= degrees
+        assert any(-1 in emb.rotation.signs for emb in embs[3:])
+
+    def test_first_read_traces_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(embedding, "trace_faces", lambda g, rot: calls.append(g) or trace_faces(g, rot))
+        g = complete_graph(4)
+        emb = EmbeddedGraph(g, sorted_rotation(g))
+        assert calls == []
+        assert emb.side_faces(0) and emb.faces and emb.euler_genus == 2
+        assert len(calls) == 1
+
     def test_disconnected_rejected(self):
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             trace_faces(g, sorted_rotation(g))
+        with pytest.raises(ValueError, match="face tracing needs a connected graph"):
+            EmbeddedGraph(g, sorted_rotation(g))
 
     def test_invalid_rotation_rejected(self):
         g = cycle_graph(3)

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oddcolor import cli, jsonio
+from oddcolor import cli, embedding, jsonio
 from oddcolor.cli import run_command
 from oddcolor.coloring import RelaxedInstance, uniform_lists
 from oddcolor.embedding import EmbeddedGraph, sorted_rotation
@@ -289,6 +289,26 @@ class TestCli:
         assert run_command(["embed", "--graph", path, "--max-genus", "0"]) == 2
         assert run_command(["hunt", "--graph", path]) == 2
 
+    @pytest.mark.parametrize("command", ["check", "audit", "faces"])
+    def test_disconnected_rotation_is_input_error(self, tmp_path, capsys, command):
+        obj = {**jsonio.graph_to_json(Graph(4, [(0, 1), (2, 3)])), "rotation": {"0": [1], "1": [0], "2": [3], "3": [2]}}
+        path = tmp_path / "disc.json"
+        path.write_text(json.dumps(obj))
+        assert run_command([command, "--instance", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "face tracing needs a connected graph" in err
+
+    def test_check_never_traces_faces(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        traced = embedding.trace_faces
+        monkeypatch.setattr(embedding, "trace_faces", lambda g, rot: calls.append(g) or traced(g, rot))
+        path = write_embedding(tmp_path, "torus.json", torus_quadrangulation(4))
+        assert run_command(["check", "--instance", path, "--quiet"]) == 1  # it has 4-cycles
+        assert calls == []
+        assert run_command(["faces", "--instance", path, "--quiet"]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "fields, path, flags",
         [
@@ -308,6 +328,7 @@ class TestCli:
             ({"edges": [[0, 1], [0, 1]]}, "edges[1]: [0, 1] does not follow [0, 1]", SOLVE_K3),
             ({"rotation": {"0": [2], "1": [0, 2], "2": [1]}}, 'rotation["0"]: expected an order of the neighbors [1]', SOLVE_K3),
             ({"rotation": {"0": [1], "1": [0], "2": [1]}}, 'rotation["1"]: expected an order of the neighbors [0, 2]', SOLVE_K3),
+            ({"rotation": {"0": [1], "1": [0, 2, 2], "2": [1]}}, 'rotation["1"]: expected an order of the neighbors [0, 2]', SOLVE_K3),
             ({"rotation": {"0": [1], "1": [2, 0], "2": [1]}, "signs": [1, 0]}, "signs[1]: expected 1 or -1, got 0", SOLVE_K3),
             ({"rotation": {"0": [1], "1": [2, 0], "2": [1]}, "signs": [1]}, "signs: expected 2 entries, one per edge, got 1", SOLVE_K3),
             # a valid file with a flag out of range
