@@ -328,7 +328,6 @@ class TestCli:
             ({"edges": [[0, 1], [0, 1]]}, "edges[1]: [0, 1] does not follow [0, 1]", SOLVE_K3),
             ({"rotation": {"0": [2], "1": [0, 2], "2": [1]}}, 'rotation["0"]: expected an order of the neighbors [1]', SOLVE_K3),
             ({"rotation": {"0": [1], "1": [0], "2": [1]}}, 'rotation["1"]: expected an order of the neighbors [0, 2]', SOLVE_K3),
-            ({"rotation": {"0": [1], "1": [0, 2, 2], "2": [1]}}, 'rotation["1"]: expected an order of the neighbors [0, 2]', SOLVE_K3),
             ({"rotation": {"0": [1], "1": [2, 0], "2": [1]}, "signs": [1, 0]}, "signs[1]: expected 1 or -1, got 0", SOLVE_K3),
             ({"rotation": {"0": [1], "1": [2, 0], "2": [1]}, "signs": [1]}, "signs: expected 2 entries, one per edge, got 1", SOLVE_K3),
             # a valid file with a flag out of range
@@ -337,6 +336,8 @@ class TestCli:
             ({}, "--k must be at least 1, got 0", ["choosable", "--k", "0"]),
             ({}, "--trials must be at least 1, got -4", ["choosable", "--k", "3", "--trials", "-4"]),
             ({}, "--universe must be at least 3, got 2", ["choosable", "--k", "3", "--universe", "2"]),
+            # a repeated neighbor is not an order of the neighbors either
+            ({"rotation": {"0": [1], "1": [0, 2, 2], "2": [1]}}, 'rotation["1"]: expected an order of the neighbors [0, 2]', SOLVE_K3),
         ],
     )
     def test_malformed_field_is_input_error_naming_it(self, tmp_path, capsys, fields, path, flags):
