@@ -296,8 +296,11 @@ def _face_search(
     longest face the target allows.  Both bounds cut only subtrees that hold
     no embedding with min_faces faces, so the search returns the first such
     embedding in search order, as it would unpruned.
-    Complete: every rotation system, under every choice of the free signs,
-    corresponds to exactly one search path.
+    Complete up to mirror images: an embedding and its mirror (rotations
+    reversed, signs kept) walk the first face alike up to its first vertex z
+    of degree >= 3 and leave z by different darts, so skipping the largest
+    there keeps the earlier of the two.  Of each mirror pair, under every
+    choice of the free signs, exactly one corresponds to a search path.
     """
     n = g.n
     m = len(g.edges)
@@ -348,6 +351,17 @@ def _face_search(
     # dart s - total with eps = -1
     total = 2 * m
     used = [False] * (2 * total)
+
+    # the mirror cut: walk the forced first face from dart 0 to z, ``at``
+    # darts; a walk that closes first never meets z and gets no cut
+    at, cut, d = -1, (), 0
+    for count in range(1, total + 1):
+        w, a = head[d], rev[d]
+        if deg[w] >= 3:
+            top = max(b for b in out_darts[w] if b != a)
+            at, cut = count, [b for b in out_darts[w] if b != top]
+            break
+        d = next((b for b in out_darts[w] if b != a), a)
 
     # A walk standing at w needs at least dist(w, root) more darts to close.
     # Balls are cut at the longest face the target allows, less the two darts
@@ -416,7 +430,7 @@ def _face_search(
         slack = limit - used_count - 1  # darts left to close after one more
         offset = 0 if forward else total
         a = rev[d]  # the return dart
-        for b in out_darts[head[d]]:
+        for b in cut if faces_done == 0 and used_count == at else out_darts[head[d]]:
             s = b + offset
             x, y = (a, b) if forward else (b, a)
             if s == start:
@@ -480,7 +494,8 @@ def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
     vertices turns any embedding into one whose tree edges are all +1.
     Each run needs F = E - V + 2 - eg faces, each at least the girth long,
     and prunes an open face walk that cannot return to its first vertex, by
-    BFS distance, within the darts the other faces leave it.
+    BFS distance, within the darts the other faces leave it.  Each run
+    searches exactly one of each mirror pair of rotation systems.
     Exponential in general; practical for small graphs.
     """
     if max_genus not in (0, 1, 2):

@@ -94,7 +94,16 @@ class Graph:
         return out
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        """Whether one search from vertex 0 reaches every vertex."""
+        if self.n <= 1:
+            return True
+        seen, stack = [True] + [False] * (self.n - 1), [0]
+        while stack:
+            for w in self.adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        return all(seen)
 
     def remove_vertex(self, v: int) -> tuple["Graph", dict[int, int]]:
         """Return (G - v, old->new vertex relabeling keeping ids dense)."""

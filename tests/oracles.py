@@ -14,6 +14,8 @@ chronological backtracking search is kept as ``solve_chronological_reference``
 to pin the backjumping search to the same first colorings.  The face tracer
 that advanced tuple flags through two closures is kept as
 ``trace_faces_reference`` to pin the flat-table tracer to the same faces.
+The face search from before its mirror cut is kept as
+``face_search_reference`` to pin the cut search to the same embeddings.
 """
 
 from __future__ import annotations
@@ -553,6 +555,183 @@ def signed_search_reference(g: Graph, max_genus: int) -> RotationSystem | None:
             if found is not None:
                 return found
     return None
+
+
+def face_search_reference(
+    g: Graph, min_faces: int, min_len: int, free: frozenset[int] = frozenset()
+) -> RotationSystem | None:
+    """The face search as it was before the mirror cut: every rotation
+    system, under every choice of the free signs, on exactly one search
+    path.  Pins the cut search to the same first embedding and the same
+    refutations."""
+    n = g.n
+    m = len(g.edges)
+    darts: list[tuple[int, int]] = []
+    for u, v in g.edges:
+        darts.append((u, v))
+        darts.append((v, u))
+    darts.sort()
+    idx = {d: i for i, d in enumerate(darts)}
+    rev = [idx[(v, u)] for (u, v) in darts]
+    head = [v for (_, v) in darts]
+    tail = [u for (u, _) in darts]
+    edge_of = [g.edge_index(d) for d in darts]
+    out_darts: list[list[int]] = [[] for _ in range(n)]
+    for i, (u, _) in enumerate(darts):
+        out_darts[u].append(i)
+    deg = [g.degree(v) for v in range(n)]
+    sign = [0 if e in free else 1 for e in range(m)]  # 0: not chosen yet
+    # signs to try, indexed by sign[e]: an open edge (0) tries both, a set
+    # one (+1, or -1 as the last index) keeps its own
+    choices = ((1, -1), (1,), (-1,))
+
+    # per-dart rotation links: succ[a] = b and pred[b] = a when sigma(a) = b,
+    # -1 when unset.  The links at a vertex form paths until the last one
+    # closes them into a single cycle through all its darts.
+    succ = [-1] * (2 * m)
+    pred = [-1] * (2 * m)
+
+    def link(a: int, b: int) -> bool:
+        """Set sigma(a) = b, unless a already has a successor, b already has
+        a predecessor, or the link would close a cycle through fewer than
+        all the darts at tail(a).  b has no predecessor, so the walk from b
+        along succ ends, after at most deg - 1 steps, at the end of b's
+        path; the link closes a cycle exactly when that end is a."""
+        if succ[a] != -1 or pred[b] != -1:
+            return False
+        end, size = b, 1
+        while succ[end] != -1:
+            end = succ[end]
+            size += 1
+        if end == a and size != deg[tail[a]]:
+            return False
+        succ[a] = b
+        pred[b] = a
+        return True
+
+    # state s < total walks dart s with eps = +1, state s >= total walks
+    # dart s - total with eps = -1
+    total = 2 * m
+    used = [False] * (2 * total)
+
+    # A walk standing at w needs at least dist(w, root) more darts to close.
+    # Balls are cut at the longest face the target allows, less the two darts
+    # a walk holds when it is tested, so a vertex outside one counts as
+    # ``far``, which prunes as its true distance would.
+    reach = total - (min_faces - 1) * min_len - 2
+    far = reach + 1
+    balls: dict[int, dict[int, int]] = {}
+
+    def ball(v: int) -> dict[int, int]:
+        dist = {v: 0}
+        frontier = [v]
+        for d in range(1, reach + 1):
+            if not frontier:
+                break
+            nxt = []
+            for u in frontier:
+                for w in g.adj[u]:
+                    if w not in dist:
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        return dist
+
+    # Each node of the search is a generator that yields its children, also
+    # generators, in search order, and restores the state it changed when
+    # resumed.  Only children that pass the bound are yielded.  A child that
+    # closes a face always passes, since its bound is the one its parent
+    # passed; closing the last face yields None.  Entering a state marks it
+    # and its mirror, after choosing the sign of its edge if that is open.
+    def begin(faces_done: int, used_count: int, after: int):
+        """Open a face at the first unused state past ``after``, the start
+        of the previous face: every state before it is in use."""
+        if faces_done + 1 + (total - used_count - 1) // min_len < min_faces:
+            return
+        s = after + 1
+        while used[s]:
+            s += 1
+        plus = s < total  # eps = +1 at the start
+        b = s if plus else s - total
+        root = tail[b]
+        dist = balls.get(root)
+        if dist is None:
+            dist = balls[root] = ball(root)
+        # the most darts in use once this face closes that still leave
+        # min_len darts for each face still missing
+        limit = total - (min_faces - faces_done - 1) * min_len
+        e = edge_of[b]
+        was = sign[e]
+        for sg in choices[was]:
+            sign[e] = sg
+            ahead = plus == (sg == 1)
+            mirror = rev[b] + total if ahead else rev[b]
+            used[s] = used[mirror] = True
+            yield extend(faces_done, used_count + 1, s, b, ahead, dist, limit)
+            used[s] = used[mirror] = False
+        sign[e] = was
+
+    def extend(
+        faces_done: int, used_count: int, start: int, d: int, forward: bool,
+        dist: dict[int, int], limit: int,
+    ):
+        """Continue an open walk whose last dart is d, arriving at head(d)
+        with eps' = +1 iff ``forward``; ``dist`` is the ball of the face's
+        root and ``limit`` the most darts in use when the face closes."""
+        slack = limit - used_count - 1  # darts left to close after one more
+        offset = 0 if forward else total
+        a = rev[d]  # the return dart
+        for b in out_darts[head[d]]:
+            s = b + offset
+            x, y = (a, b) if forward else (b, a)
+            if s == start:
+                if link(x, y):
+                    yield begin(faces_done + 1, used_count, start) if used_count < total else None
+                    succ[x] = pred[y] = -1
+            elif not used[s] and dist.get(head[b], far) <= slack and link(x, y):
+                e = edge_of[b]
+                was = sign[e]
+                for sg in choices[was]:
+                    sign[e] = sg
+                    ahead = forward == (sg == 1)
+                    mirror = rev[b] + total if ahead else rev[b]
+                    used[s] = used[mirror] = True
+                    yield extend(faces_done, used_count + 1, start, b, ahead, dist, limit)
+                    used[s] = used[mirror] = False
+                sign[e] = was
+                succ[x] = pred[y] = -1
+
+    stack = [begin(0, 0, -1)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        for child in stack[-1]:
+            break
+        else:  # no children left
+            pop()
+            continue
+        if child is None:
+            break
+        push(child)
+    # extend refers to itself and to begin, which refers back: break the
+    # cycle, so the search state is freed on return and not at the next
+    # full garbage collection
+    del begin, extend
+    if not stack:
+        return None
+
+    rotation = []
+    for v in range(n):
+        if not out_darts[v]:
+            rotation.append(())
+            continue
+        first = out_darts[v][0]
+        order = [head[first]]
+        d = succ[first]
+        while d != first:
+            order.append(head[d])
+            d = succ[d]
+        rotation.append(tuple(order))
+    return RotationSystem(g, rotation, sign)
 
 
 def embeds_brute_force(g: Graph, max_genus: int) -> bool:

@@ -415,3 +415,17 @@ def test_10_pipeline_consistency():
             if rep.charges is not None:
                 assert not rep.charges.contradiction
         assert hypothesis_passing >= 15  # the generated instances all qualify
+
+
+def test_11_seven_colors_on_the_torus():
+    # the abstract's sharpness claim: a girth-6 graph on the torus that
+    # needs seven colors; the 1-subdivided K7 is one
+    with criterion(11, "the subdivided K7: girth 6, toroidal, odd chromatic number 7", budget_s=5.0):
+        s = one_subdivision(complete_graph(7))
+        assert girth(s) == 6
+        emb = embed_search(s, 2)
+        assert emb is not None and emb.euler_genus == 2 and emb.is_orientable()
+        assert embed_search(s, 1) is None
+        assert solve(RelaxedInstance(s, EMPTY, uniform_lists(s.n, 6))) is None
+        col = solve(RelaxedInstance(s, EMPTY, uniform_lists(s.n, 7)))
+        assert col is not None and is_odd_coloring(s, col)

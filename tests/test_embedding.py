@@ -23,6 +23,7 @@ from oddcolor.embedding import (
     sorted_rotation,
     trace_faces,
 )
+from oddcolor.generate import generate_girth_instances
 
 from fixtures import (
     analyze_embedded,
@@ -36,6 +37,7 @@ from fixtures import (
 )
 from oracles import (
     embeds_brute_force,
+    face_search_reference,
     is_orientable_reference,
     is_planar,
     trace_faces_orientable_oracle,
@@ -473,3 +475,100 @@ class TestEmbedSearch:
         a = embed_search(complete_graph(5), 2)
         b = embed_search(complete_graph(5), 2)
         assert a.rotation == b.rotation
+
+
+def phase_args(g, max_genus):
+    """The arguments ``embed_search`` passes to each phase of the face
+    search: the orientable one, then the signed one when max_genus >= 1."""
+    m = len(g.edges)
+    min_len = embedding._min_face_length(g)
+    sphere_faces = m - g.n + 2
+    out = [(sphere_faces - (max_genus - max_genus % 2), min_len, frozenset())]
+    if max_genus >= 1:
+        tree = {g.edge_index(t) for t in embedding._spanning_tree(g)}
+        out.append((sphere_faces - max_genus, min_len, frozenset(e for e in range(m) if e not in tree)))
+    return out
+
+
+def forced_walk_stop(g):
+    """Where the first face walk from the smallest dart, (0, min adj[0]),
+    first meets a vertex of degree >= 3: (that vertex, darts walked), or
+    None when the walk gets back to its first dart before."""
+    dart, walked = (0, min(g.adj[0])), 1
+    while True:
+        u, w = dart
+        if g.degree(w) >= 3:
+            return w, walked
+        dart = (w, next((x for x in g.adj[w] if x != u), u))
+        if dart == (0, min(g.adj[0])):
+            return None
+        walked += 1
+
+
+class TestMirrorCut:
+    """The face search skips one of each mirror pair at the first choice of
+    the first face walk; it must find the embedding the uncut search finds,
+    and refute exactly what it refutes."""
+
+    @staticmethod
+    def assert_same_search(g, genera=(0, 1, 2)):
+        for max_genus in genera:
+            for args in phase_args(g, max_genus):
+                assert embedding._face_search(g, *args) == face_search_reference(g, *args), (
+                    g.edges, max_genus, args[2] != frozenset())
+
+    def test_random_connected_graphs(self):
+        rng = random.Random(13)
+        checked = nonplanar = 0
+        while checked < 320:
+            n = rng.randint(4, 8)
+            p = rng.choice((0.35, 0.5))
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            if not g.is_connected() or len(g.edges) < n:
+                continue
+            self.assert_same_search(g)
+            nonplanar += embed_search(g, 0) is None
+            checked += 1
+        assert 0 < nonplanar < checked
+
+    @pytest.mark.parametrize("host", ["K4", "K33"])
+    def test_subdivided_walk_crosses_degree_two(self, host):
+        h = complete_graph(4) if host == "K4" else complete_bipartite_graph(3, 3)
+        g = one_subdivision(h)
+        z, walked = forced_walk_stop(g)
+        assert walked == 2 and z != 0
+        self.assert_same_search(g)
+
+    def test_walk_returns_to_vertex_zero(self):
+        # triangle 0-1-2 hanging off K4 on {0, 3, 4, 5}: the walk 0-1-2
+        # comes back to 0, where closing the face at dart (0, 1) is a choice
+        g = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (0, 5), (3, 4), (4, 5), (3, 5)])
+        assert forced_walk_stop(g) == (0, 3)
+        self.assert_same_search(g)
+
+    @pytest.mark.parametrize(
+        "n, edges, stop",
+        [
+            # a pendant vertex 1 at the start of the walk, then K4 at 0
+            (5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (3, 4), (2, 4)], (0, 2)),
+            # the walk goes 0-1-2, turns at the pendant 2, and leaves 0 for K4
+            (7, [(0, 1), (1, 2), (0, 3), (3, 4), (3, 5), (3, 6), (4, 5), (5, 6), (4, 6)], (3, 5)),
+        ],
+    )
+    def test_pendant_vertex_on_the_walk(self, n, edges, stop):
+        g = Graph(n, edges)
+        assert forced_walk_stop(g) == stop
+        self.assert_same_search(g)
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_cycle_has_no_cut(self, n):
+        g = cycle_graph(n)
+        assert forced_walk_stop(g) is None
+        self.assert_same_search(g)
+
+    @pytest.mark.parametrize("name", ["27c", "28a", "28b", "28c", "29a", "31c"])
+    def test_girth_seven_refutations_stand(self, name):
+        n, i = int(name[:2]), "abc".index(name[2])
+        g = generate_girth_instances(n, 7, 3, 5000 + n)[i]
+        assert embed_search(g, 2) is None
+        self.assert_same_search(g, genera=(2,))

@@ -96,6 +96,27 @@ class TestGraphBasics:
         assert r_set(g, [(1, 0)]) == frozenset({(0, 1)})
         assert r_set_from_indices(g, [0]) == frozenset({(0, 1)})
 
+    def test_is_connected_small_cases(self):
+        assert Graph(0, []).is_connected()
+        assert Graph(1, []).is_connected()
+        assert not Graph(2, []).is_connected()
+        assert not Graph(3, [(0, 1)]).is_connected()  # 2 isolated
+        assert not Graph(3, [(1, 2)]).is_connected()  # 0 isolated
+        assert path_graph(4).is_connected()
+
+    def test_is_connected_matches_components_and_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(8)
+        seen = set()
+        for _ in range(300):
+            g = small_random_graph(rng)
+            h = nx.Graph(g.edges)
+            h.add_nodes_from(range(g.n))
+            assert g.is_connected() == (len(g.components()) <= 1)
+            assert g.is_connected() == (g.n <= 1 or nx.is_connected(h))
+            seen.add(g.is_connected())
+        assert seen == {False, True}
+
 
 class TestCycles:
     def test_canonical_under_rotation_reflection(self):
@@ -331,6 +352,22 @@ class TestHypothesisCheck:
             assert rep.passes == (not forbidden and not rep.five_pairs)
             five_pairs += len(rep.five_pairs)
         assert five_pairs > 1000  # the corpus exercises the pairing
+
+    @given(st.integers(5, 12), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_no_cycle_of_length_3_4_6_or_8_passes(self, n, data):
+        # the corollary with R empty: the graph is grown edge by edge from a
+        # drawn order, keeping an edge only if networkx finds no cycle of a
+        # banned length through the graph; 5- and 7-cycles may stay
+        nx = pytest.importorskip("networkx")
+        order = data.draw(st.permutations(list(combinations(range(n), 2))))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        for e in order:
+            h.add_edge(*e)
+            if any(len(c) in (3, 4, 6, 8) for c in nx.simple_cycles(h, length_bound=8)):
+                h.remove_edge(*e)
+        assert hypothesis_check(Graph(n, h.edges), frozenset()).passes
 
     def test_girth_seven_always_passes(self):
         rng = random.Random(5)
