@@ -31,7 +31,6 @@ from .graphs import (
 from .embedding import (
     EmbeddedGraph,
     FaceWalk,
-    RotationSystem,
     embed_search,
     normalize_signatures,
     sorted_rotation,

@@ -94,10 +94,11 @@ class Analysis:
     Per vertex: ``deg``, ``relaxed`` and ``corners``, each corner a
     (face, arrival edge, departure edge) triple, ordered by face and then by
     walk position, so a walk visiting a vertex twice gives it two corners.
-    Per face: ``lengths``, ``vsets``, ``esets`` and ``neighbors`` (the other
-    faces sharing an edge with it).  ``shared`` maps each face pair (i, j),
-    i <= j, to its shared edges; i == j collects the edges whose two sides
-    both lie on face i.  Without an embedding the face fields are empty.
+    Per edge: ``sides``, the faces (i, j), i <= j, on its two sides.  Per
+    face: ``lengths``, ``vsets``, ``esets`` and ``neighbors`` (the other faces
+    sharing an edge with it).  ``shared`` maps each face pair (i, j), i <= j,
+    to its shared edges; i == j collects the edges whose two sides both lie
+    on face i.  Without an embedding the face and edge fields are empty.
     """
 
     g: Graph
@@ -111,6 +112,7 @@ class Analysis:
     shared: dict[tuple[int, int], frozenset[int]]
     neighbors: tuple[frozenset[int], ...]
     corners: tuple[tuple[tuple[int, int, int], ...], ...]
+    sides: tuple[tuple[int, int], ...]
 
 
 def analyze(g: Graph, r: RSet, emb: EmbeddedGraph | None = None) -> Analysis:
@@ -118,14 +120,17 @@ def analyze(g: Graph, r: RSet, emb: EmbeddedGraph | None = None) -> Analysis:
     when an embedding ``emb`` of ``g`` is given."""
     faces = emb.faces if emb is not None else ()
     corners: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    sides: list[list[int]] = [[] for _ in g.edges] if faces else []
     for fi, f in enumerate(faces):
         for (v, dep), (_, arr) in zip(f.darts, f.darts[-1:] + f.darts[:-1]):
             corners[v].append((fi, arr, dep))
+            sides[dep].append(fi)
+    # every edge has exactly two sides, met in face order, so i <= j
+    assert all(len(s) == 2 for s in sides)
     shared: dict[tuple[int, int], set[int]] = {}
     neighbors: list[set[int]] = [set() for _ in faces]
-    for ei in range(len(g.edges) if faces else 0):
-        i, j = emb.side_faces(ei)
-        shared.setdefault((i, j) if i <= j else (j, i), set()).add(ei)
+    for ei, (i, j) in enumerate(sides):
+        shared.setdefault((i, j), set()).add(ei)
         if i != j:
             neighbors[i].add(j)
             neighbors[j].add(i)
@@ -137,6 +142,7 @@ def analyze(g: Graph, r: RSet, emb: EmbeddedGraph | None = None) -> Analysis:
         {k: frozenset(es) for k, es in shared.items()},
         tuple(map(frozenset, neighbors)),
         tuple(map(tuple, corners)),
+        tuple(map(tuple, sides)),
     )
 
 
@@ -263,7 +269,7 @@ def check_face_lemmas(a: Analysis) -> list[AuditEntry]:
                 for ei in sorted(a.esets[t]):
                     if v not in g.edges[ei] or ei in a.esets[q]:
                         continue
-                    sa, sb = a.emb.side_faces(ei)
+                    sa, sb = a.sides[ei]
                     other = sb if sa == t else sa
                     if other != t and lengths[other] < 5:
                         w12.append(

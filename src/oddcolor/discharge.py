@@ -78,13 +78,13 @@ def initial_charges(a: Analysis) -> dict[Element, int]:
 
 def generate_transfers(a: Analysis) -> tuple[Transfer, ...]:
     """The complete transfer multiset mandated by rules R1-R8."""
-    g, e = a.g, a.emb
+    g = a.g
     deg, relaxed, lengths, vsets, esets = a.deg, a.relaxed, a.lengths, a.vsets, a.esets
 
     transfers: list[Transfer] = []
 
     # R1: every long face pays each degree-3 corner on its walk
-    for fi, f in enumerate(e.faces):
+    for fi, f in enumerate(a.emb.faces):
         if lengths[fi] < 5:
             continue
         for pos, (v, _) in enumerate(f.darts):
@@ -107,7 +107,7 @@ def generate_transfers(a: Analysis) -> tuple[Transfer, ...]:
     # R2/R3/R4: a long face pays a triangle across a shared edge
     # R5: a (>=6)-face props up a 5-face across a 3/4-degree edge
     for ei, (a_, b_) in enumerate(g.edges):
-        fa, fb = e.side_faces(ei)
+        fa, fb = a.sides[ei]
         if fa == fb:
             continue
         for f, fp in ((fa, fb), (fb, fa)):
@@ -155,7 +155,7 @@ def generate_transfers(a: Analysis) -> tuple[Transfer, ...]:
                 u = b_ if a_ == v else a_
                 if relaxed[u]:
                     continue
-                sa, sb = e.side_faces(ei)
+                sa, sb = a.sides[ei]
                 if sa == sb:
                     continue
                 fp = sb if sa == fi else sa
@@ -188,7 +188,7 @@ def generate_transfers(a: Analysis) -> tuple[Transfer, ...]:
     # R7: big vertices pay their triangles
     # R8: (>=6)-vertices pay 5-face corners whose flanking edges avoid triangles
     def on_triangle(ei: int) -> bool:
-        sa, sb = e.side_faces(ei)
+        sa, sb = a.sides[ei]
         return lengths[sa] == 3 or lengths[sb] == 3
 
     for v in range(g.n):

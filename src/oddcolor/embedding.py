@@ -24,47 +24,6 @@ from .graphs import Graph, girth
 Dart = tuple[int, int]  # (tail vertex, edge index): one traversal step of a walk
 
 
-class RotationSystem:
-    """Per-vertex cyclic neighbor order plus a sign per edge index."""
-
-    __slots__ = ("rotation", "signs")
-
-    def __init__(self, graph: Graph, rotation: Sequence[Sequence[int]], signs: Sequence[int] | None = None):
-        if len(rotation) != graph.n:
-            raise ValueError("rotation must list every vertex")
-        rot = []
-        for v in range(graph.n):
-            order = tuple(map(int, rotation[v]))
-            if len(order) != len(graph.adj[v]) or graph.adj[v] != set(order):
-                raise ValueError(f"rotation[{v}]: expected an order of the neighbors {sorted(graph.adj[v])}, got {list(order)}")
-            rot.append(order)
-        if signs is None:
-            signs = (1,) * len(graph.edges)
-        signs = tuple(int(s) for s in signs)
-        if len(signs) != len(graph.edges):
-            raise ValueError(f"signs: expected {len(graph.edges)} entries, one per edge, got {len(signs)}")
-        for i, s in enumerate(signs):
-            if s not in (-1, 1):
-                raise ValueError(f"signs[{i}]: expected 1 or -1, got {s}")
-        self.rotation: tuple[tuple[int, ...], ...] = tuple(rot)
-        self.signs: tuple[int, ...] = signs
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RotationSystem)
-            and self.rotation == other.rotation
-            and self.signs == other.signs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rotation, self.signs))
-
-
-def sorted_rotation(graph: Graph, signs: Sequence[int] | None = None) -> RotationSystem:
-    """The canonical rotation listing neighbors in increasing order."""
-    return RotationSystem(graph, [sorted(graph.adj[v]) for v in range(graph.n)], signs)
-
-
 @dataclass(frozen=True)
 class FaceWalk:
     """Boundary walk of one face, as a cyclic dart sequence.
@@ -80,9 +39,6 @@ class FaceWalk:
     @property
     def length(self) -> int:
         return len(self.darts)
-
-    def walk_edges(self) -> tuple[int, ...]:
-        return tuple(e for _, e in self.darts)
 
     def edge_set(self) -> frozenset[int]:
         return frozenset(e for _, e in self.darts)
@@ -100,8 +56,8 @@ def _canonical_walk(darts: list[Dart]) -> FaceWalk:
     return FaceWalk(tuple(darts[k:] + darts[:k]))
 
 
-def trace_faces(graph: Graph, rot: RotationSystem) -> tuple[FaceWalk, ...]:
-    """Partition all darts into face boundary walks.
+def trace_faces(emb: EmbeddedGraph) -> tuple[FaceWalk, ...]:
+    """Partition all darts of ``emb`` into face boundary walks.
 
     The next-dart rule is the rotation successor, reflected on the far side
     of a -1 edge.  A flag is a (vertex, rotation position, side) triple,
@@ -112,21 +68,20 @@ def trace_faces(graph: Graph, rot: RotationSystem) -> tuple[FaceWalk, ...]:
     (side 1 turns to the next position, side 0 to the previous one).  Each
     face walk then follows ``step`` from the first unseen flag.
     """
-    if not graph.is_connected():
-        raise ValueError("face tracing needs a connected graph")
+    graph = emb.graph
     if graph.n == 1 and not graph.edges:
         return (FaceWalk(()),)
 
     slot_of: dict[tuple[int, int], int] = {}
     turn: list[int] = []  # the corner turn of every flag
-    for v, order in enumerate(rot.rotation):
+    for v, order in enumerate(emb.rotation):
         base, d = len(slot_of), len(order)
         for p, w in enumerate(order):
             slot_of[v, w] = base + p
             turn += (2 * (base + (p - 1) % d) + 1, 2 * (base + (p + 1) % d))
     crossed = [0] * len(turn)
     darts: list = [None] * len(slot_of)
-    for e, ((a, b), sign) in enumerate(zip(graph.edges, rot.signs)):
+    for e, ((a, b), sign) in enumerate(zip(graph.edges, emb.signs)):
         x, y = slot_of[a, b], slot_of[b, a]
         darts[x], darts[y] = (a, e), (b, e)
         flip = sign == 1
@@ -152,57 +107,65 @@ def trace_faces(graph: Graph, rot: RotationSystem) -> tuple[FaceWalk, ...]:
 
 
 class EmbeddedGraph:
-    """A graph together with a rotation system and its faces.
+    """A connected graph with a signed rotation system: a cyclic order of
+    the neighbors of every vertex, and a sign per edge index (all +1 when
+    ``signs`` is None).
 
-    The faces are traced on the first read of ``faces``, ``side_faces`` or
-    ``euler_genus`` and kept; connectivity is checked on construction.
+    Both are checked against the graph on construction.  The faces are
+    traced on the first read of ``faces`` or ``euler_genus`` and kept.
     """
 
-    __slots__ = ("graph", "rotation", "_faces", "_side_faces")
+    __slots__ = ("graph", "rotation", "signs", "_faces")
 
-    def __init__(self, graph: Graph, rotation: RotationSystem):
+    def __init__(self, graph: Graph, rotation: Sequence[Sequence[int]], signs: Sequence[int] | None = None):
+        if graph.n == 0:
+            raise ValueError("an embedding needs at least one vertex; the graph has none")
+        if len(rotation) != graph.n:
+            raise ValueError("rotation must list every vertex")
+        rot = []
+        for v in range(graph.n):
+            order = tuple(map(int, rotation[v]))
+            if len(order) != len(graph.adj[v]) or graph.adj[v] != set(order):
+                raise ValueError(f"rotation[{v}]: expected an order of the neighbors {sorted(graph.adj[v])}, got {list(order)}")
+            rot.append(order)
+        if signs is None:
+            signs = (1,) * len(graph.edges)
+        signs = tuple(int(s) for s in signs)
+        if len(signs) != len(graph.edges):
+            raise ValueError(f"signs: expected {len(graph.edges)} entries, one per edge, got {len(signs)}")
+        for i, s in enumerate(signs):
+            if s not in (-1, 1):
+                raise ValueError(f"signs[{i}]: expected 1 or -1, got {s}")
         if not graph.is_connected():
             raise ValueError("face tracing needs a connected graph")
         self.graph = graph
-        self.rotation = rotation
+        self.rotation: tuple[tuple[int, ...], ...] = tuple(rot)
+        self.signs: tuple[int, ...] = signs
         self._faces: tuple[FaceWalk, ...] | None = None
-        self._side_faces: tuple[tuple[int, int], ...] = ()
 
     @property
     def faces(self) -> tuple[FaceWalk, ...]:
         if self._faces is None:
-            self._trace()
+            self._faces = trace_faces(self)
         return self._faces
 
     @property
     def euler_genus(self) -> int:
         return 2 - (self.graph.n - len(self.graph.edges) + len(self.faces))
 
-    def side_faces(self, e: int) -> tuple[int, int]:
-        """The two faces carrying the sides of edge index ``e``."""
-        if self._faces is None:
-            self._trace()
-        return self._side_faces[e]
-
-    def _trace(self) -> None:
-        faces = trace_faces(self.graph, self.rotation)
-        sides: list[list[int]] = [[] for _ in self.graph.edges]
-        for fi, f in enumerate(faces):
-            for e in f.walk_edges():
-                sides[e].append(fi)
-        # every edge has exactly two sides
-        assert all(len(s) == 2 for s in sides)
-        self._side_faces = tuple((s[0], s[1]) for s in sides)
-        self._faces = faces
-
     def is_orientable(self) -> bool:
         # switching every vertex by its flip leaves the spanning tree +1; the
         # embedding is orientable exactly when no edge is then -1
-        flip = _switches(self.graph, self.rotation.signs)
+        flip = _switches(self.graph, self.signs)
         return all(
             (s == -1) == (flip[u] != flip[v])
-            for (u, v), s in zip(self.graph.edges, self.rotation.signs)
+            for (u, v), s in zip(self.graph.edges, self.signs)
         )
+
+
+def sorted_rotation(graph: Graph, signs: Sequence[int] | None = None) -> EmbeddedGraph:
+    """The embedding whose rotation lists neighbors in increasing order."""
+    return EmbeddedGraph(graph, [sorted(graph.adj[v]) for v in range(graph.n)], signs)
 
 
 # -- signature normalization -------------------------------------------------
@@ -229,7 +192,7 @@ def _switches(g: Graph, signs: Sequence[int]) -> list[int]:
     """The flip, 0 or 1, of each vertex that switches every edge of
     ``_spanning_tree`` to +1."""
     flip = [0] * g.n
-    for u, w in _spanning_tree(g) if g.n else ():
+    for u, w in _spanning_tree(g):
         flip[w] = flip[u] ^ (signs[g.edge_index((u, w))] == -1)
     return flip
 
@@ -243,20 +206,20 @@ def normalize_signatures(e: EmbeddedGraph) -> EmbeddedGraph:
     trace; ``embed_search`` results are always in that case.
     """
     g = e.graph
-    flip = _switches(g, e.rotation.signs)
+    flip = _switches(g, e.signs)
     if not any(flip):
         return e
     new_signs = []
     for i, (u, v) in enumerate(g.edges):
-        s = e.rotation.signs[i]
+        s = e.signs[i]
         if (flip[u] + flip[v]) % 2 == 1:
             s = -s
         new_signs.append(s)
     new_rot = [
-        tuple(reversed(e.rotation.rotation[v])) if flip[v] else e.rotation.rotation[v]
+        tuple(reversed(e.rotation[v])) if flip[v] else e.rotation[v]
         for v in range(g.n)
     ]
-    return EmbeddedGraph(g, RotationSystem(g, new_rot, new_signs))
+    return EmbeddedGraph(g, new_rot, new_signs)
 
 
 # -- embedding search --------------------------------------------------------
@@ -274,9 +237,10 @@ def _min_face_length(g: Graph) -> int:
 
 def _face_search(
     g: Graph, min_faces: int, min_len: int, free: frozenset[int] = frozenset()
-) -> RotationSystem | None:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
     """Depth-first search over signed rotation systems, building faces dart
-    by dart on an explicit stack.
+    by dart on an explicit stack; returns the (rotation, signs) pair of the
+    first embedding with ``min_faces`` faces, or None.
 
     A walk state is a dart plus the local orientation eps it is walked in.
     Arriving at w over edge e with eps' = eps * sign(e), the search chooses
@@ -480,7 +444,7 @@ def _face_search(
             order.append(head[d])
             d = succ[d]
         rotation.append(tuple(order))
-    return RotationSystem(g, rotation, sign)
+    return tuple(rotation), tuple(sign)
 
 
 def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
@@ -505,7 +469,7 @@ def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
     m = len(g.edges)
     if g.n <= 1 or m == g.n - 1:
         # trees always embed in the sphere; any rotation works
-        return EmbeddedGraph(g, sorted_rotation(g))
+        return sorted_rotation(g)
     min_len = _min_face_length(g)
     # every embedding of any kind satisfies F <= 2E / (minimum face length),
     # and a sphere embedding has E - V + 2 faces, one more per unit of genus
@@ -514,14 +478,14 @@ def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
         return None
     # orientable surfaces have even Euler genus
     orient_target = max_genus - max_genus % 2
-    rot = _face_search(g, sphere_faces - orient_target, min_len)
-    if rot is None and max_genus >= 1:
+    found = _face_search(g, sphere_faces - orient_target, min_len)
+    if found is None and max_genus >= 1:
         tree = {g.edge_index(t) for t in _spanning_tree(g)}
         free = frozenset(e for e in range(m) if e not in tree)
-        rot = _face_search(g, sphere_faces - max_genus, min_len, free)
-    if rot is None:
+        found = _face_search(g, sphere_faces - max_genus, min_len, free)
+    if found is None:
         return None
-    emb = EmbeddedGraph(g, rot)
+    emb = EmbeddedGraph(g, *found)
     if emb.euler_genus > max_genus:
         raise AssertionError("face search returned a too-large genus")
     return emb

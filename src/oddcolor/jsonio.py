@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .graphs import Graph, RSet, r_set_from_indices
-from .embedding import EmbeddedGraph, RotationSystem
+from .embedding import EmbeddedGraph
 from .coloring import Coloring, ListAssignment
 
 SCHEMA_VERSION = 1
@@ -40,8 +40,8 @@ def graph_to_json(g: Graph, r: RSet = frozenset()) -> dict:
 
 def embedding_to_json(e: EmbeddedGraph, r: RSet = frozenset()) -> dict:
     out = graph_to_json(e.graph, r)
-    out["rotation"] = {str(v): list(e.rotation.rotation[v]) for v in range(e.graph.n)}
-    out["signs"] = list(e.rotation.signs)
+    out["rotation"] = {str(v): list(e.rotation[v]) for v in range(e.graph.n)}
+    out["signs"] = list(e.signs)
     return out
 
 
@@ -130,8 +130,8 @@ def instance_from_json(obj: dict) -> Instance:
         signs = obj.get("signs")
         signs = None if signs is None else _ints(signs, "signs")
         try:
-            emb = EmbeddedGraph(g, RotationSystem(g, rotation, signs))
-        except ValueError as exc:  # RotationSystem's rotation[v] is the file's rotation["v"]
+            emb = EmbeddedGraph(g, rotation, signs)
+        except ValueError as exc:  # EmbeddedGraph's rotation[v] is the file's rotation["v"]
             raise ValueError(re.sub(r"^rotation\[(\d+)\]", r'rotation["\1"]', str(exc))) from None
     lists = None
     if "lists" in obj:

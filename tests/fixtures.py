@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from oddcolor.graphs import Graph, normalize_edge
-from oddcolor.embedding import EmbeddedGraph, RotationSystem
+from oddcolor.embedding import EmbeddedGraph
 from oddcolor.audit import Analysis, analyze
 
 
@@ -19,7 +19,7 @@ def analyze_embedded(emb: EmbeddedGraph, r: frozenset = frozenset()) -> Analysis
     return analyze(emb.graph, r, emb)
 
 
-def rotation_from_coords(g: Graph, coords: dict[int, tuple[float, float]]) -> RotationSystem:
+def rotation_from_coords(g: Graph, coords: dict[int, tuple[float, float]]) -> list[list[int]]:
     rot = []
     for v in range(g.n):
         x0, y0 = coords[v]
@@ -29,7 +29,7 @@ def rotation_from_coords(g: Graph, coords: dict[int, tuple[float, float]]) -> Ro
             return math.atan2(y1 - y0, x1 - x0) % (2 * math.pi)
 
         rot.append(sorted(g.adj[v], key=angle))
-    return RotationSystem(g, rot)
+    return rot
 
 
 def embed_planar(g: Graph, coords: dict[int, tuple[float, float]]) -> EmbeddedGraph:
@@ -108,7 +108,7 @@ def torus_quadrangulation(k: int = 4) -> EmbeddedGraph:
     for i in range(k):
         for j in range(k):
             rot.append([vid(i - 1, j), vid(i, j + 1), vid(i + 1, j), vid(i, j - 1)])
-    return EmbeddedGraph(g, RotationSystem(g, rot))
+    return EmbeddedGraph(g, rot)
 
 
 def k7_torus() -> EmbeddedGraph:
@@ -116,7 +116,7 @@ def k7_torus() -> EmbeddedGraph:
     (mod 7), giving fourteen triangular faces."""
     g = Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
     rot = [[(v + d) % 7 for d in (1, 3, 2, 6, 4, 5)] for v in range(7)]
-    return EmbeddedGraph(g, RotationSystem(g, rot))
+    return EmbeddedGraph(g, rot)
 
 
 def theta_graph(a: int, b: int, c: int) -> tuple[Graph, dict]:
@@ -326,7 +326,7 @@ def find_small_embedding(g: Graph, want_genus: int, want_orientable: bool) -> Em
             per_vertex.append([(nbrs[0],) + p for p in permutations(nbrs[1:])])
     for signs in product((1, -1), repeat=len(g.edges)):
         for rot in product(*per_vertex):
-            emb = EmbeddedGraph(g, RotationSystem(g, rot, signs))
+            emb = EmbeddedGraph(g, rot, signs)
             if emb.euler_genus == want_genus and emb.is_orientable() == want_orientable:
                 return emb
     raise AssertionError(f"no embedding of genus {want_genus} found")

@@ -26,7 +26,7 @@ from collections import Counter, deque
 from itertools import combinations, permutations, product
 
 from oddcolor.coloring import Coloring, RelaxedInstance, solver_order
-from oddcolor.embedding import EmbeddedGraph, FaceWalk, RotationSystem, _canonical_walk
+from oddcolor.embedding import EmbeddedGraph, FaceWalk, _canonical_walk
 from oddcolor.generate import GenerationBudgetError, _two_core_component
 from oddcolor.graphs import Cycle, Graph, girth, relaxed_flags
 
@@ -420,26 +420,27 @@ def trace_faces_orientable_oracle(g: Graph, rotation) -> list[int]:
     return sorted(lengths)
 
 
-def trace_faces_reference(graph: Graph, rot: RotationSystem) -> tuple[FaceWalk, ...]:
+def trace_faces_reference(emb: EmbeddedGraph) -> tuple[FaceWalk, ...]:
     """Face walks by flag tracing: flags (vertex, position, side) are advanced
     by alternating the corner involution with the edge-crossing involution."""
+    graph = emb.graph
     if not graph.is_connected():
         raise ValueError("face tracing needs a connected graph")
     if graph.n == 1 and not graph.edges:
         return (FaceWalk(()),)
 
     pos_of = [
-        {w: i for i, w in enumerate(rot.rotation[v])} for v in range(graph.n)
+        {w: i for i, w in enumerate(emb.rotation[v])} for v in range(graph.n)
     ]
-    edge_at = [[graph.edge_index((v, w)) for w in order] for v, order in enumerate(rot.rotation)]
+    edge_at = [[graph.edge_index((v, w)) for w in order] for v, order in enumerate(emb.rotation)]
 
     def cross(v: int, p: int, s: int) -> tuple[int, int, int]:
-        w = rot.rotation[v][p]
-        s2 = s ^ 1 if rot.signs[edge_at[v][p]] == 1 else s
+        w = emb.rotation[v][p]
+        s2 = s ^ 1 if emb.signs[edge_at[v][p]] == 1 else s
         return (w, pos_of[w][v], s2)
 
     def corner(v: int, p: int, s: int) -> tuple[int, int, int]:
-        d = len(rot.rotation[v])
+        d = len(emb.rotation[v])
         if s == 1:
             return (v, (p + 1) % d, 0)
         return (v, (p - 1) % d, 1)
@@ -449,7 +450,7 @@ def trace_faces_reference(graph: Graph, rot: RotationSystem) -> tuple[FaceWalk, 
     all_flags = [
         (v, p, s)
         for v in range(graph.n)
-        for p in range(len(rot.rotation[v]))
+        for p in range(len(emb.rotation[v]))
         for s in (0, 1)
     ]
     for start in all_flags:
@@ -483,7 +484,7 @@ def is_orientable_reference(e: EmbeddedGraph) -> bool:
     while stack:
         u = stack.pop()
         for w in e.graph.adj[u]:
-            s = 0 if e.rotation.signs[e.graph.edge_index((u, w))] == 1 else 1
+            s = 0 if e.signs[e.graph.edge_index((u, w))] == 1 else 1
             if w not in mark:
                 mark[w] = mark[u] ^ s
                 stack.append(w)
@@ -510,7 +511,7 @@ def _vertex_rotation_candidates(g: Graph, halve_at: int | None) -> list[list[tup
     return cands
 
 
-def signed_search_reference(g: Graph, max_genus: int) -> RotationSystem | None:
+def signed_search_reference(g: Graph, max_genus: int) -> tuple[tuple, tuple] | None:
     """Brute force over sign vectors (spanning tree normalized to +1) and
     rotations.  Only used for non-orientable targets; intended for small
     graphs."""
@@ -538,12 +539,11 @@ def signed_search_reference(g: Graph, max_genus: int) -> RotationSystem | None:
             signs_t = tuple(signs)
 
             # plain nested product over vertex rotations
-            def product_dfs(v: int, chosen: list[tuple[int, ...]]) -> RotationSystem | None:
+            def product_dfs(v: int, chosen: list[tuple[int, ...]]) -> tuple[tuple, tuple] | None:
                 if v == g.n:
-                    rot = RotationSystem(g, chosen, signs_t)
-                    emb = EmbeddedGraph(g, rot)
+                    emb = EmbeddedGraph(g, chosen, signs_t)
                     if emb.euler_genus <= max_genus:
-                        return rot
+                        return emb.rotation, emb.signs
                     return None
                 for order in cands[v]:
                     found = product_dfs(v + 1, chosen + [order])
@@ -559,7 +559,7 @@ def signed_search_reference(g: Graph, max_genus: int) -> RotationSystem | None:
 
 def face_search_reference(
     g: Graph, min_faces: int, min_len: int, free: frozenset[int] = frozenset()
-) -> RotationSystem | None:
+) -> tuple[tuple, tuple] | None:
     """The face search as it was before the mirror cut: every rotation
     system, under every choice of the free signs, on exactly one search
     path.  Pins the cut search to the same first embedding and the same
@@ -731,7 +731,7 @@ def face_search_reference(
             order.append(head[d])
             d = succ[d]
         rotation.append(tuple(order))
-    return RotationSystem(g, rotation, sign)
+    return tuple(rotation), tuple(sign)
 
 
 def embeds_brute_force(g: Graph, max_genus: int) -> bool:

@@ -22,7 +22,7 @@ from oddcolor.graphs import (
     path_graph,
     r_set,
 )
-from oddcolor.embedding import EmbeddedGraph, RotationSystem, embed_search, sorted_rotation
+from oddcolor.embedding import embed_search, sorted_rotation
 from oddcolor.coloring import (
     ListAssignment,
     RelaxedInstance,
@@ -135,11 +135,11 @@ def test_03_hypothesis_gate():
 def conservation_fixtures():
     """At least 20 embeddings spanning Euler genus 0, 1, 2, orientable and not."""
     out = [
-        EmbeddedGraph(cycle_graph(4), sorted_rotation(cycle_graph(4))),
+        sorted_rotation(cycle_graph(4)),
         k4_planar(),
         cube_planar(),
-        EmbeddedGraph(path_graph(3), sorted_rotation(path_graph(3))),
-        EmbeddedGraph(Graph(2, [(0, 1)]), sorted_rotation(Graph(2, [(0, 1)]))),
+        sorted_rotation(path_graph(3)),
+        sorted_rotation(Graph(2, [(0, 1)])),
         theta_planar(),
         wheel_planar(5),
         rule_r2_fixture(),
@@ -151,12 +151,8 @@ def conservation_fixtures():
         torus_quadrangulation(4),
     ]
     c3, c5 = cycle_graph(3), cycle_graph(5)
-    out.append(EmbeddedGraph(c3, RotationSystem(c3, [[1, 2], [0, 2], [0, 1]], [-1, 1, 1])))
-    out.append(
-        EmbeddedGraph(
-            c5, RotationSystem(c5, [sorted(c5.adj[v]) for v in range(5)], [-1, 1, 1, 1, 1])
-        )
-    )
+    out.append(sorted_rotation(c3, [-1, 1, 1]))
+    out.append(sorted_rotation(c5, [-1, 1, 1, 1, 1]))
     out.append(embed_search(complete_graph(5), 1))   # projective K5
     out.append(embed_search(complete_graph(5), 2))   # toroidal K5
     out.append(embed_search(Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)]), 1))

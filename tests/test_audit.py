@@ -5,7 +5,7 @@ from oddcolor.graphs import (
     is_r_relaxed,
     r_set,
 )
-from oddcolor.embedding import EmbeddedGraph, sorted_rotation
+from oddcolor.embedding import sorted_rotation
 from oddcolor.audit import (
     FACE_LEMMAS,
     analyze,
@@ -171,7 +171,7 @@ class TestFaceLemmas:
         # no genus <= 2 embedding exists for a cubic girth-7 graph (Euler
         # counting), so audit an arbitrary rotation: faces are all long
         g = mcgee_graph()
-        emb = EmbeddedGraph(g, sorted_rotation(g))
+        emb = sorted_rotation(g)
         assert min(f.length for f in emb.faces) >= 7
         frag = by_lemma(check_face_lemmas(analyze_embedded(emb, EMPTY)))
         assert all(e.verdict == "holds" for e in frag.values())
@@ -230,7 +230,7 @@ class TestFaceLemmas:
 
 class TestFullAudit:
     def test_c5_not_shaped(self):
-        emb = EmbeddedGraph(cycle_graph(5), sorted_rotation(cycle_graph(5)))
+        emb = sorted_rotation(cycle_graph(5))
         rep = full_audit(analyze_embedded(emb, EMPTY))
         assert not rep.counterexample_shaped
         assert rep.entry("L3.2").verdict == "violated"
@@ -257,7 +257,7 @@ class TestFullAudit:
         rep = full_audit(analyze(g, EMPTY))
         for lemma in FACE_LEMMAS:
             assert rep.entry(lemma).verdict == "skipped"
-        embedded = full_audit(analyze_embedded(EmbeddedGraph(g, sorted_rotation(g)), EMPTY))
+        embedded = full_audit(analyze_embedded(sorted_rotation(g), EMPTY))
         assert [e for e in rep.entries if e.lemma not in FACE_LEMMAS] == [
             e for e in embedded.entries if e.lemma not in FACE_LEMMAS
         ]
@@ -311,8 +311,8 @@ class TestWitnessesSelfVerify:
         cases = [
             (torus_quadrangulation(4), EMPTY),
             (tri_quad_planar(), EMPTY),
-            (EmbeddedGraph(cycle_graph(5), sorted_rotation(cycle_graph(5))), EMPTY),
-            (EmbeddedGraph(complete_graph(4), sorted_rotation(complete_graph(4))), EMPTY),
+            (sorted_rotation(cycle_graph(5)), EMPTY),
+            (sorted_rotation(complete_graph(4)), EMPTY),
         ]
         seen = set()
         for emb, r in cases:

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from oddcolor.graphs import Graph, complete_graph, cycle_graph, one_subdivision, r_set
-from oddcolor.embedding import EmbeddedGraph, sorted_rotation
+from oddcolor.embedding import sorted_rotation
 from oddcolor.audit import full_audit
 from oddcolor.discharge import (
     RULE_TWELFTHS,
@@ -149,10 +149,11 @@ class TestRuleFixtures:
         ]
         for emb, r in fixtures:
             g = emb.graph
-            transfers = generate_transfers(analyze_embedded(emb, r))
+            an = analyze_embedded(emb, r)
+            transfers = generate_transfers(an)
             lengths = [f.length for f in emb.faces]
             for ei, (a, b) in enumerate(g.edges):
-                fa, fb = emb.side_faces(ei)
+                fa, fb = an.sides[ei]
                 pair = sorted((lengths[fa], lengths[fb]))
                 eligible = (
                     fa != fb
@@ -264,7 +265,7 @@ class TestCubicGirthSeven:
         # cubic girth-7 graph: any embedding has faces of length >= 7, so no
         # triangles, no pentagons, no big vertices: R1 is the only rule
         g = mcgee_graph()
-        emb = EmbeddedGraph(g, sorted_rotation(g))
+        emb = sorted_rotation(g)
         transfers = generate_transfers(analyze_embedded(emb, EMPTY))
         assert {t.rule for t in transfers} == {"R1"}
         # every corner belongs to a 3-vertex on a long face: 2|E| transfers
@@ -274,7 +275,7 @@ class TestCubicGirthSeven:
         # each 3-vertex starts at -1 and collects 1/2 per corner on a long
         # face; with all three corners paying, it settles at +1/2
         g = mcgee_graph()
-        led = settle(analyze_embedded(EmbeddedGraph(g, sorted_rotation(g)), EMPTY))
+        led = settle(analyze_embedded(sorted_rotation(g), EMPTY))
         for v in range(g.n):
             assert led.final[("v", v)] == -12 + 3 * 6
 
@@ -347,7 +348,7 @@ class TestChargeReport:
 
     def test_c5_negatives_explained_by_degree_lemma(self):
         g = cycle_graph(5)
-        emb = EmbeddedGraph(g, sorted_rotation(g))
+        emb = sorted_rotation(g)
         led = settle(analyze_embedded(emb, EMPTY))
         rep = charge_report(led, full_audit(analyze_embedded(emb, EMPTY)))
         assert len(rep.negatives) == 5  # all degree-2 vertices

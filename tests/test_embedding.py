@@ -17,7 +17,6 @@ from oddcolor.graphs import (
 )
 from oddcolor.embedding import (
     EmbeddedGraph,
-    RotationSystem,
     embed_search,
     normalize_signatures,
     sorted_rotation,
@@ -58,12 +57,12 @@ def random_embedded(rng, max_n=7, signed=True):
         rng.shuffle(order)
         rot.append(order)
     signs = [rng.choice((-1, 1)) if signed else 1 for _ in g.edges]
-    return EmbeddedGraph(g, RotationSystem(g, rot, signs))
+    return EmbeddedGraph(g, rot, signs)
 
 
 class TestTraceFaces:
     def test_c4_two_squares(self):
-        emb = EmbeddedGraph(cycle_graph(4), sorted_rotation(cycle_graph(4)))
+        emb = sorted_rotation(cycle_graph(4))
         assert sorted(f.length for f in emb.faces) == [4, 4]
 
     def test_k4_planar_four_triangles(self):
@@ -81,18 +80,18 @@ class TestTraceFaces:
                 rng.shuffle(order)
                 rot.append(order)
             mine = sorted(
-                f.length for f in trace_faces(g, RotationSystem(g, rot))
+                f.length for f in trace_faces(EmbeddedGraph(g, rot))
             )
             assert mine == trace_faces_orientable_oracle(g, rot)
 
     def test_single_edge_one_face_of_length_two(self):
         g = Graph(2, [(0, 1)])
-        emb = EmbeddedGraph(g, sorted_rotation(g))
+        emb = sorted_rotation(g)
         assert [f.length for f in emb.faces] == [2]
 
     def test_path_outer_face_counts_edges_twice(self):
         g = path_graph(3)
-        emb = EmbeddedGraph(g, sorted_rotation(g))
+        emb = sorted_rotation(g)
         assert [f.length for f in emb.faces] == [4]
 
     def test_bowtie_outer_face_length_six(self):
@@ -122,51 +121,57 @@ class TestTraceFaces:
         rng = random.Random(12)
         edge = Graph(2, [(0, 1)])
         embs = [
-            EmbeddedGraph(Graph(1, []), sorted_rotation(Graph(1, []))),
-            EmbeddedGraph(edge, sorted_rotation(edge)),
-            EmbeddedGraph(edge, sorted_rotation(edge, [-1])),
+            sorted_rotation(Graph(1, [])),
+            sorted_rotation(edge),
+            sorted_rotation(edge, [-1]),
         ] + [random_embedded(rng) for _ in range(300)]
-        for i, emb in enumerate(embs):
-            g = emb.graph
-            ref = trace_faces_reference(g, emb.rotation)
-            sides = [[] for _ in g.edges]
+        for emb in embs:
+            ref = trace_faces_reference(emb)
+            sides = [[] for _ in emb.graph.edges]
             for fi, f in enumerate(ref):
                 for _, e in f.darts:
                     sides[e].append(fi)
-            want = [tuple(s) for s in sides]
-            if i % 2:  # side_faces is the first read, so it traces
-                assert [emb.side_faces(e) for e in range(len(g.edges))] == want
             assert emb.faces == ref
-            assert [emb.side_faces(e) for e in range(len(g.edges))] == want
-            assert trace_faces(g, emb.rotation) == ref
-        degrees = {len(order) for emb in embs for order in emb.rotation.rotation}
+            assert list(analyze_embedded(emb).sides) == [tuple(s) for s in sides]
+            assert trace_faces(emb) == ref
+        degrees = {len(order) for emb in embs for order in emb.rotation}
         assert {0, 1, 2} <= degrees
-        assert any(-1 in emb.rotation.signs for emb in embs[3:])
+        assert any(-1 in emb.signs for emb in embs[3:])
 
     def test_first_read_traces_once(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(embedding, "trace_faces", lambda g, rot: calls.append(g) or trace_faces(g, rot))
-        g = complete_graph(4)
-        emb = EmbeddedGraph(g, sorted_rotation(g))
+        monkeypatch.setattr(embedding, "trace_faces", lambda emb: calls.append(emb) or trace_faces(emb))
+        emb = sorted_rotation(complete_graph(4))
         assert calls == []
-        assert emb.side_faces(0) and emb.faces and emb.euler_genus == 2
+        assert analyze_embedded(emb).sides[0] and emb.faces and emb.euler_genus == 2
         assert len(calls) == 1
 
     def test_disconnected_rejected(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
-            trace_faces(g, sorted_rotation(g))
         with pytest.raises(ValueError, match="face tracing needs a connected graph"):
-            EmbeddedGraph(g, sorted_rotation(g))
+            sorted_rotation(g)
 
     def test_invalid_rotation_rejected(self):
         g = cycle_graph(3)
-        with pytest.raises(ValueError):
-            RotationSystem(g, [[1, 2], [0, 2], [0, 0]])
-        with pytest.raises(ValueError):
-            RotationSystem(g, [[1, 2], [0, 2], [0, 1]], [1, 1])
-        with pytest.raises(ValueError):
-            RotationSystem(g, [[1, 2], [0, 2], [0, 1]], [1, 1, 2])
+        with pytest.raises(ValueError, match=r"^rotation\[2\]: "):
+            EmbeddedGraph(g, [[1, 2], [0, 2], [0, 0]])
+        with pytest.raises(ValueError, match="^signs: expected 3 entries"):
+            EmbeddedGraph(g, [[1, 2], [0, 2], [0, 1]], [1, 1])
+        with pytest.raises(ValueError, match=r"^signs\[2\]: "):
+            EmbeddedGraph(g, [[1, 2], [0, 2], [0, 1]], [1, 1, 2])
+
+    @pytest.mark.parametrize(
+        "other, g, v",
+        [
+            (complete_graph(3), path_graph(3), 0),
+            # C4 with another labelling: 0-1-3-2-0
+            (cycle_graph(4), Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]), 0),
+        ],
+    )
+    def test_rotation_of_another_graph_rejected(self, other, g, v):
+        rotation = sorted_rotation(other).rotation
+        with pytest.raises(ValueError, match=rf"^rotation\[{v}\]: expected an order of the neighbors"):
+            EmbeddedGraph(g, rotation)
 
 
 class TestEulerGenus:
@@ -176,7 +181,7 @@ class TestEulerGenus:
         assert emb.euler_genus == 0
 
     def test_c4(self):
-        emb = EmbeddedGraph(cycle_graph(4), sorted_rotation(cycle_graph(4)))
+        emb = sorted_rotation(cycle_graph(4))
         assert emb.euler_genus == 0
 
     def test_torus_grid(self):
@@ -199,7 +204,7 @@ class TestEulerGenus:
 
     def test_crosscap_cycle_projective(self):
         g = cycle_graph(3)
-        emb = EmbeddedGraph(g, RotationSystem(g, [[1, 2], [0, 2], [0, 1]], [-1, 1, 1]))
+        emb = EmbeddedGraph(g, [[1, 2], [0, 2], [0, 1]], [-1, 1, 1])
         assert [f.length for f in emb.faces] == [6]
         assert emb.euler_genus == 1
         assert not emb.is_orientable()
@@ -219,9 +224,9 @@ class TestIsOrientable:
         tree = path_graph(4)
         k4 = complete_graph(4)
         cases = [
-            (EmbeddedGraph(tree, sorted_rotation(tree, [-1, 1, -1])), True),
-            (EmbeddedGraph(Graph(1, []), sorted_rotation(Graph(1, []))), True),
-            (EmbeddedGraph(k4, sorted_rotation(k4, [1] * 5 + [-1])), False),
+            (sorted_rotation(tree, [-1, 1, -1]), True),
+            (sorted_rotation(Graph(1, [])), True),
+            (sorted_rotation(k4, [1] * 5 + [-1]), False),
         ]
         for emb, orientable in cases:
             assert emb.is_orientable() == is_orientable_reference(emb) == orientable
@@ -237,7 +242,7 @@ class TestFaceAdjacency:
     """``Analysis.shared``, ``neighbors`` and ``corners`` of embedded graphs."""
 
     def test_c4_inner_outer_share_all(self):
-        emb = EmbeddedGraph(cycle_graph(4), sorted_rotation(cycle_graph(4)))
+        emb = sorted_rotation(cycle_graph(4))
         adj = analyze_embedded(emb).shared
         assert adj == {(0, 1): frozenset({0, 1, 2, 3})}
 
@@ -249,14 +254,14 @@ class TestFaceAdjacency:
 
     def test_path_self_incidence(self):
         g = path_graph(3)
-        emb = EmbeddedGraph(g, sorted_rotation(g))
+        emb = sorted_rotation(g)
         assert analyze_embedded(emb).shared == {(0, 0): frozenset({0, 1})}
 
     def test_neighbors_exclude_self_incidence(self):
         k4 = analyze_embedded(k4_planar())
         assert k4.neighbors == tuple(frozenset({0, 1, 2, 3} - {f}) for f in range(4))
         g = path_graph(3)
-        assert analyze_embedded(EmbeddedGraph(g, sorted_rotation(g))).neighbors == (frozenset(),)
+        assert analyze_embedded(sorted_rotation(g)).neighbors == (frozenset(),)
         bowtie = analyze_embedded(bowtie_planar())
         outer = bowtie.lengths.index(6)
         assert bowtie.neighbors[outer] == frozenset(range(3)) - {outer}
@@ -266,7 +271,7 @@ class TestFaceAdjacency:
         # the path 0-1-2 has one face, walked 0 -> 1 -> 2 -> 1 -> 0: the
         # middle vertex has two corners, each end one corner that turns back
         g = path_graph(3)
-        emb = EmbeddedGraph(g, sorted_rotation(g))
+        emb = sorted_rotation(g)
         a = analyze_embedded(emb)
         e01, e12 = g.edge_index((0, 1)), g.edge_index((1, 2))
         assert a.corners[0] == ((0, e01, e01),)
@@ -274,7 +279,7 @@ class TestFaceAdjacency:
         assert sorted(a.corners[1]) == [(0, e01, e12), (0, e12, e01)]
         # one vertex, no edges: one face with an empty walk, no corners
         point = Graph(1, [])
-        assert analyze_embedded(EmbeddedGraph(point, sorted_rotation(point))).corners == ((),)
+        assert analyze_embedded(sorted_rotation(point)).corners == ((),)
 
     def test_corners_match_the_face_walks(self):
         rng = random.Random(11)
@@ -309,7 +314,7 @@ class TestNormalizeSignatures:
                 for w in sorted(g.adj[u]):
                     if w not in seen:
                         seen.add(w)
-                        assert norm.rotation.signs[g.edge_index((u, w))] == 1
+                        assert norm.signs[g.edge_index((u, w))] == 1
                         stack.append(w)
 
     def test_search_results_come_back_unchanged(self):
@@ -330,10 +335,10 @@ class TestNormalizeSignatures:
 
     def test_switching_needed_gives_a_new_embedding(self):
         g = complete_graph(4)
-        emb = EmbeddedGraph(g, sorted_rotation(g, [-1] + [1] * (len(g.edges) - 1)))
+        emb = sorted_rotation(g, [-1] + [1] * (len(g.edges) - 1))
         norm = normalize_signatures(emb)
         assert norm is not emb
-        assert norm.rotation.signs[0] == 1
+        assert norm.signs[0] == 1
         assert norm.euler_genus == emb.euler_genus
 
 
@@ -391,6 +396,11 @@ class TestEmbedSearch:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             embed_search(Graph(4, [(0, 1), (2, 3)]), 0)
+
+    @pytest.mark.parametrize("max_genus", [0, 1, 2])
+    def test_null_graph_rejected(self, max_genus):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            embed_search(Graph(0, []), max_genus)
 
     def test_bad_genus_rejected(self):
         with pytest.raises(ValueError):
@@ -474,7 +484,7 @@ class TestEmbedSearch:
     def test_deterministic(self):
         a = embed_search(complete_graph(5), 2)
         b = embed_search(complete_graph(5), 2)
-        assert a.rotation == b.rotation
+        assert (a.rotation, a.signs) == (b.rotation, b.signs)
 
 
 def phase_args(g, max_genus):

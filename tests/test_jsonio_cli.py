@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from oddcolor import cli, embedding, jsonio
 from oddcolor.cli import run_command
 from oddcolor.coloring import RelaxedInstance, uniform_lists
-from oddcolor.embedding import EmbeddedGraph, sorted_rotation
+from oddcolor.embedding import sorted_rotation
 from oddcolor.graphs import Graph, cycle_graph, r_set
 
 from fixtures import k4_planar, torus_quadrangulation
@@ -44,7 +44,7 @@ class TestRoundTrips:
         path = write_embedding(tmp_path, "torus.json", emb)
         inst, _ = jsonio.load_instance(path)
         assert inst.embedding is not None
-        assert inst.embedding.rotation == emb.rotation
+        assert (inst.embedding.rotation, inst.embedding.signs) == (emb.rotation, emb.signs)
         assert inst.embedding.euler_genus == 2
 
     def test_lists_block(self, tmp_path):
@@ -213,7 +213,7 @@ class TestCli:
 
     def test_faces_and_genus(self, tmp_path, capsys):
         g = cycle_graph(4)
-        path = write_embedding(tmp_path, "c4.json", EmbeddedGraph(g, sorted_rotation(g)))
+        path = write_embedding(tmp_path, "c4.json", sorted_rotation(g))
         code, rep, _ = self.run(capsys, "faces", "--instance", path)
         assert code == 0
         assert [f["length"] for f in rep["result"]["faces"]] == [4, 4]
@@ -298,10 +298,25 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and "face tracing needs a connected graph" in err
 
+    @pytest.mark.parametrize("command", ["embed", "hunt"])
+    def test_null_graph_is_input_error(self, tmp_path, capsys, command):
+        path = write_graph(tmp_path, "null.json", Graph(0, []))
+        assert run_command([command, "--graph", path, "--max-genus", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "an embedding needs at least one vertex" in err
+
+    @pytest.mark.parametrize("command", ["check", "audit", "faces"])
+    def test_null_rotation_is_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps({"schema": 1, "n": 0, "edges": [], "rotation": {}}))
+        assert run_command([command, "--instance", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "an embedding needs at least one vertex" in err
+
     def test_check_never_traces_faces(self, tmp_path, capsys, monkeypatch):
         calls = []
         traced = embedding.trace_faces
-        monkeypatch.setattr(embedding, "trace_faces", lambda g, rot: calls.append(g) or traced(g, rot))
+        monkeypatch.setattr(embedding, "trace_faces", lambda emb: calls.append(emb) or traced(emb))
         path = write_embedding(tmp_path, "torus.json", torus_quadrangulation(4))
         assert run_command(["check", "--instance", path, "--quiet"]) == 1  # it has 4-cycles
         assert calls == []
