@@ -118,6 +118,8 @@ class Analysis:
 def analyze(g: Graph, r: RSet, emb: EmbeddedGraph | None = None) -> Analysis:
     """The ``Analysis`` of ``g`` with relaxation set ``r``, and of its faces
     when an embedding ``emb`` of ``g`` is given."""
+    if emb is not None and emb.graph != g:
+        raise ValueError("the embedding is of another graph")
     faces = emb.faces if emb is not None else ()
     corners: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
     sides: list[list[int]] = [[] for _ in g.edges] if faces else []

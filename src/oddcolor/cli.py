@@ -41,15 +41,14 @@ class InputError(ValueError):
     pass
 
 
-def _load(args) -> tuple[Instance, str]:
-    path = getattr(args, "graph", None) or getattr(args, "instance", None)
-    if path is None:
-        raise InputError("an input file is required (--graph or --instance)")
+def _load(args) -> tuple[Instance | None, str | None]:
+    if "path" not in args:  # gen reads no file
+        return None, None
     try:
-        inst, digest = jsonio.load_instance(path)
+        inst, digest = jsonio.load_instance(args.path)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load {path}: {exc}") from exc
-    if getattr(args, "r", None) is not None:
+        raise InputError(f"cannot load {args.path}: {exc}") from exc
+    if args.r is not None:
         try:
             idx = [int(tok) for tok in args.r.split(",") if tok.strip() != ""]
             inst = Instance(
@@ -92,11 +91,6 @@ def cmd_faces(args, inst: Instance):
     )
 
 
-def cmd_genus(args, inst: Instance):
-    _need_embedding(inst)
-    return {"euler_genus": inst.embedding.euler_genus}, EXIT_OK
-
-
 def cmd_embed(args, inst: Instance):
     emb = embed_search(inst.graph, args.max_genus)
     if emb is None:
@@ -114,6 +108,8 @@ def cmd_solve(args, inst: Instance):
         if args.k is None:
             raise InputError("give --k or an instance file with lists")
         lists = uniform_lists(inst.graph.n, _at_least("--k", args.k, 1))
+    elif args.k is not None:
+        raise InputError("--k cannot be combined with an instance file with lists")
     coloring = solve(RelaxedInstance(inst.graph, inst.r, lists))
     if coloring is None:
         return {"status": "UNSAT", "k": lists.k}, EXIT_REFUTED
@@ -144,13 +140,8 @@ def cmd_choosable(args, inst: Instance):
 
 def cmd_audit(args, inst: Instance):
     rep = full_audit(analyze(inst.graph, inst.r, inst.embedding))
-    return (
-        {
-            "audit": rep.to_json(),
-            "counterexample_shaped": rep.counterexample_shaped,
-        },
-        EXIT_OK if rep.counterexample_shaped else EXIT_REFUTED,
-    )
+    result = {"audit": rep.to_json(), "counterexample_shaped": rep.counterexample_shaped}
+    return result, EXIT_OK if rep.counterexample_shaped else EXIT_REFUTED
 
 
 def cmd_discharge(args, inst: Instance):
@@ -158,10 +149,7 @@ def cmd_discharge(args, inst: Instance):
     a = analyze(inst.graph, inst.r, inst.embedding)
     ledger = settle(a)
     charges = charge_report(ledger, full_audit(a))
-    return (
-        {"ledger": ledger.to_json(), "charges": charges.to_json()},
-        EXIT_OK,
-    )
+    return {"ledger": ledger.to_json(), "charges": charges.to_json()}, EXIT_OK
 
 
 def cmd_hunt(args, inst: Instance):
@@ -174,7 +162,7 @@ def cmd_subdivide(args, inst: Instance):
     return jsonio.graph_to_json(one_subdivision(inst.graph)), EXIT_OK
 
 
-def cmd_gen(args, _inst=None):
+def cmd_gen(args, _inst):
     try:
         graphs = generate_girth_instances(
             _at_least("--n", args.n, 3),
@@ -193,19 +181,35 @@ def cmd_gen(args, _inst=None):
     )
 
 
+MAX_GENUS = {"--max-genus": dict(type=int, choices=(0, 1, 2), default=2)}
+
+# verb -> (body, the flags it adds to --seed, --quiet and, except gen, the input file)
 COMMANDS = {
-    "check": cmd_check,
-    "faces": cmd_faces,
-    "genus": cmd_genus,
-    "embed": cmd_embed,
-    "solve": cmd_solve,
-    "chromatic": cmd_chromatic,
-    "choosable": cmd_choosable,
-    "audit": cmd_audit,
-    "discharge": cmd_discharge,
-    "hunt": cmd_hunt,
-    "subdivide": cmd_subdivide,
-    "gen": cmd_gen,
+    "check": (cmd_check, {}),
+    "faces": (cmd_faces, {}),
+    "embed": (cmd_embed, MAX_GENUS),
+    "solve": (cmd_solve, {"--k": dict(type=int)}),
+    "chromatic": (cmd_chromatic, {}),
+    "choosable": (
+        cmd_choosable,
+        {
+            "--k": dict(type=int, required=True),
+            "--trials": dict(type=int, default=100),
+            "--universe": dict(type=int, default=None),
+        },
+    ),
+    "audit": (cmd_audit, {}),
+    "discharge": (cmd_discharge, {}),
+    "hunt": (cmd_hunt, MAX_GENUS),
+    "subdivide": (cmd_subdivide, {}),
+    "gen": (
+        cmd_gen,
+        {
+            "--n": dict(type=int, required=True),
+            "--min-girth": dict(type=int, required=True),
+            "--count": dict(type=int, default=1),
+        },
+    ),
 }
 
 
@@ -217,46 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
     except ValueError:
         top.error(f"ODDCOLOR_SEED must be an integer, got {env_seed!r}")  # exits 2
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, needs_input=True, **extra):
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("--graph", help="graph JSON file")
-            p.add_argument("--instance", help="instance JSON file (graph + extras)")
+        if name != "gen":
+            p.add_argument("--graph", "--instance", dest="path", required=True, help="graph or instance JSON file")
             p.add_argument("--r", help="relaxation set as edge indices, e.g. 0,3,5")
         p.add_argument("--seed", type=int, default=default_seed)
         p.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
-        for flag, kw in extra.items():
+        for flag, kw in flags.items():
             p.add_argument(flag, **kw)
-        return p
-
-    add("check")
-    add("faces")
-    add("genus")
-    add("embed", **{"--max-genus": dict(type=int, choices=(0, 1, 2), default=2)})
-    add("solve", **{"--k": dict(type=int)})
-    add("chromatic")
-    add(
-        "choosable",
-        **{
-            "--k": dict(type=int, required=True),
-            "--trials": dict(type=int, default=100),
-            "--universe": dict(type=int, default=None),
-        },
-    )
-    add("audit")
-    add("discharge")
-    add("hunt", **{"--max-genus": dict(type=int, choices=(0, 1, 2), default=2)})
-    add("subdivide")
-    add(
-        "gen",
-        needs_input=False,
-        **{
-            "--n": dict(type=int, required=True),
-            "--min-girth": dict(type=int, required=True),
-            "--count": dict(type=int, default=1),
-        },
-    )
     return top
 
 
@@ -265,15 +238,11 @@ def run_command(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        if args.command == "gen":
-            inst, digest = None, None
-            result, code = cmd_gen(args)
-        else:
-            inst, digest = _load(args)
-            result, code = COMMANDS[args.command](args, inst)
-    except (InputError, ValueError) as exc:
-        # ValueError is the library's contract-violation type (disconnected
-        # input to an embedding command, malformed lists, ...)
+        inst, digest = _load(args)
+        result, code = COMMANDS[args.command][0](args, inst)
+    except ValueError as exc:
+        # InputError is a ValueError, the library's contract-violation type
+        # (disconnected input to an embedding command, malformed lists, ...)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = {

@@ -20,6 +20,8 @@ from itertools import combinations
 
 from .graphs import Graph, girth
 
+ATTEMPTS_PER_INSTANCE = 60
+
 
 class GenerationBudgetError(RuntimeError):
     """The requested number of instances was not reached within the budget."""
@@ -88,9 +90,7 @@ def _two_core_component(n: int, edges: set[tuple[int, int]]) -> Graph | None:
     return Graph(len(best), keep)
 
 
-def generate_girth_instances(
-    n: int, min_girth: int, count: int, seed: int, attempts_per_instance: int = 60
-) -> list[Graph]:
+def generate_girth_instances(n: int, min_girth: int, count: int, seed: int) -> list[Graph]:
     """``count`` connected graphs on <= n vertices, girth >= min_girth,
     minimum degree >= 2; deterministic per seed.
 
@@ -111,7 +111,7 @@ def generate_girth_instances(
         raise ValueError("need n >= 3 and count >= 1")
     rng = random.Random(seed)
     out: list[Graph] = []
-    budget = count * attempts_per_instance
+    budget = count * ATTEMPTS_PER_INSTANCE
     attempts = 0
     while len(out) < count:
         if attempts >= budget:

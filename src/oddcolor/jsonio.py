@@ -98,7 +98,8 @@ def instance_from_json(obj: dict) -> Instance:
 
     Every field is checked for type, shape, index range, order and value; a
     bad one raises ValueError naming its JSON path, for example ``edges[0]``,
-    ``rotation["2"]`` or ``signs[1]``.
+    ``rotation["2"]`` or ``signs[1]``.  Each color list has distinct colors,
+    and all have the size of ``lists["0"]``.
     """
     if not isinstance(obj, dict) or "schema" not in obj:
         raise ValueError("instance file is not a JSON object with a schema version field")
@@ -135,7 +136,13 @@ def instance_from_json(obj: dict) -> Instance:
             raise ValueError(re.sub(r"^rotation\[(\d+)\]", r'rotation["\1"]', str(exc))) from None
     lists = None
     if "lists" in obj:
-        lists = ListAssignment(tuple(frozenset(c) for c in _per_vertex(obj["lists"], "lists", g.n)))
+        per_vertex = _per_vertex(obj["lists"], "lists", g.n)
+        for v, colors in enumerate(per_vertex):
+            if len(set(colors)) < len(colors):
+                raise ValueError(f'lists["{v}"]: expected distinct colors, got {colors}')
+            if len(colors) != len(per_vertex[0]):
+                raise ValueError(f'lists["{v}"]: expected {len(per_vertex[0])} colors, as in lists["0"], got {len(colors)}')
+        lists = ListAssignment(tuple(map(frozenset, per_vertex)))
     return Instance(g, r, emb, lists)
 
 

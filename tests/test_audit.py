@@ -1,3 +1,5 @@
+import pytest
+
 from oddcolor.graphs import (
     Graph,
     complete_graph,
@@ -261,6 +263,14 @@ class TestFullAudit:
         assert [e for e in rep.entries if e.lemma not in FACE_LEMMAS] == [
             e for e in embedded.entries if e.lemma not in FACE_LEMMAS
         ]
+
+    def test_embedding_of_another_graph_rejected(self):
+        # the paw (a triangle with a pendant edge) has as many edges as C4,
+        # and C6 one more vertex than C5: neither embedding is of the graph
+        paw = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        for g, other in ((cycle_graph(4), paw), (cycle_graph(5), cycle_graph(6))):
+            with pytest.raises(ValueError, match="the embedding is of another graph"):
+                analyze(g, EMPTY, sorted_rotation(other))
 
     def test_report_json_shape(self):
         rep = full_audit(analyze(cycle_graph(5), EMPTY))

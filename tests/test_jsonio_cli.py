@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -217,8 +219,15 @@ class TestCli:
         code, rep, _ = self.run(capsys, "faces", "--instance", path)
         assert code == 0
         assert [f["length"] for f in rep["result"]["faces"]] == [4, 4]
-        code, rep, _ = self.run(capsys, "genus", "--instance", path)
         assert rep["result"]["euler_genus"] == 0
+
+    def test_solve_k_with_lists_is_input_error(self, tmp_path, capsys):
+        obj = {**jsonio.graph_to_json(cycle_graph(4)), **jsonio.lists_to_json(uniform_lists(4, 2))}
+        path = tmp_path / "lists.json"
+        jsonio.dump_instance(str(path), obj)
+        assert run_command(["solve", "--graph", str(path), "--k", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--k cannot be combined with an instance file with lists" in err
 
     def test_embed_and_hunt(self, tmp_path, capsys):
         path = write_graph(tmp_path, "c5.json", cycle_graph(5))
@@ -280,6 +289,34 @@ class TestCli:
         assert run_command(["gen", *flags]) == 2
         out, err = capsys.readouterr()
         assert message in err and out == ""
+
+    def test_every_verb_is_in_the_parser_and_has_help(self, capsys):
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(cli.COMMANDS)
+        for verb in cli.COMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                run_command([verb, "--help"])
+            assert exc.value.code == 0
+            assert f"usage: oddcolor {verb}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["check"], ["faces"], ["audit"], ["solve", "--k", "3"], ["hunt", "--max-genus", "0"]])
+    def test_graph_and_instance_flags_give_identical_reports(self, tmp_path, capsys, argv):
+        path = write_embedding(tmp_path, "torus.json", torus_quadrangulation(4))
+        outs = []
+        for flag in ("--graph", "--instance"):
+            code = run_command([*argv, flag, path, "--quiet"])
+            outs.append((code, re.sub(r'"duration_s": [^,}]*', "", capsys.readouterr().out)))
+        assert outs[0] == outs[1]
+
+    def test_last_input_flag_wins(self, tmp_path, capsys):
+        c6 = write_graph(tmp_path, "c6.json", cycle_graph(6))
+        c7 = write_graph(tmp_path, "c7.json", cycle_graph(7))
+        assert run_command(["check", "--graph", c6, "--instance", c7, "--quiet"]) == 0
+        assert run_command(["check", "--instance", c7, "--graph", c6, "--quiet"]) == 1
+        assert run_command(["check", "--graph", c7, "--graph", c6, "--quiet"]) == 1
+        digests = [json.loads(line)["input_digest"] for line in capsys.readouterr().out.splitlines()]
+        want = [jsonio.load_instance(p)[1] for p in (c7, c6, c6)]
+        assert digests == want
 
     def test_missing_file_is_input_error(self):
         assert run_command(["solve", "--graph", "/nonexistent.json", "--k", "3"]) == 2
@@ -353,6 +390,9 @@ class TestCli:
             ({}, "--universe must be at least 3, got 2", ["choosable", "--k", "3", "--universe", "2"]),
             # a repeated neighbor is not an order of the neighbors either
             ({"rotation": {"0": [1], "1": [0, 2, 2], "2": [1]}}, 'rotation["1"]: expected an order of the neighbors [0, 2]', SOLVE_K3),
+            # a repeated color would shrink its list; sizes must match lists["0"]
+            ({"lists": {"0": [1, 1], "1": [1, 2], "2": [1, 3]}}, 'lists["0"]: expected distinct colors, got [1, 1]', ["solve"]),
+            ({"lists": {"0": [1, 2], "1": [1, 2, 3], "2": [1, 3]}}, 'lists["1"]: expected 2 colors, as in lists["0"], got 3', ["solve"]),
         ],
     )
     def test_malformed_field_is_input_error_naming_it(self, tmp_path, capsys, fields, path, flags):
@@ -394,7 +434,7 @@ class TestCli:
             raise RuntimeError("boom")
 
         path = write_graph(tmp_path, "c5.json", cycle_graph(5))
-        monkeypatch.setitem(cli.COMMANDS, "check", crash)
+        monkeypatch.setitem(cli.COMMANDS, "check", (crash, {}))
         monkeypatch.setattr(sys, "argv", ["oddcolor", "check", "--graph", path])
         with pytest.raises(SystemExit) as exc:
             cli.main()
@@ -498,6 +538,10 @@ class TestRunCommandReuse:
         with pytest.raises(SystemExit):
             run_command(["nosuchcommand"])
         capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_command(["check"])
+        assert exc.value.code == 2
+        assert "required: --graph/--instance" in capsys.readouterr().err
         code, rep = self.report(capsys, "embed", "--graph", path)
         assert code == 0
         assert (rep["command"], rep["result"]["euler_genus"]) == ("embed", 0)
