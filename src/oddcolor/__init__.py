@@ -12,15 +12,12 @@ from .graphs import (
     Cycle,
     Graph,
     HypothesisReport,
-    canonical_cycle,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    cycle_in,
     enumerate_cycles,
     girth,
     hypothesis_check,
-    is_r_relaxed,
     one_subdivision,
     path_graph,
     r_length,
@@ -43,10 +40,8 @@ from .coloring import (
     RelaxedInstance,
     extend_low_degree,
     is_odd_coloring,
-    is_proper,
     is_relaxed_odd,
     odd_chromatic_number,
-    odd_witness,
     reduce_low_degree,
     sampled_choosability,
     solve,

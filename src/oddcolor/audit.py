@@ -11,7 +11,8 @@ Every check, and every discharging rule in ``discharge``, reads one
 ``Analysis`` of the instance, built once by ``analyze``.
 
 Lemma identifiers L3.1..L3.16 index the catalog; L3.12 is the statement left
-unnamed between the face lemmas, audited as "L3.12-unnamed".
+unnamed between the face lemmas, audited as "L3.12-unnamed".  A report lists
+the lemmas in the order of ``LEMMA_STATEMENTS``.
 """
 
 from __future__ import annotations
@@ -95,10 +96,11 @@ class Analysis:
     (face, arrival edge, departure edge) triple, ordered by face and then by
     walk position, so a walk visiting a vertex twice gives it two corners.
     Per edge: ``sides``, the faces (i, j), i <= j, on its two sides.  Per
-    face: ``lengths``, ``vsets``, ``esets`` and ``neighbors`` (the other faces
-    sharing an edge with it).  ``shared`` maps each face pair (i, j), i <= j,
-    to its shared edges; i == j collects the edges whose two sides both lie
-    on face i.  Without an embedding the face and edge fields are empty.
+    face: ``lengths``, ``vsets`` and ``neighbors`` (the other faces sharing
+    an edge with it).  ``shared`` maps each face pair (i, j), i <= j, to its
+    shared edges; i == j collects the edges whose two sides both lie on face
+    i.  ``edges_at(v, f)`` reads the edges of face f at vertex v off the
+    corners.  Without an embedding the face and edge fields are empty.
     """
 
     g: Graph
@@ -108,11 +110,14 @@ class Analysis:
     relaxed: tuple[bool, ...]
     lengths: tuple[int, ...]
     vsets: tuple[frozenset[int], ...]
-    esets: tuple[frozenset[int], ...]
     shared: dict[tuple[int, int], frozenset[int]]
     neighbors: tuple[frozenset[int], ...]
     corners: tuple[tuple[tuple[int, int, int], ...], ...]
     sides: tuple[tuple[int, int], ...]
+
+    def edges_at(self, v: int, f: int) -> list[int]:
+        """The edges of face f at vertex v, in increasing order."""
+        return sorted({e for fi, arr, dep in self.corners[v] if fi == f for e in (arr, dep)})
 
 
 def analyze(g: Graph, r: RSet, emb: EmbeddedGraph | None = None) -> Analysis:
@@ -140,7 +145,6 @@ def analyze(g: Graph, r: RSet, emb: EmbeddedGraph | None = None) -> Analysis:
         g, r, emb, tuple(g.degree(v) for v in range(g.n)), tuple(relaxed_flags(g, r)),
         tuple(f.length for f in faces),
         tuple(f.vertex_set() for f in faces),
-        tuple(f.edge_set() for f in faces),
         {k: frozenset(es) for k, es in shared.items()},
         tuple(map(frozenset, neighbors)),
         tuple(map(tuple, corners)),
@@ -268,10 +272,10 @@ def check_face_lemmas(a: Analysis) -> list[AuditEntry]:
             for v in sorted(vsets[t] & vsets[q]):
                 if deg[v] != 4:
                     continue
-                for ei in sorted(a.esets[t]):
-                    if v not in g.edges[ei] or ei in a.esets[q]:
-                        continue
+                for ei in a.edges_at(v, t):
                     sa, sb = a.sides[ei]
+                    if q in (sa, sb):
+                        continue
                     other = sb if sa == t else sa
                     if other != t and lengths[other] < 5:
                         w12.append(
@@ -344,9 +348,5 @@ def full_audit(a: Analysis) -> AuditReport:
         + check_four_vertex_configs(a)
         + faces
     )
-    return AuditReport(tuple(sorted(entries, key=lambda e: _lemma_key(e.lemma))))
-
-
-def _lemma_key(lemma: str) -> tuple[int, int]:
-    num = lemma.split(".")[1].split("-")[0]
-    return (3, int(num))
+    by_lemma = {e.lemma: e for e in entries}
+    return AuditReport(tuple(by_lemma[lemma] for lemma in LEMMA_STATEMENTS))

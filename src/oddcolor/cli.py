@@ -252,7 +252,14 @@ def run_command(argv: list[str]) -> int:
         "duration_s": round(time.perf_counter() - started, 6),
         "result": result,
     }
-    print(json.dumps(report, sort_keys=True))
+    try:
+        print(json.dumps(report, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): the verdict stands, and stdout
+        # now writes to the null device, so no flush at exit fails again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
     if not args.quiet:
         status = {EXIT_OK: "ok", EXIT_REFUTED: "refuted/violations"}[code]
         print(f"oddcolor {args.command}: {status}", file=sys.stderr)

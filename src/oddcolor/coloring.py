@@ -4,8 +4,9 @@ An odd coloring is a proper coloring in which every non-isolated vertex sees
 some color an odd number of times among its neighbors.  The relaxed variant
 exempts R-relaxed vertices (odd or zero degree, or incident with a relaxation
 edge): odd-degree vertices satisfy the parity condition automatically in any
-coloring, so with an empty relaxation set the relaxed check coincides with
-the odd-coloring check.
+coloring, so the odd-coloring check is the relaxed check with an empty
+relaxation set.  Both read one scan for the monochromatic edges and the
+non-relaxed vertices that see no color an odd number of times.
 
 The solver is an exact, iterative backtracking search.  Each vertex carries
 the XOR mask of the colors on its colored neighbors, so a parity check is one
@@ -27,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Edge, Graph, RSet, is_r_relaxed, normalize_edge, relaxed_flags
+from .graphs import Edge, Graph, RSet, normalize_edge, relaxed_flags
 
 Coloring = dict[int, int]
 
@@ -84,39 +85,30 @@ class RelaxedInstance:
                 raise ValueError(f"relaxation edge {e} is not in the graph")
 
 
-def _require_total(g: Graph, c: Coloring) -> None:
-    missing = [v for v in range(g.n) if v not in c]
-    if missing:
-        raise PartialColoringError(f"vertices without a color: {missing[:5]}")
-
-
-def is_proper(g: Graph, c: Coloring) -> bool:
-    """True iff every edge has differently colored endpoints."""
-    _require_total(g, c)
-    return all(c[u] != c[v] for u, v in g.edges)
-
-
 def _smallest_odd_color(colors: Iterable[int]) -> int | None:
     counts = Counter(colors)
     odd = [col for col, k in counts.items() if k % 2 == 1]
     return min(odd) if odd else None
 
 
-def odd_witness(g: Graph, c: Coloring, v: int) -> int | None:
-    """Smallest color of odd multiplicity among the neighbors of v, if any."""
-    _require_total(g, c)
-    return _smallest_odd_color(c[u] for u in g.adj[v])
+def _parity_scan(g: Graph, r: RSet, c: Coloring) -> tuple[list[Edge], list[int]]:
+    """The monochromatic edges of a total coloring c, and the vertices that
+    are not R-relaxed and see no color an odd number of times."""
+    missing = [v for v in range(g.n) if v not in c]
+    if missing:
+        raise PartialColoringError(f"vertices without a color: {missing[:5]}")
+    mono = [(u, v) for u, v in g.edges if c[u] == c[v]]
+    relaxed = relaxed_flags(g, r)
+    blind = [
+        v for v in range(g.n)
+        if not relaxed[v] and _smallest_odd_color(c[u] for u in g.adj[v]) is None
+    ]
+    return mono, blind
 
 
 def is_odd_coloring(g: Graph, c: Coloring) -> bool:
     """Proper, and every vertex with a nonempty neighborhood has an odd witness."""
-    if not is_proper(g, c):
-        return False
-    return all(
-        _smallest_odd_color(c[u] for u in g.adj[v]) is not None
-        for v in range(g.n)
-        if g.adj[v]
-    )
+    return _parity_scan(g, frozenset(), c) == ([], [])
 
 
 def is_relaxed_odd(inst: RelaxedInstance, c: Coloring) -> bool:
@@ -137,18 +129,12 @@ def is_relaxed_odd(inst: RelaxedInstance, c: Coloring) -> bool:
 def relaxed_odd_violations(inst: RelaxedInstance, c: Coloring) -> list[dict]:
     """Diagnostic listing: list/properness/parity violations, separately tagged."""
     g = inst.graph
-    _require_total(g, c)
-    out = []
-    for v in range(g.n):
-        if c[v] not in inst.lists[v]:
-            out.append({"kind": "list", "vertex": v, "color": c[v]})
-    for u, v in g.edges:
-        if c[u] == c[v]:
-            out.append({"kind": "proper", "edge": [u, v], "color": c[u]})
-    relaxed = relaxed_flags(g, inst.r)
-    for v in range(g.n):
-        if not relaxed[v] and _smallest_odd_color(c[u] for u in g.adj[v]) is None:
-            out.append({"kind": "odd", "vertex": v})
+    mono, blind = _parity_scan(g, inst.r, c)
+    out = [
+        {"kind": "list", "vertex": v, "color": c[v]} for v in range(g.n) if c[v] not in inst.lists[v]
+    ]
+    out += [{"kind": "proper", "edge": [u, v], "color": c[u]} for u, v in mono]
+    out += [{"kind": "odd", "vertex": v} for v in blind]
     return out
 
 
@@ -393,7 +379,7 @@ def sampled_choosability(
     if universe < k:
         raise ValueError("universe must be at least k")
     rng = random.Random(seed)
-    palette = list(range(1, universe + 1))
+    palette = range(1, universe + 1)  # sampled by index, never built
     found = []
     for t in range(trials):
         lists = ListAssignment(
@@ -501,7 +487,8 @@ def extend_low_degree(
     # case only the parity witnesses of non-relaxed neighbors need keeping.
     protected = record.neighbors
     if record.case != "bridge":
-        protected = tuple(x for x in protected if not is_r_relaxed(x, g, r))
+        relaxed = relaxed_flags(g, r)
+        protected = tuple(x for x in protected if not relaxed[x])
     forbidden = {colors[x] for x in record.neighbors}
     for x in protected:
         w = _smallest_odd_color(colors[u] for u in g.adj[x] if u != v)

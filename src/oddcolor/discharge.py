@@ -79,7 +79,7 @@ def initial_charges(a: Analysis) -> dict[Element, int]:
 def generate_transfers(a: Analysis) -> tuple[Transfer, ...]:
     """The complete transfer multiset mandated by rules R1-R8."""
     g = a.g
-    deg, relaxed, lengths, vsets, esets = a.deg, a.relaxed, a.lengths, a.vsets, a.esets
+    deg, relaxed, lengths, vsets = a.deg, a.relaxed, a.lengths, a.vsets
 
     transfers: list[Transfer] = []
 
@@ -96,12 +96,11 @@ def generate_transfers(a: Analysis) -> tuple[Transfer, ...]:
     def walk_edge_to_nonrelaxed(f: int, ei: int, end: int) -> tuple[int, int] | None:
         """First edge of face f other than ei leaving ``end`` toward a
         non-relaxed vertex, with that vertex."""
-        for ej in sorted(esets[f]):
+        for ej in a.edges_at(end, f):
             p, q = g.edges[ej]
-            if ej != ei and end in (p, q):
-                x = q if p == end else p
-                if not relaxed[x]:
-                    return ej, x
+            x = q if p == end else p
+            if ej != ei and not relaxed[x]:
+                return ej, x
         return None
 
     # R2/R3/R4: a long face pays a triangle across a shared edge
@@ -148,9 +147,7 @@ def generate_transfers(a: Analysis) -> tuple[Transfer, ...]:
         for v in sorted(vsets[fi]):
             if deg[v] != 4:
                 continue
-            for ei in sorted(esets[fi]):
-                if v not in g.edges[ei]:
-                    continue
+            for ei in a.edges_at(v, fi):
                 a_, b_ = g.edges[ei]
                 u = b_ if a_ == v else a_
                 if relaxed[u]:

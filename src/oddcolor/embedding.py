@@ -15,7 +15,6 @@ Euler genus 2 - (|V| - |E| + |F|) is well defined.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,9 +38,6 @@ class FaceWalk:
     @property
     def length(self) -> int:
         return len(self.darts)
-
-    def edge_set(self) -> frozenset[int]:
-        return frozenset(e for _, e in self.darts)
 
     def vertex_set(self) -> frozenset[int]:
         return frozenset(v for v, _ in self.darts)
@@ -223,16 +219,6 @@ def normalize_signatures(e: EmbeddedGraph) -> EmbeddedGraph:
 
 
 # -- embedding search --------------------------------------------------------
-
-
-def _min_face_length(g: Graph) -> int:
-    if len(g.edges) == 1:
-        return 2
-    if all(g.degree(v) >= 2 for v in range(g.n)):
-        gi = girth(g)
-        if gi is not math.inf:
-            return int(gi)
-    return 3
 
 
 def _face_search(
@@ -470,7 +456,8 @@ def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
     if g.n <= 1 or m == g.n - 1:
         # trees always embed in the sphere; any rotation works
         return sorted_rotation(g)
-    min_len = _min_face_length(g)
+    # every face walk of a connected graph that is not a tree holds a cycle
+    min_len = girth(g)
     # every embedding of any kind satisfies F <= 2E / (minimum face length),
     # and a sphere embedding has E - V + 2 faces, one more per unit of genus
     sphere_faces = m - g.n + 2

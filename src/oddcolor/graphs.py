@@ -3,8 +3,9 @@
 Vertices are dense integers ``0..n-1``.  Edges are unordered pairs stored as
 sorted tuples, kept in lexicographic order.  A *relaxation set* (R set) is a
 subset of the edge set; edges of R count twice in the weighted cycle length
-r_length(C) = |E(C)| + |E(C) ∩ R|, and a vertex is *R-relaxed* when its degree
-is odd or zero, or when it is incident with an R edge.
+``r_length(C) = |E(C)| + |E(C) ∩ R|``, and a vertex is *R-relaxed* when its
+degree is odd or zero, or when it is incident with an R edge.  ``r_length``
+and ``relaxed_flags`` are the only implementations of the two definitions.
 
 The hypothesis check implemented here accepts exactly the graphs whose cycles
 avoid r-lengths 3, 4, and 6 and in which no two cycles of r-length 5 share
@@ -177,9 +178,9 @@ def r_set_from_indices(g: Graph, indices: Iterable[int]) -> RSet:
 class Cycle:
     """A simple cycle given by its vertex sequence (length >= 3).
 
-    The canonical form starts at the smallest vertex and proceeds toward its
-    smaller cycle-neighbor, which makes equal cycles compare equal under
-    rotation and reflection.
+    ``enumerate_cycles`` gives each cycle in canonical form: it starts at the
+    smallest vertex and proceeds toward its smaller cycle-neighbor, which
+    makes equal cycles compare equal under rotation and reflection.
     """
 
     vertices: tuple[int, ...]
@@ -195,48 +196,14 @@ class Cycle:
         return len(self.vertices)
 
 
-def canonical_cycle(seq: Iterable[int]) -> Cycle:
-    """Canonicalize a vertex sequence under rotation and reflection."""
-    vs = tuple(seq)
-    if len(vs) < 3:
-        raise ValueError("cycles have at least 3 vertices")
-    if len(set(vs)) != len(vs):
-        raise ValueError("cycle vertices must be pairwise distinct")
-    k = vs.index(min(vs))
-    rot = vs[k:] + vs[:k]
-    rev = (rot[0],) + tuple(reversed(rot[1:]))
-    return Cycle(rot if rot <= rev else rev)
-
-
-def cycle_in(g: Graph, seq: Iterable[int]) -> Cycle:
-    """Validate ``seq`` as a cycle of ``g`` and return it canonicalized."""
-    c = canonical_cycle(seq)
-    vs = c.vertices
-    for i, u in enumerate(vs):
-        g.check_vertex(u)
-        v = vs[(i + 1) % len(vs)]
-        if not g.has_edge(u, v):
-            raise ValueError(f"consecutive vertices {u},{v} are not adjacent")
-    return c
-
-
 def r_length(c: Cycle, r: RSet) -> int:
     """|E(C)| + |E(C) ∩ R|: relaxation edges count twice."""
-    es = c.edge_set
-    return len(es) + len(es & r)
-
-
-def is_r_relaxed(v: int, g: Graph, r: RSet) -> bool:
-    """True iff deg(v) is odd or 0, or v is incident with a relaxation edge."""
-    g.check_vertex(v)
-    d = g.degree(v)
-    if d == 0 or d % 2 == 1:
-        return True
-    return any(v in e for e in r)
+    vs = c.vertices
+    return len(vs) + sum(((a, b) if a < b else (b, a)) in r for a, b in zip(vs, vs[1:] + vs[:1]))
 
 
 def relaxed_flags(g: Graph, r: RSet) -> list[bool]:
-    """is_r_relaxed for every vertex, from one pass over r."""
+    """Whether each vertex is R-relaxed, from one pass over r."""
     ends = {v for e in r for v in e}
     return [g.degree(v) % 2 == 1 or not g.adj[v] or v in ends for v in range(g.n)]
 
@@ -401,10 +368,7 @@ def hypothesis_check(g: Graph, r: RSet) -> HypothesisReport:
     forbidden = []
     fives = []
     for c in cycles:
-        vs = c.vertices
-        L = len(vs)
-        if r:  # r_length(c, r), one R lookup per edge
-            L += sum(((a, b) if a < b else (b, a)) in r for a, b in zip(vs, vs[1:] + vs[:1]))
+        L = r_length(c, r) if r else len(c.vertices)
         if L in (3, 4, 6):
             forbidden.append((c, L))
         elif L == 5:

@@ -108,6 +108,8 @@ def instance_from_json(obj: dict) -> Instance:
     n, edges = obj.get("n"), obj.get("edges")
     if type(n) is not int:
         raise ValueError(f"n: expected an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"n: expected a nonnegative integer, got {n}")
     if not isinstance(edges, list):
         raise ValueError(f"edges: expected a list of vertex pairs, got {edges!r}")
     prev = None  # the previous edge, sorted

@@ -16,6 +16,8 @@ that advanced tuple flags through two closures is kept as
 ``trace_faces_reference`` to pin the flat-table tracer to the same faces.
 The face search from before its mirror cut is kept as
 ``face_search_reference`` to pin the cut search to the same embeddings.
+The per-vertex relaxedness test that ``relaxed_flags`` replaced is kept as
+``is_r_relaxed``, the reference for the flags.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from itertools import combinations, permutations, product
 from oddcolor.coloring import Coloring, RelaxedInstance, solver_order
 from oddcolor.embedding import EmbeddedGraph, FaceWalk, _canonical_walk
 from oddcolor.generate import GenerationBudgetError, _two_core_component
-from oddcolor.graphs import Cycle, Graph, girth, relaxed_flags
+from oddcolor.graphs import Cycle, Graph, RSet, girth, relaxed_flags
 
 
 def solver_order_reference(g: Graph) -> list[int]:
@@ -216,6 +218,15 @@ def chromatic_number(g: Graph) -> int:
     while not colorable(k):
         k += 1
     return k
+
+
+def is_r_relaxed(v: int, g: Graph, r: RSet) -> bool:
+    """True iff deg(v) is odd or 0, or v is incident with a relaxation edge."""
+    g.check_vertex(v)
+    d = g.degree(v)
+    if d == 0 or d % 2 == 1:
+        return True
+    return any(v in e for e in r)
 
 
 def cycles_by_subsets(g: Graph, max_edges: int) -> set[tuple[int, ...]]:

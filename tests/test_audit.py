@@ -4,7 +4,6 @@ from oddcolor.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
-    is_r_relaxed,
     r_set,
 )
 from oddcolor.embedding import sorted_rotation
@@ -30,6 +29,7 @@ from fixtures import (
     torus_quadrangulation,
     tri_quad_planar,
 )
+from oracles import is_r_relaxed
 
 EMPTY = frozenset()
 

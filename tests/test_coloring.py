@@ -23,16 +23,15 @@ from oddcolor.coloring import (
     RelaxedInstance,
     extend_low_degree,
     is_odd_coloring,
-    is_proper,
     is_relaxed_odd,
     odd_chromatic_number,
-    odd_witness,
     reduce_low_degree,
     relaxed_odd_violations,
     sampled_choosability,
     solve,
     solver_order,
     uniform_lists,
+    _smallest_odd_color,
 )
 
 from oracles import (
@@ -63,21 +62,29 @@ def random_instance(rng, max_n=8, max_k=4):
 
 class TestVerifiers:
     def test_proper(self):
+        def monochromatic(g, c):
+            inst = RelaxedInstance(g, frozenset(), ListAssignment((frozenset(c.values()),) * g.n))
+            return [bad["edge"] for bad in relaxed_odd_violations(inst, c) if bad["kind"] == "proper"]
+
         c4 = cycle_graph(4)
-        assert is_proper(c4, {0: 1, 1: 2, 2: 1, 3: 2})
-        assert not is_proper(Graph(2, [(0, 1)]), {0: 1, 1: 1})
-        assert is_proper(complete_graph(4), {v: v for v in range(4)})
+        assert monochromatic(c4, {0: 1, 1: 2, 2: 1, 3: 2}) == []
+        assert monochromatic(Graph(2, [(0, 1)]), {0: 1, 1: 1}) == [[0, 1]]
+        assert monochromatic(complete_graph(4), {v: v for v in range(4)}) == []
 
     def test_partial_rejected(self):
         with pytest.raises(PartialColoringError):
-            is_proper(cycle_graph(3), {0: 1, 1: 2})
+            is_odd_coloring(cycle_graph(3), {0: 1, 1: 2})
 
     def test_odd_witness_smallest(self):
+        # extend_low_degree protects the smallest color seen an odd number
+        # of times, and a vertex with none fails the parity condition
+        assert _smallest_odd_color([1, 2, 3]) == 1
+        assert _smallest_odd_color([1, 1, 2]) == 2
+        assert _smallest_odd_color([1, 1]) is None
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert odd_witness(g, {0: 9, 1: 1, 2: 2, 3: 3}, 0) == 1
-        assert odd_witness(g, {0: 9, 1: 1, 2: 1, 3: 2}, 0) == 2
+        assert is_odd_coloring(g, {0: 9, 1: 1, 2: 1, 3: 2})
         g2 = Graph(3, [(0, 1), (0, 2)])
-        assert odd_witness(g2, {0: 9, 1: 1, 2: 1}, 0) is None
+        assert not is_odd_coloring(g2, {0: 9, 1: 1, 2: 1})
 
     def test_odd_coloring(self):
         c5 = cycle_graph(5)
@@ -382,6 +389,30 @@ class TestSampledChoosability:
         a = sampled_choosability(cycle_graph(5), 4, frozenset(), 10, 8, seed=7)
         b = sampled_choosability(cycle_graph(5), 4, frozenset(), 10, 8, seed=7)
         assert a == b
+
+    def test_same_refutations_as_a_built_palette(self):
+        # colors are drawn by index from range(1, universe + 1); drawing from
+        # the same colors as a list gives the same lists from the same seed
+        c6 = cycle_graph(6)
+        cases = [
+            (cycle_graph(5), frozenset(), 4, 5, 1),
+            (complete_graph(4), frozenset(), 3, 7, 2),
+            (c6, frozenset(), 2, 3, 0),
+            (c6, r_set(c6, [(0, 1)]), 2, 4, 5),
+        ]
+        refuted = 0
+        for g, r, k, universe, seed in cases:
+            rng = random.Random(seed)
+            palette = list(range(1, universe + 1))
+            want = []
+            for t in range(30):
+                lists = ListAssignment(tuple(frozenset(rng.sample(palette, k)) for _ in range(g.n)))
+                if solve(RelaxedInstance(g, r, lists)) is None:
+                    want.append((t, tuple(tuple(sorted(s)) for s in lists.lists)))
+            rep = sampled_choosability(g, k, r, 30, universe, seed)
+            assert rep.refutations == tuple(want)
+            refuted += len(want)
+        assert 0 < refuted < 120
 
     def test_universe_validated(self):
         with pytest.raises(ValueError):

@@ -294,6 +294,19 @@ class TestFaceAdjacency:
             assert [list(cs) for cs in a.corners] == want
             assert [len(cs) for cs in a.corners] == [emb.graph.degree(v) for v in range(emb.graph.n)]
 
+    def test_edges_at_match_the_reference_faces(self):
+        rng = random.Random(16)
+        revisits = 0
+        for _ in range(300):
+            emb = random_embedded(rng)
+            g, a = emb.graph, analyze_embedded(emb)
+            for fi, f in enumerate(trace_faces_reference(emb)):
+                on_face = {e for _, e in f.darts}
+                for v in range(g.n):
+                    assert a.edges_at(v, fi) == sorted(e for e in on_face if v in g.edges[e])
+                revisits += len(f.darts) > len({v for v, _ in f.darts})
+        assert revisits > 100  # walks that visit a vertex twice
+
 
 class TestNormalizeSignatures:
     def test_tree_edges_positive_and_faces_preserved(self):
@@ -475,6 +488,29 @@ class TestEmbedSearch:
         assert emb is None or emb.euler_genus <= max_genus
         assert emb is None or normalize_signatures(emb) is emb
 
+    @pytest.mark.parametrize("name", ["K4+leaf", "K33+leaf", "C5+chord+path", "cube+leaf", "sK4+path"])
+    def test_pendant_paths_keep_the_girth_bound(self, name):
+        # every face walk of a connected graph that is not a tree holds a
+        # cycle, so a pendant path leaves the face-length bound at the girth;
+        # the search finds what it finds with the bound 3, and agrees with
+        # brute force
+        h, tail = {
+            "K4+leaf": (complete_graph(4), 1),
+            "K33+leaf": (complete_bipartite_graph(3, 3), 1),
+            "C5+chord+path": (Graph(5, list(cycle_graph(5).edges) + [(0, 2)]), 2),
+            "cube+leaf": (cube_graph(), 1),
+            "sK4+path": (one_subdivision(complete_graph(4)), 2),
+        }[name]
+        g = Graph(h.n + tail, list(h.edges) + [(h.n - 1 + i, h.n + i) for i in range(tail)])
+        assert min(g.degree(v) for v in range(g.n)) == 1
+        for max_genus in (0, 1, 2):
+            emb = embed_search(g, max_genus)
+            assert (emb is not None) == embeds_brute_force(g, max_genus)
+            for min_faces, min_len, free in phase_args(g, max_genus):
+                assert min_len == girth(h)
+                found = embedding._face_search(g, min_faces, min_len, free)
+                assert found == embedding._face_search(g, min_faces, 3, free)
+
     def test_known_nonplanar_cases(self):
         for g in (complete_graph(5), complete_bipartite_graph(3, 3), petersen_graph()):
             assert embed_search(g, 0) is None
@@ -491,7 +527,7 @@ def phase_args(g, max_genus):
     """The arguments ``embed_search`` passes to each phase of the face
     search: the orientable one, then the signed one when max_genus >= 1."""
     m = len(g.edges)
-    min_len = embedding._min_face_length(g)
+    min_len = girth(g)
     sphere_faces = m - g.n + 2
     out = [(sphere_faces - (max_genus - max_genus % 2), min_len, frozenset())]
     if max_genus >= 1:

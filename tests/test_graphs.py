@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,14 +8,11 @@ from hypothesis import given, settings, strategies as st
 from oddcolor.graphs import (
     Cycle,
     Graph,
-    canonical_cycle,
     complete_graph,
     cycle_graph,
-    cycle_in,
     enumerate_cycles,
     girth,
     hypothesis_check,
-    is_r_relaxed,
     one_subdivision,
     path_graph,
     r_length,
@@ -30,6 +27,7 @@ from oracles import (
     enumerate_cycles_reference,
     five_pairs_reference,
     girth_reference,
+    is_r_relaxed,
 )
 
 
@@ -120,37 +118,30 @@ class TestGraphBasics:
 
 class TestCycles:
     def test_canonical_under_rotation_reflection(self):
-        base = canonical_cycle((0, 1, 2, 3, 4))
-        for rot in range(5):
-            seq = tuple((i + rot) % 5 for i in range(5))
-            assert canonical_cycle(seq) == base
-            assert canonical_cycle(tuple(reversed(seq))) == base
-
-    def test_cycle_in_validates_adjacency(self):
-        g = cycle_graph(5)
-        assert cycle_in(g, (0, 1, 2, 3, 4)).vertices == (0, 1, 2, 3, 4)
-        with pytest.raises(ValueError):
-            cycle_in(g, (0, 1, 3, 2, 4))
-        with pytest.raises(ValueError):
-            canonical_cycle((0, 1))
-        with pytest.raises(ValueError):
-            canonical_cycle((0, 1, 1))
+        # each cycle comes out once, from its smallest vertex toward the
+        # smaller of that vertex's two cycle-neighbors, however it is labeled
+        for perm in permutations(range(5)):
+            g = Graph(5, zip(perm, perm[1:] + perm[:1]))
+            (c,) = enumerate_cycles(g, 5)
+            vs = c.vertices
+            assert vs[0] == 0 and vs[1] < vs[-1]
+            assert Graph(5, zip(vs, vs[1:] + vs[:1])) == g
 
 
 class TestRLength:
     def test_five_cycle_one_marked_edge(self):
         g = cycle_graph(5)
-        c = cycle_in(g, range(5))
+        c = Cycle((0, 1, 2, 3, 4))
         assert r_length(c, r_set(g, [(0, 1)])) == 6
 
     def test_triangle_two_marked_edges(self):
         g = complete_graph(3)
-        c = cycle_in(g, (0, 1, 2))
+        c = Cycle((0, 1, 2))
         assert r_length(c, r_set(g, [(0, 1), (1, 2)])) == 5
 
     def test_square_disjoint_from_r(self):
         g = cycle_graph(4)
-        c = cycle_in(g, range(4))
+        c = Cycle((0, 1, 2, 3))
         assert r_length(c, frozenset()) == 4
 
     def test_lower_bound_with_equality_iff_disjoint(self):
@@ -170,20 +161,16 @@ class TestRLength:
 class TestRRelaxed:
     def test_odd_degree_is_relaxed(self):
         g = complete_graph(4)  # 3-regular
-        assert all(is_r_relaxed(v, g, frozenset()) for v in range(4))
+        assert relaxed_flags(g, frozenset()) == [True] * 4
 
     def test_even_degree_with_marked_edge(self):
         g = cycle_graph(4)
-        assert not is_r_relaxed(0, g, frozenset())
-        assert is_r_relaxed(0, g, r_set(g, [(0, 1)]))
+        assert not relaxed_flags(g, frozenset())[0]
+        assert relaxed_flags(g, r_set(g, [(0, 1)]))[0]
 
     def test_isolated_is_relaxed(self):
         g = Graph(2, [])
-        assert is_r_relaxed(0, g, frozenset())
-
-    def test_unknown_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            is_r_relaxed(5, cycle_graph(4), frozenset())
+        assert relaxed_flags(g, frozenset())[0]
 
     def test_relaxed_flags_match_per_vertex_check(self):
         for name, g, r in order_oracle_corpus():
@@ -200,9 +187,8 @@ class TestRRelaxed:
             cut = rng.randint(0, len(edges))
             small = frozenset(edges[: cut // 2])
             big = small | frozenset(edges[:cut])
-            for v in range(g.n):
-                if is_r_relaxed(v, g, small):
-                    assert is_r_relaxed(v, g, big)
+            for was, now in zip(relaxed_flags(g, small), relaxed_flags(g, big)):
+                assert now or not was
 
 
 class TestEnumerateCycles:

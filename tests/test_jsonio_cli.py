@@ -1,9 +1,11 @@
 import argparse
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -13,7 +15,7 @@ from oddcolor import cli, embedding, jsonio
 from oddcolor.cli import run_command
 from oddcolor.coloring import RelaxedInstance, uniform_lists
 from oddcolor.embedding import sorted_rotation
-from oddcolor.graphs import Graph, cycle_graph, r_set
+from oddcolor.graphs import Graph, cycle_graph, path_graph, r_set
 
 from fixtures import k4_planar, torus_quadrangulation
 from oracles import brute_force_relaxed_odd, solver_order_reference
@@ -393,6 +395,7 @@ class TestCli:
             # a repeated color would shrink its list; sizes must match lists["0"]
             ({"lists": {"0": [1, 1], "1": [1, 2], "2": [1, 3]}}, 'lists["0"]: expected distinct colors, got [1, 1]', ["solve"]),
             ({"lists": {"0": [1, 2], "1": [1, 2, 3], "2": [1, 3]}}, 'lists["1"]: expected 2 colors, as in lists["0"], got 3', ["solve"]),
+            ({"n": -1, "edges": []}, "n: expected a nonnegative integer, got -1", SOLVE_K3),
         ],
     )
     def test_malformed_field_is_input_error_naming_it(self, tmp_path, capsys, fields, path, flags):
@@ -440,6 +443,51 @@ class TestCli:
             cli.main()
         assert exc.value.code == 3
         assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, code", [("gen", 0), ("check", 1)])
+    def test_closed_stdout_keeps_the_verdict(self, tmp_path, capsys, monkeypatch, verb, code):
+        # a reader that stops early (`oddcolor gen ... | head -c 100`)
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        c4 = write_graph(tmp_path, "c4.json", cycle_graph(4))  # it has a 4-cycle
+        argv = ["gen", "--n", "12", "--min-girth", "5"] if verb == "gen" else ["check", "--graph", c4]
+        monkeypatch.setattr(sys, "argv", ["oddcolor", *argv])
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        # stdout's descriptor now writes to the null device, so no flush at
+        # interpreter exit meets the closed pipe again
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        os.close(fd)
+        assert exc.value.code == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "internal error" not in err
+
+    def test_pipe_closed_before_the_report_exits_quietly(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "oddcolor.cli", "gen", "--n", "12", "--min-girth", "5"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        proc.stdout.close()  # no reader is left when the report is written
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == "oddcolor gen: ok\n"
+
+    def test_choosable_universe_is_not_built(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "p3.json", path_graph(3))
+        started = time.perf_counter()
+        code, rep, _ = self.run(
+            capsys, "choosable", "--graph", path, "--k", "2", "--universe", "1000000000000",
+        )
+        assert time.perf_counter() - started < 1
+        assert code == 0 and rep["result"]["universe"] == 10**12
 
     def test_reports_reproducible(self, tmp_path, capsys):
         path = write_graph(tmp_path, "c5.json", cycle_graph(5))
