@@ -110,10 +110,11 @@ def cmd_solve(args, inst: Instance):
         lists = uniform_lists(inst.graph.n, _at_least("--k", args.k, 1))
     elif args.k is not None:
         raise InputError("--k cannot be combined with an instance file with lists")
+    k = lists.k if args.k is None else args.k  # an empty graph's lists have no size
     coloring = solve(RelaxedInstance(inst.graph, inst.r, lists))
     if coloring is None:
-        return {"status": "UNSAT", "k": lists.k}, EXIT_REFUTED
-    return {"status": "SAT", "k": lists.k, **jsonio.coloring_to_json(coloring)}, EXIT_OK
+        return {"status": "UNSAT", "k": k}, EXIT_REFUTED
+    return {"status": "SAT", "k": k, **jsonio.coloring_to_json(coloring)}, EXIT_OK
 
 
 def cmd_chromatic(args, inst: Instance):

@@ -10,14 +10,13 @@ non-relaxed vertices that see no color an odd number of times.
 
 The solver is an exact, iterative backtracking search.  Each vertex carries
 the XOR mask of the colors on its colored neighbors, so a parity check is one
-comparison with 0, and forward checking backtracks as soon as a neighbor of
-the last assigned vertex has no color left.  When every vertex has the same
-list, the colors are interchangeable, so a vertex never tries a color above
-the highest one already used plus one (value-interchangeability symmetry
-breaking).  A failure jumps back to the latest position that helps explain
-it, not just to the previous one (conflict-directed backjumping, Prosser
-1993).  None of this changes which coloring the search returns: the first
-valid one in its fixed order.
+comparison with 0.  After each assignment, a neighbor with no color left
+rejects the choice, and one with a single color left is colored at once, so
+chains of forced colors cost one pass (forced-color propagation).  When every
+vertex has the same list, the colors are interchangeable, so a vertex never
+tries a color above the highest one already used plus one
+(value-interchangeability symmetry breaking).  None of this changes which
+coloring the search returns: the first valid one in its fixed order.
 """
 
 from __future__ import annotations
@@ -178,58 +177,48 @@ def solver_order(g: Graph) -> list[int]:
 def solve(inst: RelaxedInstance) -> Coloring | None:
     """Exact search for a relaxed-odd list coloring; None iff none exists.
 
-    Iterative depth-first search over solver_order that keeps each position's
-    untried allowed colors, trying colors in increasing order, so the result
-    is the first valid coloring in that lexicographic order.  Colors are
-    bits indexed by rank in the union of the lists.  Each vertex keeps the
-    XOR mask of the colors on its colored neighbors (the colors seen an odd
-    number of times) and its count of uncolored neighbors.  A constrained
-    vertex needs a nonzero mask once the count is 0, so at count 1 a
-    single-color mask forbids that color to the last neighbor.  After each
-    assignment, every uncolored neighbor and the last uncolored neighbor of
-    each constrained neighbor must keep an allowed color.  This forward
-    check only cuts subtrees without a solution, so it never changes which
-    coloring is returned.
+    Iterative depth-first search over solver_order, trying colors in
+    increasing order, so the result is the first valid coloring in that
+    lexicographic order.  Colors are bits indexed by rank in the union of
+    the lists.  Each vertex keeps the XOR mask of the colors on its colored
+    neighbors (the colors seen an odd number of times) and its count of
+    uncolored neighbors.  A constrained vertex needs a nonzero mask once the
+    count is 0, so at count 1 a single-color mask forbids that color to the
+    last neighbor.
+
+    After each assignment the search examines every uncolored neighbor and
+    the last uncolored neighbor of each constrained neighbor.  One with no
+    allowed color rejects the choice; one with exactly one is colored at
+    once, recorded on the current level's trail and examined in turn.  A
+    forced color holds in every solution that extends the choices made so
+    far, so propagation never changes which coloring is returned, and a
+    position whose vertex is already colored is passed without branching.
+    A dead end backtracks to the latest choice and undoes its trail.
 
     When every vertex has the same list mask, position p tries only ranks up
-    to top[p] + 1, where top[p] is the highest rank on order[:p].  This keeps
-    the returned coloring: if the first valid coloring gave order[p] a rank
-    c > top[p] + 1, swapping c and top[p] + 1 everywhere (both unused on the
-    prefix, both in every list) would give a valid coloring that comes
-    earlier in the search order.  UNSAT proofs shrink by up to k! this way.
-    Lists that differ anywhere get the full search.
-
-    Backjumping: conflict[p] is a bit mask of the earlier positions whose
-    colors explain why colors failed at p.  reason(x) holds the positions
-    allowed(x) reads: x's colored neighbors, and those of each constrained
-    neighbor down to one uncolored neighbor and a one-color mask.  A color
-    that wipes out some x adds reason(x); an exhausted p adds reason(order[p])
-    for what allowed() removed on entry.  A color c the cap removed needs no
-    reason: c mirrors top[p] + 1, which allowed() never removes (no prefix
-    vertex uses it) and p tries, and swapping the two maps any solution that
-    gives p color c onto one that gives it top[p] + 1, which a reason in the
-    set already refutes.  The search then jumps to the latest position h in
-    the set and merges the rest into conflict[h]; an empty set means UNSAT.
-    No choice between h and p changes an input of the failure, so the skipped
-    subtrees hold no solution and the first coloring is the same.  A level's
-    mask is cleared when the search leaves the level, so memory stays linear
-    in n.  Time is not: a mask that holds a low position costs O(p) words per
-    operation, and on a long UNSAT cycle every level's mask holds position 0.
-    Sets of positions avoid that, but they were slower on the search's
-    typical inputs.
+    to top[p] + 1, where top[p] is the highest rank on order[:p], forced
+    colors included.  This keeps the returned coloring: if the first valid
+    coloring gave order[p] a rank c > top[p] + 1, swapping c and top[p] + 1
+    everywhere (both unused on the prefix, both in every list) would give a
+    valid coloring that comes earlier in the search order.  UNSAT proofs
+    shrink by up to k! this way.  Lists that differ anywhere get the full
+    search.
     """
     g = inst.graph
     n = g.n
     if n == 0:
         return {}
-    palette = sorted(set().union(*inst.lists.lists))
+    distinct = set(inst.lists.lists)
+    palette = sorted(set().union(*distinct))
     rank = {col: i for i, col in enumerate(palette)}
-    list_mask = [sum(1 << rank[col] for col in inst.lists[v]) for v in range(n)]
+    masks = {s: sum(1 << rank[col] for col in s) for s in distinct}
+    list_mask = [masks[s] for s in inst.lists.lists]
     adj = [tuple(g.adj[v]) for v in range(n)]
     constrained = [not x for x in relaxed_flags(g, inst.r)]
     color = [-1] * n
     mask = [0] * n
     uncolored = [len(a) for a in adj]
+    trail: list[int] = []  # colored vertices, in the order they were colored
 
     def allowed(x: int) -> int:
         forbid = 0
@@ -242,89 +231,67 @@ def solve(inst: RelaxedInstance) -> Coloring | None:
 
     def assign(u: int, c: int) -> None:
         color[u] = c
+        trail.append(u)
         for w in adj[u]:
             mask[w] ^= 1 << c
             uncolored[w] -= 1
 
-    def unassign(u: int) -> None:
-        for w in adj[u]:
-            mask[w] ^= 1 << color[u]
-            uncolored[w] += 1
-        color[u] = -1
+    def undo(mark: int) -> None:
+        """Uncolor the vertices colored since the trail had length mark."""
+        while len(trail) > mark:
+            u = trail.pop()
+            for w in adj[u]:
+                mask[w] ^= 1 << color[u]
+                uncolored[w] += 1
+            color[u] = -1
 
-    def wiped_out(u: int) -> int:
-        """A vertex left with no allowed color after coloring u, else -1."""
-        for w in adj[u]:
-            if color[w] < 0 and not allowed(w):
-                return w
-            if constrained[w] and uncolored[w] == 1:
-                x = next(x for x in adj[w] if color[x] < 0)
-                if not allowed(x):
-                    return x
-        return -1
-
-    def reason(x: int) -> int:
-        """The positions whose colors allowed(x) reads, as a bit mask."""
-        out = 0
-        for y in adj[x]:
-            if color[y] >= 0:
-                out |= 1 << pos[y]
-            if uncolored[y] == 1 and constrained[y]:
-                m = mask[y]
-                if m and not m & (m - 1):
-                    for z in adj[y]:
-                        if z != x:
-                            out |= 1 << pos[z]
-        return out
+    def propagate(u: int) -> bool:
+        """Color what u's color forces, transitively; False on a wipe-out."""
+        todo = [u]
+        while todo:
+            for w in adj[todo.pop()]:
+                last = -1
+                if constrained[w] and uncolored[w] == 1:
+                    last = next(x for x in adj[w] if color[x] < 0)
+                for x in (w, last):
+                    if x >= 0 and color[x] < 0:
+                        left = allowed(x)
+                        if not left:
+                            return False
+                        if not left & (left - 1):
+                            assign(x, left.bit_length() - 1)
+                            todo.append(x)
+        return True
 
     order = solver_order(g)
-    pos = {v: p for p, v in enumerate(order)}
     # cap[p]: the ranks position p may try, as a bit mask.  With one list
     # everywhere these are the ranks up to top[p] + 1, else all ranks (-1).
-    cap = [1 if len(set(list_mask)) == 1 else -1] * n
-    entry = [0] * n  # allowed(order[p]) when p was entered
-    untried = [0] * n
-    conflict = [0] * n
-    p = 0
-    entry[0] = left = allowed(order[0])
-    left &= cap[0]
+    cap = [1 if len(masks) == 1 else -1] * n
+    choices = []  # (position, trail length before it, untried colors) per open choice
+    p = mark = 0
+    left = allowed(order[0]) & cap[0]
     while True:
-        u = order[p]
         while left:
             c = (left & -left).bit_length() - 1  # lowest untried color
             left ^= 1 << c
-            assign(u, c)
-            x = wiped_out(u)
-            if x < 0:
+            assign(order[p], c)
+            if propagate(order[p]):
                 break
-            conflict[p] |= reason(x)
-            unassign(u)
+            undo(mark)
         else:
-            # p is exhausted: jump to the latest position in its conflict set
-            why = conflict[p]
-            conflict[p] = 0
-            if entry[p] != list_mask[u]:
-                why |= reason(u)
-            h = why.bit_length() - 1
-            if h == p:  # a wipe-out reason can name p itself
-                why ^= 1 << p
-                h = why.bit_length() - 1
-            if h < 0:
+            if not choices:
                 return None
-            conflict[h] |= why ^ (1 << h)
-            for q in range(h + 1, p):
-                unassign(order[q])
-                conflict[q] = 0
-            unassign(order[h])
-            p, left = h, untried[h]
+            p, mark, left = choices.pop()
+            undo(mark)
             continue
-        if p + 1 == n:
-            return {v: palette[color[v]] for v in range(n)}
-        untried[p] = left
-        cap[p + 1] = cap[p] | 2 << c  # ranks up to max(top[p], c) + 1
-        p += 1
-        entry[p] = left = allowed(order[p])
-        left &= cap[p]
+        choices.append((p, mark, left))
+        while color[order[p]] >= 0:
+            if p + 1 == n:
+                return {v: palette[color[v]] for v in range(n)}
+            cap[p + 1] = cap[p] | 2 << color[order[p]]  # ranks up to top[p + 1] + 1
+            p += 1
+        mark = len(trail)
+        left = allowed(order[p]) & cap[p]
 
 
 def odd_chromatic_number(g: Graph) -> int:

@@ -11,7 +11,7 @@ and so is the per-edge-BFS ``girth`` it replaced.  The generator loop that
 ran one bounded BFS per candidate edge is kept as ``girth_instances_reference``
 to pin the distance-ball generator to the same graphs.  The solver's
 chronological backtracking search is kept as ``solve_chronological_reference``
-to pin the backjumping search to the same first colorings.  The face tracer
+to pin the propagating search to the same first colorings.  The face tracer
 that advanced tuple flags through two closures is kept as
 ``trace_faces_reference`` to pin the flat-table tracer to the same faces.
 The face search from before its mirror cut is kept as
@@ -97,7 +97,7 @@ def brute_force_relaxed_odd(inst, order=None) -> dict[int, int] | None:
 
 
 def solve_chronological_reference(inst: RelaxedInstance) -> Coloring | None:
-    """The solver before conflict-directed backjumping, kept verbatim.
+    """The solver before backjumping and forced-color propagation, kept verbatim.
 
     Exact search for a relaxed-odd list coloring; None iff none exists.
 

@@ -1,6 +1,7 @@
 import random
+import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -185,6 +186,15 @@ class TestSolve:
             inst = RelaxedInstance(g, r, lists)
             assert solve(inst) == brute_force_relaxed_odd(inst, solver_order_reference(g))
 
+    def test_large_k_builds_each_list_once(self):
+        """One shared list of 5,000 colors.  Building its bit mask once per
+        vertex took 0.8-1.8 s; once per distinct list it takes milliseconds."""
+        inst = RelaxedInstance(cycle_graph(1000), frozenset(), uniform_lists(1000, 5000))
+        started = time.perf_counter()
+        got = solve(inst)
+        assert time.perf_counter() - started < 1
+        assert is_relaxed_odd(inst, got)
+
 
 class TestSymmetryCut:
     """With one list at every vertex, ``solve`` skips colors no earlier vertex
@@ -248,10 +258,10 @@ class TestSymmetryCut:
         self.assert_matches_oracle(self.instances(rng, one_off, 150))
 
 
-class TestBackjumping:
-    """Backjumping skips only levels whose other colors cannot cure a failure,
-    so ``solve`` must return the chronological search's first coloring, or
-    its None, everywhere."""
+class TestPropagation:
+    """Propagation colors only what every solution extending the choices
+    already made must give, so ``solve`` must return the chronological
+    search's first coloring, or its None, everywhere."""
 
     @staticmethod
     def random_instance(rng):
@@ -294,6 +304,32 @@ class TestBackjumping:
         inst = RelaxedInstance(g, frozenset(), uniform_lists(g.n, 3))
         assert solve(inst) == solve_chronological_reference(inst)
 
+    def test_matches_chronological_search_on_random_lists(self):
+        """perfbench's lists family: random 3-lists from 1..6 on girth-7
+        graphs, where no symmetry cap applies."""
+        draw = random.Random(99)
+        for n in range(30, 64, 3):
+            g = generate_girth_instances(n, 7, 1, 7100 + n)[0]
+            lists = ListAssignment(
+                tuple(frozenset(draw.sample(range(1, 7), 3)) for _ in range(g.n))
+            )
+            inst = RelaxedInstance(g, frozenset(), lists)
+            assert solve(inst) == solve_chronological_reference(inst)
+
+    def test_matches_chronological_search_on_forced_chains(self):
+        """At k = 3 every color of a cycle after the first two is forced, at
+        k = 4 only those where the cycle closes; with and without an R edge,
+        which relaxes its ends."""
+        outcomes = set()
+        for n, k in product(range(3, 61), (3, 4)):
+            c = cycle_graph(n)
+            for r in (frozenset(), frozenset(c.edges[:1])):
+                inst = RelaxedInstance(c, r, uniform_lists(n, k))
+                got = solve(inst)
+                assert got == solve_chronological_reference(inst)
+                outcomes.add((got is not None, bool(r)))
+        assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+
 
 @pytest.mark.usefixtures("default_recursion_limit")
 class TestLongCycles:
@@ -304,11 +340,11 @@ class TestLongCycles:
         assert is_relaxed_odd(inst, solve(inst))
 
     def test_memory_grows_linearly(self):
-        """The UNSAT search backtracks through every level of C_n, and every
-        level's conflict set holds position 0.  Linear growth doubles the
-        traced peak when n doubles.  Conflict sets kept as bit masks over
-        positions after their level is left take O(n^2) bits, and the peak
-        grows 3.2-fold at these sizes."""
+        """The UNSAT search forces every color of C_n after the first two
+        onto one trail and backtracks through it.  Linear growth doubles the
+        traced peak when n doubles; per-level state that kept a bit mask
+        over the earlier positions would take O(n^2) bits, and the peak
+        would grow 3.2-fold at these sizes."""
         peaks = []
         for n in (5000, 10000):
             inst = RelaxedInstance(cycle_graph(n), frozenset(), uniform_lists(n, 3))

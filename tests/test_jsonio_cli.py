@@ -162,6 +162,12 @@ class TestCli:
         assert rep["result"]["status"] == "SAT"
         assert len(rep["result"]["colors"]) == 5
 
+    def test_solve_empty_graph_reports_requested_k(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "null.json", Graph(0, []))
+        code, rep, _ = self.run(capsys, "solve", "--graph", path, "--k", "5")
+        assert code == 0
+        assert rep["result"]["status"] == "SAT" and rep["result"]["k"] == 5
+
     @pytest.mark.usefixtures("default_recursion_limit")
     def test_solve_long_cycles(self, tmp_path, capsys):
         for n, exit_code, status in [(1500, 0, "SAT"), (1501, 1, "UNSAT")]:
