@@ -18,6 +18,7 @@ the lemmas in the order of ``LEMMA_STATEMENTS``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .graphs import (
@@ -97,10 +98,12 @@ class Analysis:
     walk position, so a walk visiting a vertex twice gives it two corners.
     Per edge: ``sides``, the faces (i, j), i <= j, on its two sides.  Per
     face: ``lengths``, ``vsets`` and ``neighbors`` (the other faces sharing
-    an edge with it).  ``shared`` maps each face pair (i, j), i <= j, to its
-    shared edges; i == j collects the edges whose two sides both lie on face
-    i.  ``edges_at(v, f)`` reads the edges of face f at vertex v off the
-    corners.  Without an embedding the face and edge fields are empty.
+    an edge with it, built on first read, since only the discharging rules
+    read it).  ``shared`` maps each face pair (i, j), i <= j, to the set of
+    its shared edges; i == j collects the edges whose two sides both lie on
+    face i.  ``edges_at(v, f)`` reads the edges of face f at vertex v off
+    the corners.  Without an embedding the face and edge fields are empty.
+    The sets are left mutable, as built: nothing writes to them.
     """
 
     g: Graph
@@ -110,10 +113,18 @@ class Analysis:
     relaxed: tuple[bool, ...]
     lengths: tuple[int, ...]
     vsets: tuple[frozenset[int], ...]
-    shared: dict[tuple[int, int], frozenset[int]]
-    neighbors: tuple[frozenset[int], ...]
+    shared: dict[tuple[int, int], set[int]]
     corners: tuple[tuple[tuple[int, int, int], ...], ...]
     sides: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def neighbors(self) -> tuple[set[int], ...]:
+        out: list[set[int]] = [set() for _ in self.lengths]
+        for i, j in self.shared:
+            if i != j:
+                out[i].add(j)
+                out[j].add(i)
+        return tuple(out)
 
     def edges_at(self, v: int, f: int) -> list[int]:
         """The edges of face f at vertex v, in increasing order."""
@@ -129,26 +140,23 @@ def analyze(g: Graph, r: RSet, emb: EmbeddedGraph | None = None) -> Analysis:
     corners: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
     sides: list[list[int]] = [[] for _ in g.edges] if faces else []
     for fi, f in enumerate(faces):
-        for (v, dep), (_, arr) in zip(f.darts, f.darts[-1:] + f.darts[:-1]):
+        darts = f.darts
+        for (v, dep), (_, arr) in zip(darts, darts[-1:] + darts[:-1]):
             corners[v].append((fi, arr, dep))
             sides[dep].append(fi)
+    pairs = tuple(map(tuple, sides))
     # every edge has exactly two sides, met in face order, so i <= j
-    assert all(len(s) == 2 for s in sides)
+    assert all(len(p) == 2 for p in pairs)
     shared: dict[tuple[int, int], set[int]] = {}
-    neighbors: list[set[int]] = [set() for _ in faces]
-    for ei, (i, j) in enumerate(sides):
-        shared.setdefault((i, j), set()).add(ei)
-        if i != j:
-            neighbors[i].add(j)
-            neighbors[j].add(i)
+    for ei, pair in enumerate(pairs):
+        shared.setdefault(pair, set()).add(ei)
     return Analysis(
-        g, r, emb, tuple(g.degree(v) for v in range(g.n)), tuple(relaxed_flags(g, r)),
+        g, r, emb, tuple(map(len, g.adj)), tuple(relaxed_flags(g, r)),
         tuple(f.length for f in faces),
         tuple(f.vertex_set() for f in faces),
-        {k: frozenset(es) for k, es in shared.items()},
-        tuple(map(frozenset, neighbors)),
+        shared,
         tuple(map(tuple, corners)),
-        tuple(map(tuple, sides)),
+        pairs,
     )
 
 

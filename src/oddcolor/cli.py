@@ -254,7 +254,9 @@ def run_command(argv: list[str]) -> int:
         "result": result,
     }
     try:
-        print(json.dumps(report, sort_keys=True), flush=True)
+        # a report never contains itself, so the encoder's check for
+        # reference cycles is skipped
+        print(json.dumps(report, sort_keys=True, check_circular=False), flush=True)
     except BrokenPipeError:
         # the reader stopped early (`| head`): the verdict stands, and stdout
         # now writes to the null device, so no flush at exit fails again

@@ -16,11 +16,13 @@ Euler genus 2 - (|V| - |E| + |F|) is well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .graphs import Graph, girth
 
 Dart = tuple[int, int]  # (tail vertex, edge index): one traversal step of a walk
+_SIGNS = frozenset((1, -1))
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class FaceWalk:
         return len(self.darts)
 
     def vertex_set(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.darts)
+        return frozenset(map(itemgetter(0), self.darts))
 
 
 def _canonical_walk(darts: list[Dart]) -> FaceWalk:
@@ -58,27 +60,37 @@ def trace_faces(emb: EmbeddedGraph) -> tuple[FaceWalk, ...]:
     The next-dart rule is the rotation successor, reflected on the far side
     of a -1 edge.  A flag is a (vertex, rotation position, side) triple,
     numbered 2 * slot + side, where the slots count rotation positions vertex
-    by vertex.  One pass over the rotation and one over the edges build
-    ``crossed[f]``, the flag across f's edge (the side flips on a +1 edge and
-    stays on a -1 edge), and ``step[f]``, the corner turn from ``crossed[f]``
-    (side 1 turns to the next position, side 0 to the previous one).  Each
-    face walk then follows ``step`` from the first unseen flag.
+    by vertex.  ``turn[f]`` is the corner turn of flag f (side 1 turns to
+    the next position, side 0 to the previous one): two range slices give
+    every turn within a vertex's slots, and one pass over the vertices
+    wraps the turns at the ends of each.  One pass over the edges, which
+    finds each dart's slot by the integer key tail * n + head, builds
+    ``crossed[f]``, the flag across f's edge (the side flips on a +1 edge
+    and stays on a -1 edge), and ``step[f]``, the corner turn from
+    ``crossed[f]``.  Each face walk then follows ``step`` from the first
+    unseen flag.
     """
     graph = emb.graph
-    if graph.n == 1 and not graph.edges:
+    n = graph.n
+    if n == 1 and not graph.edges:
         return (FaceWalk(()),)
 
-    slot_of: dict[tuple[int, int], int] = {}
-    turn: list[int] = []  # the corner turn of every flag
-    for v, order in enumerate(emb.rotation):
-        base, d = len(slot_of), len(order)
-        for p, w in enumerate(order):
-            slot_of[v, w] = base + p
-            turn += (2 * (base + (p - 1) % d) + 1, 2 * (base + (p + 1) % d))
+    keys = [v * n + w for v, order in enumerate(emb.rotation) for w in order]
+    slots = len(keys)
+    slot_of = dict(zip(keys, range(slots)))
+    turn = [0] * (2 * slots)
+    turn[0::2] = range(-1, 2 * slots - 1, 2)  # side 0 of slot s: side 1 of s - 1
+    turn[1::2] = range(2, 2 * slots + 2, 2)  # side 1 of slot s: side 0 of s + 1
+    first = 0
+    for order in emb.rotation:
+        last = first + len(order) - 1
+        turn[2 * first] = 2 * last + 1
+        turn[2 * last + 1] = 2 * first
+        first = last + 1
     crossed = [0] * len(turn)
-    darts: list = [None] * len(slot_of)
+    darts: list = [None] * slots
     for e, ((a, b), sign) in enumerate(zip(graph.edges, emb.signs)):
-        x, y = slot_of[a, b], slot_of[b, a]
+        x, y = slot_of[a * n + b], slot_of[b * n + a]
         darts[x], darts[y] = (a, e), (b, e)
         flip = sign == 1
         crossed[2 * x], crossed[2 * x + 1] = 2 * y + flip, 2 * y + 1 - flip
@@ -118,24 +130,20 @@ class EmbeddedGraph:
             raise ValueError("an embedding needs at least one vertex; the graph has none")
         if len(rotation) != graph.n:
             raise ValueError("rotation must list every vertex")
-        rot = []
-        for v in range(graph.n):
-            order = tuple(map(int, rotation[v]))
-            if len(order) != len(graph.adj[v]) or graph.adj[v] != set(order):
-                raise ValueError(f"rotation[{v}]: expected an order of the neighbors {sorted(graph.adj[v])}, got {list(order)}")
-            rot.append(order)
-        if signs is None:
-            signs = (1,) * len(graph.edges)
-        signs = tuple(int(s) for s in signs)
+        rot = tuple(map(tuple, rotation))
+        for v, (order, nbrs) in enumerate(zip(rot, graph.adj)):
+            if len(order) != len(nbrs) or nbrs != set(order):
+                raise ValueError(f"rotation[{v}]: expected an order of the neighbors {sorted(nbrs)}, got {list(order)}")
+        signs = (1,) * len(graph.edges) if signs is None else tuple(signs)
         if len(signs) != len(graph.edges):
             raise ValueError(f"signs: expected {len(graph.edges)} entries, one per edge, got {len(signs)}")
-        for i, s in enumerate(signs):
-            if s not in (-1, 1):
-                raise ValueError(f"signs[{i}]: expected 1 or -1, got {s}")
+        if not _SIGNS.issuperset(signs):
+            i, s = next((i, s) for i, s in enumerate(signs) if s not in _SIGNS)
+            raise ValueError(f"signs[{i}]: expected 1 or -1, got {s}")
         if not graph.is_connected():
             raise ValueError("face tracing needs a connected graph")
         self.graph = graph
-        self.rotation: tuple[tuple[int, ...], ...] = tuple(rot)
+        self.rotation: tuple[tuple[int, ...], ...] = rot
         self.signs: tuple[int, ...] = signs
         self._faces: tuple[FaceWalk, ...] | None = None
 

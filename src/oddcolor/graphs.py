@@ -5,7 +5,9 @@ sorted tuples, kept in lexicographic order.  A *relaxation set* (R set) is a
 subset of the edge set; edges of R count twice in the weighted cycle length
 ``r_length(C) = |E(C)| + |E(C) ∩ R|``, and a vertex is *R-relaxed* when its
 degree is odd or zero, or when it is incident with an R edge.  ``r_length``
-and ``relaxed_flags`` are the only implementations of the two definitions.
+and ``relaxed_flags`` are the only implementations of the two definitions;
+``enumerate_cycles`` cuts its search by the same edge weights, and its
+tests hold it to ``r_length``.
 
 The hypothesis check implemented here accepts exactly the graphs whose cycles
 avoid r-lengths 3, 4, and 6 and in which no two cycles of r-length 5 share
@@ -49,14 +51,26 @@ class Graph:
             if not (0 <= e[0] and e[1] < n):
                 raise ValueError(f"edge {e} out of range for n={n}")
             norm.add(e)
+        self._fill(n, tuple(sorted(norm)))
+
+    @classmethod
+    def from_sorted_edges(cls, n: int, edges: tuple[Edge, ...]) -> "Graph":
+        """The graph on 0..n-1 with ``edges``, which the caller has checked
+        to be pairs u < v < n in increasing order, each once; nothing is
+        checked again."""
+        g = cls.__new__(cls)
+        g._fill(n, edges)
+        return g
+
+    def _fill(self, n: int, edges: tuple[Edge, ...]) -> None:
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         self.n = n
-        self.edges: tuple[Edge, ...] = tuple(sorted(norm))
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in nbrs)
-        self._edge_pos = {e: i for i, e in enumerate(self.edges)}
+        self.edges: tuple[Edge, ...] = edges
+        self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, nbrs))
+        self._edge_pos = dict(zip(edges, range(len(edges))))
 
     # -- basic queries -----------------------------------------------------
 
@@ -110,8 +124,9 @@ class Graph:
         """Return (G - v, old->new vertex relabeling keeping ids dense)."""
         self.check_vertex(v)
         relabel = {w: (w if w < v else w - 1) for w in range(self.n) if w != v}
-        edges = [(relabel[a], relabel[b]) for a, b in self.edges if v not in (a, b)]
-        return Graph(self.n - 1, edges), relabel
+        # relabeling keeps the order, so the edges stay sorted
+        edges = tuple((relabel[a], relabel[b]) for a, b in self.edges if v not in (a, b))
+        return Graph.from_sorted_edges(self.n - 1, edges), relabel
 
     def add_edge(self, u: int, v: int) -> "Graph":
         e = normalize_edge(u, v)
@@ -162,11 +177,14 @@ def r_set(g: Graph, edges: Iterable[tuple[int, int]]) -> RSet:
 
 
 def r_set_from_indices(g: Graph, indices: Iterable[int]) -> RSet:
-    """Relaxation set given as indices into the sorted edge list."""
+    """Relaxation set given as indices into the sorted edge list, each at
+    most once."""
     out = set()
     for i in indices:
         if not 0 <= i < len(g.edges):
             raise ValueError(f"edge index {i} out of range")
+        if g.edges[i] in out:
+            raise ValueError(f"edge index {i} is listed twice")
         out.add(g.edges[i])
     return frozenset(out)
 
@@ -208,28 +226,42 @@ def relaxed_flags(g: Graph, r: RSet) -> list[bool]:
     return [g.degree(v) % 2 == 1 or not g.adj[v] or v in ends for v in range(g.n)]
 
 
-def enumerate_cycles(g: Graph, max_edge_count: int) -> list[Cycle]:
-    """All simple cycles with at most ``max_edge_count`` edges, each once.
+def enumerate_cycles(g: Graph, bound: int, r: RSet = frozenset()) -> list[Cycle]:
+    """All simple cycles of r-length at most ``bound``, each once; with
+    ``r`` empty that is every cycle of at most ``bound`` edges.
 
     Each cycle is produced exactly once up to rotation and reflection: the
-    search roots every cycle at its smallest vertex and fixes the direction
-    by requiring second vertex < last vertex.  Output is in lexicographic
-    order of the canonical vertex sequences.
+    search roots every cycle at its smallest vertex s and fixes the
+    direction by requiring second vertex < last vertex.  Output is in
+    lexicographic order of the canonical vertex sequences.
 
     A BFS from each root s over the vertices above it, to radius
-    ``max_edge_count // 2``, prunes exactly: a path is extended to w only if
-    ``len(path) + dist[w]`` still fits the bound, so the cost is the paths
-    that can close, not all paths.  Runs on an explicit stack.
+    ``bound // 2``, gives dist[w], the fewest edges from w back to s, which
+    no r-length back is below.  The search carries the r-length of its path
+    and steps to w only if that, counting the step, plus dist[w] still fits
+    the bound; it closes a cycle only if the edge back to s fits too.  So it
+    builds no cycle over the bound, and its cost is the paths that can
+    close, not all paths.  The second vertex is never s's largest neighbor
+    above s, since no last vertex could then exceed it, and a root with
+    fewer than two neighbors above it is skipped.  Runs on an explicit
+    stack.
     """
-    if max_edge_count < 3:
-        raise ValueError("max_edge_count must be at least 3")
+    if bound < 3:
+        raise ValueError("bound must be at least 3")
     out: list[Cycle] = []
-    adj_sorted = [sorted(g.adj[v]) for v in range(g.n)]
-    far = max_edge_count + 1  # no cycle within the bound passes there
+    adj_sorted = [sorted(a) for a in g.adj]
+    heavy: list[tuple[int, ...]] = [()] * g.n  # the neighbors across an R edge
+    for a, b in r:
+        heavy[a] += (b,)
+        heavy[b] += (a,)
+    far = bound + 1  # no cycle within the bound passes there
     dist = [far] * g.n  # to the root, through vertices above it; far on the path
     for s in range(g.n):
+        above = adj_sorted[s][bisect_right(adj_sorted[s], s):]
+        if len(above) < 2:
+            continue
         reached, frontier = [s], [s]
-        for d in range(1, max_edge_count // 2 + 1):
+        for d in range(1, bound // 2 + 1):
             nxt = []
             for u in frontier:
                 for w in adj_sorted[u]:
@@ -238,22 +270,31 @@ def enumerate_cycles(g: Graph, max_edge_count: int) -> list[Cycle]:
                         nxt.append(w)
             reached += nxt
             frontier = nxt
+        back = heavy[s]  # from these the edge back to s has r-length 2
         path = [s]
+        rooms = [bound]  # the r-length left after each path vertex
         saved = [far]  # dist of each path vertex before it joined the path
-        stack = [iter(adj_sorted[s])]
+        stack = [iter(above[:-1])]
         while stack:
+            room = rooms[-1]
+            hv = heavy[path[-1]]
             for w in stack[-1]:
                 d = dist[w]
-                if len(path) + d <= max_edge_count:
-                    path.append(w)
-                    if d == 1 and len(path) >= 3 and path[1] < w:
-                        out.append(Cycle(tuple(path)))
-                    saved.append(d)
-                    dist[w] = far
-                    stack.append(iter(adj_sorted[w]))
-                    break
+                if d < room:  # a step of r-length 1 would fit
+                    c = 2 if w in hv else 1
+                    if c + d <= room:
+                        path.append(w)
+                        room -= c
+                        if d == 1 and len(path) >= 3 and path[1] < w and (2 if w in back else 1) <= room:
+                            out.append(Cycle(tuple(path)))
+                        rooms.append(room)
+                        saved.append(d)
+                        dist[w] = far
+                        stack.append(iter(adj_sorted[w]))
+                        break
             else:
                 stack.pop()
+                rooms.pop()
                 dist[path.pop()] = saved.pop()
         for w in reached:
             dist[w] = far
@@ -357,18 +398,20 @@ def hypothesis_check(g: Graph, r: RSet) -> HypothesisReport:
     """Check the two cycle conditions of the relaxed coloring theorem.
 
     (a) no cycle has r-length 3, 4, or 6; (b) no two distinct cycles of
-    r-length 5 share exactly one edge.  Since r_length(C) >= |E(C)|, cycles
-    with more than 6 edges are irrelevant to (a), and r-length-5 cycles have
-    at most 5 edges, so enumerating cycles of up to 6 edges is exhaustive.
+    r-length 5 share exactly one edge.  Both speak only of cycles of
+    r-length at most 6, and ``enumerate_cycles(g, 6, r)`` builds exactly
+    those: its search is cut by r-length, so it never builds a cycle that
+    this check would discard.
 
     (b) pairs the r-length-5 cycles through an edge index: its cost is the
     number of (edge, cycle, cycle) incidences, not all pairs of cycles.
     """
-    cycles = enumerate_cycles(g, 6)
+    cycles = enumerate_cycles(g, 6, r)
     forbidden = []
     fives = []
     for c in cycles:
-        L = r_length(c, r) if r else len(c.vertices)
+        # r-lengths are at most 6, so a cycle of 6 edges has no R edge
+        L = r_length(c, r) if r and len(c.vertices) < 6 else len(c.vertices)
         if L in (3, 4, 6):
             forbidden.append((c, L))
         elif L == 5:

@@ -13,8 +13,9 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 
-from .graphs import Graph, RSet, r_set_from_indices
+from .graphs import Graph, RSet
 from .embedding import EmbeddedGraph
 from .coloring import Coloring, ListAssignment
 
@@ -88,9 +89,15 @@ def _ints(value, path: str, bound: int | None = None) -> list[int]:
 
 def _per_vertex(value, path: str, n: int) -> list[list[int]]:
     """One integer list per vertex, in an object keyed "0".."n-1"."""
-    if not isinstance(value, dict) or set(value) != {str(v) for v in range(n)}:
+    keys = list(map(str, range(n)))
+    if not isinstance(value, dict) or value.keys() != set(keys):
         raise ValueError(f"{path}: expected an object with one key per vertex 0..{n - 1}")
-    return [_ints(value[str(v)], f'{path}["{v}"]') for v in range(n)]
+    lists = [value[k] for k in keys]
+    # one pass over every entry; only a bad one needs the per-vertex pass
+    # that names it
+    if set(map(type, lists)) <= {list} and set(map(type, chain.from_iterable(lists))) <= {int}:
+        return lists
+    return [_ints(x, f'{path}["{v}"]') for v, x in enumerate(lists)]
 
 
 def instance_from_json(obj: dict) -> Instance:
@@ -98,8 +105,12 @@ def instance_from_json(obj: dict) -> Instance:
 
     Every field is checked for type, shape, index range, order and value; a
     bad one raises ValueError naming its JSON path, for example ``edges[0]``,
-    ``rotation["2"]`` or ``signs[1]``.  Each color list has distinct colors,
-    and all have the size of ``lists["0"]``.
+    ``R[1]``, ``rotation["2"]`` or ``signs[1]``.  Each field is checked
+    once: the graph is built from the edges as checked here, without
+    normalizing and sorting them again, and ``EmbeddedGraph`` checks only
+    what needs the graph, that each rotation orders the neighbors and each
+    sign is 1 or -1.  R lists each edge index at most once, and each color
+    list has distinct colors, all of the size of ``lists["0"]``.
     """
     if not isinstance(obj, dict) or "schema" not in obj:
         raise ValueError("instance file is not a JSON object with a schema version field")
@@ -112,7 +123,7 @@ def instance_from_json(obj: dict) -> Instance:
         raise ValueError(f"n: expected a nonnegative integer, got {n}")
     if not isinstance(edges, list):
         raise ValueError(f"edges: expected a list of vertex pairs, got {edges!r}")
-    prev = None  # the previous edge, sorted
+    pairs: list[tuple[int, int]] = []  # the edges as checked, each sorted
     for i, e in enumerate(edges):
         a = b = None
         if isinstance(e, list) and len(e) == 2:
@@ -122,11 +133,18 @@ def instance_from_json(obj: dict) -> Instance:
             raise ValueError(f"edges[{i}]: expected two distinct vertices, got {e}")
         pair = (a, b) if a < b else (b, a)
         # R and signs index the sorted edge list, so the file must list it so
-        if i and pair <= prev:
+        if pairs and pair <= pairs[-1]:
             raise ValueError(f"edges[{i}]: {e} does not follow {edges[i - 1]}; list edges sorted, once each")
-        prev = pair
-    g = Graph(n, edges)
-    r = r_set_from_indices(g, _ints(obj.get("R", []), "R", len(g.edges)))
+        pairs.append(pair)
+    g = Graph.from_sorted_edges(n, tuple(pairs))
+    indices = _ints(obj.get("R", []), "R", len(pairs))
+    if len(set(indices)) < len(indices):  # name the first repeat
+        seen: set[int] = set()
+        for i, x in enumerate(indices):
+            if x in seen:
+                raise ValueError(f"R[{i}]: {x} is listed twice; list each relaxation edge once")
+            seen.add(x)
+    r = frozenset(map(pairs.__getitem__, indices))
     emb = None
     if "rotation" in obj:
         rotation = _per_vertex(obj["rotation"], "rotation", g.n)

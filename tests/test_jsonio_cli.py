@@ -402,6 +402,20 @@ class TestCli:
             ({"lists": {"0": [1, 1], "1": [1, 2], "2": [1, 3]}}, 'lists["0"]: expected distinct colors, got [1, 1]', ["solve"]),
             ({"lists": {"0": [1, 2], "1": [1, 2, 3], "2": [1, 3]}}, 'lists["1"]: expected 2 colors, as in lists["0"], got 3', ["solve"]),
             ({"n": -1, "edges": []}, "n: expected a nonnegative integer, got -1", SOLVE_K3),
+            # R indexes the edge list like a set: a repeat would load as one R edge
+            ({"R": [0, 0]}, "R[1]: 0 is listed twice", SOLVE_K3),
+            ({"R": [1, 0, 1]}, "R[2]: 1 is listed twice", SOLVE_K3),
+            ({}, "bad --r value: edge index 0 is listed twice", ["check", "--r", "0,0"]),
+            # only the last element is bad: each field is checked to its end
+            ({"edges": [[0, 1], [2, 2]]}, "edges[1]: expected two distinct vertices, got [2, 2]", SOLVE_K3),
+            ({"edges": [[0, 1], [1, 3]]}, "edges[1][1]: 3 is out of range 0..2", SOLVE_K3),
+            ({"edges": [[0, 1], [1, 2], [1, 2]]}, "edges[2]: [1, 2] does not follow [1, 2]", SOLVE_K3),
+            ({"R": [0, 5]}, "R[1]: 5 is out of range 0..1", SOLVE_K3),
+            ({"rotation": {"0": [1], "1": [2, 0], "2": [1]}, "signs": [1, 2]}, "signs[1]: expected 1 or -1, got 2", SOLVE_K3),
+            ({"rotation": {"0": [1], "1": [2, 0], "2": [1]}, "signs": [1, 1.5]}, "signs[1]: expected an integer, got 1.5", SOLVE_K3),
+            ({"rotation": {"0": [1], "1": [0, 2], "2": [0]}}, 'rotation["2"]: expected an order of the neighbors [1], got [0]', SOLVE_K3),
+            ({"rotation": {"0": [1], "1": [0, 2], "2": [True]}}, 'rotation["2"][0]: expected an integer, got True', SOLVE_K3),
+            ({"lists": {"0": [1, 2], "1": [1, 2], "2": [1, False]}}, 'lists["2"][1]: expected an integer, got False', ["solve"]),
         ],
     )
     def test_malformed_field_is_input_error_naming_it(self, tmp_path, capsys, fields, path, flags):
