@@ -29,7 +29,6 @@ from .embedding import (
     EmbeddedGraph,
     FaceWalk,
     embed_search,
-    normalize_signatures,
     sorted_rotation,
     trace_faces,
 )
@@ -65,7 +64,6 @@ from .discharge import (
     HuntReport,
     Transfer,
     charge_report,
-    euler_identity_twelfths,
     generate_transfers,
     hunt,
     initial_charges,

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 
 from .graphs import (
     Graph,
@@ -79,12 +80,6 @@ class AuditReport:
     def violated(self) -> tuple[AuditEntry, ...]:
         return tuple(e for e in self.entries if e.verdict == "violated")
 
-    def entry(self, lemma: str) -> AuditEntry:
-        for e in self.entries:
-            if e.lemma == lemma:
-                return e
-        raise KeyError(lemma)
-
     def to_json(self) -> list[dict]:
         return [e.to_json() for e in self.entries]
 
@@ -140,8 +135,7 @@ def analyze(g: Graph, r: RSet, emb: EmbeddedGraph | None = None) -> Analysis:
     corners: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
     sides: list[list[int]] = [[] for _ in g.edges] if faces else []
     for fi, f in enumerate(faces):
-        darts = f.darts
-        for (v, dep), (_, arr) in zip(darts, darts[-1:] + darts[:-1]):
+        for (v, dep), (_, arr) in zip(f, f[-1:] + f[:-1]):
             corners[v].append((fi, arr, dep))
             sides[dep].append(fi)
     pairs = tuple(map(tuple, sides))
@@ -152,8 +146,8 @@ def analyze(g: Graph, r: RSet, emb: EmbeddedGraph | None = None) -> Analysis:
         shared.setdefault(pair, set()).add(ei)
     return Analysis(
         g, r, emb, tuple(map(len, g.adj)), tuple(relaxed_flags(g, r)),
-        tuple(f.length for f in faces),
-        tuple(f.vertex_set() for f in faces),
+        tuple(map(len, faces)),
+        tuple(frozenset(map(itemgetter(0), f)) for f in faces),
         shared,
         tuple(map(tuple, corners)),
         pairs,
@@ -198,20 +192,20 @@ def check_triangle_lemmas(a: Analysis) -> list[AuditEntry]:
     for t in triangles:
         L = r_length(t, a.r)
         if L != 5:
-            w4.append({"cycle": list(t.vertices), "r_length": L})
-        for v in t.vertices:
+            w4.append({"cycle": list(t), "r_length": L})
+        for v in t:
             if not relaxed[v]:
-                w4.append({"cycle": list(t.vertices), "non_relaxed_vertex": v})
+                w4.append({"cycle": list(t), "non_relaxed_vertex": v})
     w5 = [
-        {"cycle": list(t.vertices), "vertex": v}
+        {"cycle": list(t), "vertex": v}
         for t in triangles
-        for v in t.vertices
+        for v in t
         if a.deg[v] == 3
     ]
     w10 = [
         {
-            "cycle_a": list(triangles[i].vertices),
-            "cycle_b": list(triangles[j].vertices),
+            "cycle_a": list(triangles[i]),
+            "cycle_b": list(triangles[j]),
             "shared_edges": [list(e) for e in shared],
         }
         for i, j, shared in edge_sharing_pairs(triangles)

@@ -117,24 +117,11 @@ def is_relaxed_odd(inst: RelaxedInstance, c: Coloring) -> bool:
     ill-formed input, not a failed coloring); properness and parity failures
     return False.
     """
-    violations = relaxed_odd_violations(inst, c)
-    for bad in violations:
-        if bad["kind"] == "list":
-            v, col = bad["vertex"], bad["color"]
-            raise ListViolationError(f"vertex {v} colored {col} outside its list")
-    return not violations
-
-
-def relaxed_odd_violations(inst: RelaxedInstance, c: Coloring) -> list[dict]:
-    """Diagnostic listing: list/properness/parity violations, separately tagged."""
-    g = inst.graph
-    mono, blind = _parity_scan(g, inst.r, c)
-    out = [
-        {"kind": "list", "vertex": v, "color": c[v]} for v in range(g.n) if c[v] not in inst.lists[v]
-    ]
-    out += [{"kind": "proper", "edge": [u, v], "color": c[u]} for u, v in mono]
-    out += [{"kind": "odd", "vertex": v} for v in blind]
-    return out
+    mono, blind = _parity_scan(inst.graph, inst.r, c)
+    for v in range(inst.graph.n):
+        if c[v] not in inst.lists[v]:
+            raise ListViolationError(f"vertex {v} colored {c[v]} outside its list")
+    return not mono and not blind
 
 
 # -- exact solver ------------------------------------------------------------
@@ -381,17 +368,17 @@ class ReductionRecord:
     reduced_graph: Graph
     reduced_r: RSet
     relabel: dict[int, int]  # old vertex -> reduced vertex
-    added_edge: Edge | None  # original labels; only for "bridge"
 
 
-def reduce_low_degree(g: Graph, r: RSet, v: int) -> tuple[Graph, RSet, ReductionRecord]:
+def reduce_low_degree(g: Graph, r: RSet, v: int) -> ReductionRecord:
     """Remove a vertex of degree <= 2, preserving the cycle hypotheses.
 
     Degree 0/1 and degree 2 with an incident relaxation edge reduce to G - v.
     Otherwise (degree 2, neighbors a, b) the instance reduces to G - v plus a
     fresh edge ab added to the relaxation set; ab must not already exist,
     which is guaranteed whenever the cycle hypotheses hold (a triangle avb
-    would have weighted length 3 or 4).
+    would have weighted length 3 or 4).  The returned record holds the
+    reduced instance as ``reduced_graph`` and ``reduced_r``.
     """
     g.check_vertex(v)
     nbrs = tuple(sorted(g.adj[v]))
@@ -407,8 +394,7 @@ def reduce_low_degree(g: Graph, r: RSet, v: int) -> tuple[Graph, RSet, Reduction
 
     if d < 2 or any(v in e for e in r):
         case = ("isolated", "pendant", "relaxed_edge")[d]
-        rec = ReductionRecord(case, v, nbrs, g, r, reduced, push(r), relabel, None)
-        return reduced, rec.reduced_r, rec
+        return ReductionRecord(case, v, nbrs, g, r, reduced, push(r), relabel)
     a, b = nbrs
     if g.has_edge(a, b):
         raise ReductionError(
@@ -416,12 +402,9 @@ def reduce_low_degree(g: Graph, r: RSet, v: int) -> tuple[Graph, RSet, Reduction
             "length 3 or 4, so the instance fails the cycle hypotheses"
         )
     new_edge = normalize_edge(relabel[a], relabel[b])
-    reduced2 = reduced.add_edge(*new_edge)
-    reduced_r = push(r) | {new_edge}
-    rec = ReductionRecord(
-        "bridge", v, nbrs, g, r, reduced2, reduced_r, relabel, normalize_edge(a, b)
+    return ReductionRecord(
+        "bridge", v, nbrs, g, r, reduced.add_edge(*new_edge), push(r) | {new_edge}, relabel
     )
-    return reduced2, reduced_r, rec
 
 
 def extend_low_degree(

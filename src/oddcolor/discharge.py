@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import Graph, RSet, hypothesis_check
-from .embedding import EmbeddedGraph, embed_search
+from .embedding import embed_search
 from .audit import Analysis, AuditReport, analyze, full_audit
 
 Element = tuple[str, int]  # ("v", vertex) or ("f", face index)
@@ -47,13 +47,12 @@ class Transfer:
     rule: str
     source: Element
     target: Element
-    amount_twelfths: int
     via: tuple[int, int] | None = None  # edge endpoints, for rules phrased "via ab"
     witness: dict = field(default_factory=dict, compare=False)
 
-    def __post_init__(self):
-        if RULE_TWELFTHS[self.rule] != self.amount_twelfths:
-            raise ValueError(f"{self.rule} must move {RULE_TWELFTHS[self.rule]} twelfths")
+    @property
+    def amount_twelfths(self) -> int:
+        return RULE_TWELFTHS[self.rule]
 
     def to_json(self) -> dict:
         out = {
@@ -87,11 +86,9 @@ def generate_transfers(a: Analysis) -> tuple[Transfer, ...]:
     for fi, f in enumerate(a.emb.faces):
         if lengths[fi] < 5:
             continue
-        for pos, (v, _) in enumerate(f.darts):
+        for pos, (v, _) in enumerate(f):
             if deg[v] == 3:
-                transfers.append(
-                    Transfer("R1", ("f", fi), ("v", v), 6, None, {"corner": pos})
-                )
+                transfers.append(Transfer("R1", ("f", fi), ("v", v), None, {"corner": pos}))
 
     def walk_edge_to_nonrelaxed(f: int, ei: int, end: int) -> tuple[int, int] | None:
         """First edge of face f other than ei leaving ``end`` toward a
@@ -123,12 +120,12 @@ def generate_transfers(a: Analysis) -> tuple[Transfer, ...]:
                             "edge_at_a": list(g.edges[h1[0]]),
                             "outside_at_b": h2,
                         }
-                        transfers.append(Transfer("R2", ("f", f), ("f", fp), 6, (a_, b_), witness))
+                        transfers.append(Transfer("R2", ("f", f), ("f", fp), (a_, b_), witness))
                         break
                 else:
-                    transfers.append(Transfer("R3", ("f", f), ("f", fp), 6, (a_, b_), {}))
+                    transfers.append(Transfer("R3", ("f", f), ("f", fp), (a_, b_)))
             elif lengths[f] >= 5 and lengths[fp] == 3 and min(deg[a_], deg[b_]) == 4:
-                transfers.append(Transfer("R4", ("f", f), ("f", fp), 3, (a_, b_), {}))
+                transfers.append(Transfer("R4", ("f", f), ("f", fp), (a_, b_)))
             elif lengths[f] >= 6 and lengths[fp] == 5 and sorted((deg[a_], deg[b_])) == [3, 4]:
                 uniques = []
                 for vv in (a_, b_):
@@ -137,7 +134,7 @@ def generate_transfers(a: Analysis) -> tuple[Transfer, ...]:
                         uniques.append(cands[0])
                 if len(uniques) == 2:
                     transfers.append(
-                        Transfer("R5", ("f", f), ("f", fp), 3, (a_, b_), {"unique_relaxed": uniques})
+                        Transfer("R5", ("f", f), ("f", fp), (a_, b_), {"unique_relaxed": uniques})
                     )
 
     # R6: a (>=6)-face reaches a second 5-face two steps away
@@ -172,7 +169,7 @@ def generate_transfers(a: Analysis) -> tuple[Transfer, ...]:
                     ep = shared[0]
                     transfers.append(
                         Transfer(
-                            "R6", ("f", fi), ("f", fpp), 3, tuple(g.edges[ep]),
+                            "R6", ("f", fi), ("f", fpp), tuple(g.edges[ep]),
                             {
                                 "vertex": v,
                                 "edge_e": list(g.edges[ei]),
@@ -193,9 +190,9 @@ def generate_transfers(a: Analysis) -> tuple[Transfer, ...]:
             continue
         for k, (fi, arr, dep) in enumerate(a.corners[v]):
             if lengths[fi] == 3:
-                transfers.append(Transfer("R7", ("v", v), ("f", fi), 6, None, {}))
+                transfers.append(Transfer("R7", ("v", v), ("f", fi)))
             elif deg[v] >= 6 and lengths[fi] == 5 and not on_triangle(arr) and not on_triangle(dep):
-                transfers.append(Transfer("R8", ("v", v), ("f", fi), 4, None, {"corner": k}))
+                transfers.append(Transfer("R8", ("v", v), ("f", fi), None, {"corner": k}))
 
     transfers.sort(key=lambda t: (t.rule, t.source, t.target, t.via or (), repr(t.witness)))
     return tuple(transfers)
@@ -236,11 +233,6 @@ def settle(a: Analysis) -> ChargeLedger:
     return ChargeLedger(init, transfers, final)
 
 
-def euler_identity_twelfths(e: EmbeddedGraph) -> int:
-    """-4(|V| - |E| + |F|), in twelfths: the exact total initial charge."""
-    return 12 * (-4) * (e.graph.n - len(e.graph.edges) + len(e.faces))
-
-
 def charge_str(twelfths: int) -> str:
     return str(Fraction(twelfths, 12))
 
@@ -268,30 +260,36 @@ class ChargeReport:
         }
 
 
-# witness keys naming a vertex or a face, alone or in a list
-_VERTEX_KEYS = (
-    "vertex", "x", "y", "z", "non_relaxed_vertex", "degree_3_end",
-    "relaxed_neighbors", "neighbors", "prime_neighbors",
+# witness key -> the kind of element it names, alone or in a list
+_ELEMENT_KIND = dict.fromkeys(
+    ("vertex", "x", "y", "z", "non_relaxed_vertex", "degree_3_end",
+     "relaxed_neighbors", "neighbors", "prime_neighbors"),
+    "v",
+) | dict.fromkeys(
+    ("three_face", "four_face", "face_a", "face_b", "faces",
+     "third_face", "face_with_primes", "other_face"),
+    "f",
 )
-_FACE_KEYS = ("three_face", "four_face", "face_a", "face_b", "faces",
-              "third_face", "face_with_primes", "other_face")
 
 
-def _lemmas_by_element(audit: AuditReport) -> dict[Element, list[str]]:
-    """Each element named by a violated lemma's witness -> those lemmas, in
-    ``audit.violated()`` order; one pass over the witnesses."""
-    out: dict[Element, list[str]] = {}
+def _lemmas_by_element(audit: AuditReport, elements: list[Element]) -> dict[Element, list[str]]:
+    """Each of ``elements`` -> the violated lemmas whose witnesses name it,
+    in ``audit.violated()`` order; one pass over the witnesses, none when
+    ``elements`` is empty."""
+    out: dict[Element, list[str]] = {el: [] for el in elements}
+    if not out:
+        return out
     for entry in audit.violated():
+        lemma = entry.lemma
         for w in entry.witnesses:
-            for kind, keys in (("v", _VERTEX_KEYS), ("f", _FACE_KEYS)):
-                for k in keys:
-                    val = w.get(k)
-                    if val is None:
-                        continue
-                    for idx in val if isinstance(val, (list, tuple)) else (val,):
-                        lemmas = out.setdefault((kind, idx), [])
-                        if not lemmas or lemmas[-1] != entry.lemma:
-                            lemmas.append(entry.lemma)
+            for k, val in w.items():
+                kind = _ELEMENT_KIND.get(k)
+                if kind is None:
+                    continue
+                for idx in val if isinstance(val, (list, tuple)) else (val,):
+                    lemmas = out.get((kind, idx))
+                    if lemmas is not None and (not lemmas or lemmas[-1] != lemma):
+                        lemmas.append(lemma)
     return out
 
 
@@ -301,8 +299,9 @@ def charge_report(ledger: ChargeLedger, audit: AuditReport) -> ChargeReport:
 
     On instances that are not counterexample-shaped, negatives are
     informational and each is paired with the audit violations naming it.
-    The witnesses are scanned once into an element -> lemmas map, so the
-    cost is linear in the witnesses plus the negatives.
+    The witnesses are scanned once into a map from each negative element
+    to its lemmas, so the cost is linear in the witnesses plus the
+    negatives.
     """
     negatives = tuple(
         (el, tw) for el, tw in sorted(ledger.final.items()) if tw < 0
@@ -310,10 +309,8 @@ def charge_report(ledger: ChargeLedger, audit: AuditReport) -> ChargeReport:
     audits_hold = audit.counterexample_shaped
     total = ledger.total_twelfths
     contradiction = audits_hold and not negatives and total > 0
-    named = _lemmas_by_element(audit)
-    explained = tuple(
-        (_fmt_element(el), tuple(named.get(el, ()))) for el, _ in negatives
-    )
+    named = _lemmas_by_element(audit, [el for el, _ in negatives])
+    explained = tuple((_fmt_element(el), tuple(named[el])) for el, _ in negatives)
     return ChargeReport(total, negatives, audits_hold, contradiction, explained)
 
 

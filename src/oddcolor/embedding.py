@@ -10,48 +10,22 @@ carries two flags, one per corner side, and the two involutions "turn the
 corner" and "cross the edge" generate orbits that are exactly the face
 boundary walks.  Each edge contributes two darts overall and every dart lands
 in exactly one face walk, so the face lengths always sum to 2|E| and the
-Euler genus 2 - (|V| - |E| + |F|) is well defined.
+Euler genus 2 - (|V| - |E| + |F|) is well defined.  A face is the plain tuple
+of its darts, rotated so that its smallest dart leads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 from .graphs import Graph, girth
 
 Dart = tuple[int, int]  # (tail vertex, edge index): one traversal step of a walk
+# A face's closed boundary walk: its step i, a dart (v, e), traverses edge e
+# away from tail v, whose head is the tail of step i + 1.  The corner at the
+# tail of step i sits between the edges of steps i - 1 and i.
+FaceWalk = tuple[Dart, ...]
 _SIGNS = frozenset((1, -1))
-
-
-@dataclass(frozen=True)
-class FaceWalk:
-    """Boundary walk of one face, as a cyclic dart sequence.
-
-    ``darts[i] = (v, e)`` traverses edge ``e`` away from tail ``v``; the walk
-    is closed, so the head of step i is the tail of step i+1.  The corner at
-    tail ``v`` of step i sits between the arrival edge of step i-1 and the
-    departure edge of step i.
-    """
-
-    darts: tuple[Dart, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.darts)
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(map(itemgetter(0), self.darts))
-
-
-def _canonical_walk(darts: list[Dart]) -> FaceWalk:
-    # rotate so the lexicographically smallest dart leads; direction is
-    # whatever the trace produced (deterministic)
-    if not darts:
-        return FaceWalk(())
-    k = darts.index(min(darts))
-    return FaceWalk(tuple(darts[k:] + darts[:k]))
 
 
 def trace_faces(emb: EmbeddedGraph) -> tuple[FaceWalk, ...]:
@@ -73,7 +47,7 @@ def trace_faces(emb: EmbeddedGraph) -> tuple[FaceWalk, ...]:
     graph = emb.graph
     n = graph.n
     if n == 1 and not graph.edges:
-        return (FaceWalk(()),)
+        return ((),)
 
     keys = [v * n + w for v, order in enumerate(emb.rotation) for w in order]
     slots = len(keys)
@@ -110,7 +84,9 @@ def trace_faces(emb: EmbeddedGraph) -> tuple[FaceWalk, ...]:
             f = step[f]
             if f == start:
                 break
-        faces.append(_canonical_walk(walk))
+        # the smallest dart leads; the direction is the trace's
+        k = walk.index(min(walk))
+        faces.append(tuple(walk[k:] + walk[:k]))
     return tuple(faces)
 
 
@@ -158,21 +134,18 @@ class EmbeddedGraph:
         return 2 - (self.graph.n - len(self.graph.edges) + len(self.faces))
 
     def is_orientable(self) -> bool:
-        # switching every vertex by its flip leaves the spanning tree +1; the
-        # embedding is orientable exactly when no edge is then -1
-        flip = _switches(self.graph, self.signs)
-        return all(
-            (s == -1) == (flip[u] != flip[v])
-            for (u, v), s in zip(self.graph.edges, self.signs)
-        )
+        # switching each vertex by its flip, 0 or 1, leaves the spanning tree
+        # +1; the embedding is orientable exactly when no edge is then -1
+        g = self.graph
+        flip = [0] * g.n
+        for u, w in _spanning_tree(g):
+            flip[w] = flip[u] ^ (self.signs[g.edge_index((u, w))] == -1)
+        return all((s == -1) == (flip[u] != flip[v]) for (u, v), s in zip(g.edges, self.signs))
 
 
 def sorted_rotation(graph: Graph, signs: Sequence[int] | None = None) -> EmbeddedGraph:
     """The embedding whose rotation lists neighbors in increasing order."""
     return EmbeddedGraph(graph, [sorted(graph.adj[v]) for v in range(graph.n)], signs)
-
-
-# -- signature normalization -------------------------------------------------
 
 
 def _spanning_tree(g: Graph) -> list[tuple[int, int]]:
@@ -190,40 +163,6 @@ def _spanning_tree(g: Graph) -> list[tuple[int, int]]:
                 tree.append((u, w))
                 stack.append(w)
     return tree
-
-
-def _switches(g: Graph, signs: Sequence[int]) -> list[int]:
-    """The flip, 0 or 1, of each vertex that switches every edge of
-    ``_spanning_tree`` to +1."""
-    flip = [0] * g.n
-    for u, w in _spanning_tree(g):
-        flip[w] = flip[u] ^ (signs[g.edge_index((u, w))] == -1)
-    return flip
-
-
-def normalize_signatures(e: EmbeddedGraph) -> EmbeddedGraph:
-    """Switch vertices so every spanning-tree edge gets sign +1.
-
-    Switching at v reverses the rotation of v and flips the sign of all its
-    incident edges; the face structure and genus are unchanged.  When no
-    vertex needs switching, ``e`` itself is returned, with no new face
-    trace; ``embed_search`` results are always in that case.
-    """
-    g = e.graph
-    flip = _switches(g, e.signs)
-    if not any(flip):
-        return e
-    new_signs = []
-    for i, (u, v) in enumerate(g.edges):
-        s = e.signs[i]
-        if (flip[u] + flip[v]) % 2 == 1:
-            s = -s
-        new_signs.append(s)
-    new_rot = [
-        tuple(reversed(e.rotation[v])) if flip[v] else e.rotation[v]
-        for v in range(g.n)
-    ]
-    return EmbeddedGraph(g, new_rot, new_signs)
 
 
 # -- embedding search --------------------------------------------------------

@@ -4,10 +4,11 @@ Vertices are dense integers ``0..n-1``.  Edges are unordered pairs stored as
 sorted tuples, kept in lexicographic order.  A *relaxation set* (R set) is a
 subset of the edge set; edges of R count twice in the weighted cycle length
 ``r_length(C) = |E(C)| + |E(C) ∩ R|``, and a vertex is *R-relaxed* when its
-degree is odd or zero, or when it is incident with an R edge.  ``r_length``
-and ``relaxed_flags`` are the only implementations of the two definitions;
-``enumerate_cycles`` cuts its search by the same edge weights, and its
-tests hold it to ``r_length``.
+degree is odd or zero, or when it is incident with an R edge.  A cycle is
+the plain tuple of its vertices in walk order.  ``r_length`` and
+``relaxed_flags`` are the only implementations of the two definitions;
+``enumerate_cycles`` cuts its search by the same edge weights, and its tests
+hold it to ``r_length``.
 
 The hypothesis check implemented here accepts exactly the graphs whose cycles
 avoid r-lengths 3, 4, and 6 and in which no two cycles of r-length 5 share
@@ -24,6 +25,7 @@ from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 RSet = frozenset  # frozenset[Edge]
+Cycle = tuple[int, ...]  # the vertices of a simple cycle in walk order, at least 3
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -192,32 +194,9 @@ def r_set_from_indices(g: Graph, indices: Iterable[int]) -> RSet:
 # -- cycles ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """A simple cycle given by its vertex sequence (length >= 3).
-
-    ``enumerate_cycles`` gives each cycle in canonical form: it starts at the
-    smallest vertex and proceeds toward its smaller cycle-neighbor, which
-    makes equal cycles compare equal under rotation and reflection.
-    """
-
-    vertices: tuple[int, ...]
-
-    @property
-    def edge_set(self) -> frozenset[Edge]:
-        vs = self.vertices
-        return frozenset(
-            normalize_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))
-        )
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
 def r_length(c: Cycle, r: RSet) -> int:
     """|E(C)| + |E(C) ∩ R|: relaxation edges count twice."""
-    vs = c.vertices
-    return len(vs) + sum(((a, b) if a < b else (b, a)) in r for a, b in zip(vs, vs[1:] + vs[:1]))
+    return len(c) + sum(((a, b) if a < b else (b, a)) in r for a, b in zip(c, c[1:] + c[:1]))
 
 
 def relaxed_flags(g: Graph, r: RSet) -> list[bool]:
@@ -286,7 +265,7 @@ def enumerate_cycles(g: Graph, bound: int, r: RSet = frozenset()) -> list[Cycle]
                         path.append(w)
                         room -= c
                         if d == 1 and len(path) >= 3 and path[1] < w and (2 if w in back else 1) <= room:
-                            out.append(Cycle(tuple(path)))
+                            out.append(tuple(path))
                         rooms.append(room)
                         saved.append(d)
                         dist[w] = far
@@ -308,7 +287,9 @@ def edge_sharing_pairs(cycles: list[Cycle]) -> Iterator[tuple[int, int, list[Edg
     Each cycle meets the later cycles through an edge -> cycles index, so the
     cost is the number of (edge, cycle, cycle) incidences, not of pairs.
     """
-    edge_lists = [sorted(c.edge_set) for c in cycles]
+    edge_lists = [
+        sorted((a, b) if a < b else (b, a) for a, b in zip(c, c[1:] + c[:1])) for c in cycles
+    ]
     holders: dict[Edge, list[int]] = {}
     for i, es in enumerate(edge_lists):
         for e in es:
@@ -384,11 +365,11 @@ class HypothesisReport:
         return {
             "passes": self.passes,
             "forbidden_cycles": [
-                {"cycle": list(c.vertices), "r_length": L}
+                {"cycle": list(c), "r_length": L}
                 for c, L in self.forbidden_cycles
             ],
             "five_pairs": [
-                {"cycle_a": list(a.vertices), "cycle_b": list(b.vertices), "shared_edge": list(e)}
+                {"cycle_a": list(a), "cycle_b": list(b), "shared_edge": list(e)}
                 for a, b, e in self.five_pairs
             ],
         }
@@ -411,7 +392,7 @@ def hypothesis_check(g: Graph, r: RSet) -> HypothesisReport:
     fives = []
     for c in cycles:
         # r-lengths are at most 6, so a cycle of 6 edges has no R edge
-        L = r_length(c, r) if r and len(c.vertices) < 6 else len(c.vertices)
+        L = r_length(c, r) if r and len(c) < 6 else len(c)
         if L in (3, 4, 6):
             forbidden.append((c, L))
         elif L == 5:

@@ -54,13 +54,9 @@ def coloring_to_json(c: Coloring) -> dict:
     return {"colors": {str(v): c[v] for v in sorted(c)}}
 
 
-def coloring_from_json(obj: dict) -> Coloring:
-    return {int(v): int(col) for v, col in obj["colors"].items()}
-
-
 def faces_to_json(e: EmbeddedGraph) -> list[dict]:
     return [
-        {"face": i, "length": f.length, "darts": [[v, ei] for v, ei in f.darts]}
+        {"face": i, "length": len(f), "darts": [[v, ei] for v, ei in f]}
         for i, f in enumerate(e.faces)
     ]
 
@@ -83,7 +79,8 @@ def _ints(value, path: str, bound: int | None = None) -> list[int]:
         if type(x) is not int:  # JSON true and false load as bool, not int
             raise ValueError(f"{path}[{i}]: expected an integer, got {x!r}")
         if bound is not None and not 0 <= x < bound:
-            raise ValueError(f"{path}[{i}]: {x} is out of range 0..{bound - 1}")
+            span = f" 0..{bound - 1}" if bound else ": the range is empty"
+            raise ValueError(f"{path}[{i}]: {x} is out of range{span}")
     return value
 
 
@@ -109,8 +106,9 @@ def instance_from_json(obj: dict) -> Instance:
     once: the graph is built from the edges as checked here, without
     normalizing and sorting them again, and ``EmbeddedGraph`` checks only
     what needs the graph, that each rotation orders the neighbors and each
-    sign is 1 or -1.  R lists each edge index at most once, and each color
-    list has distinct colors, all of the size of ``lists["0"]``.
+    sign is 1 or -1.  R lists each edge index at most once, signs come only
+    with a rotation, and each color list has distinct colors, all of the
+    size of ``lists["0"]``.
     """
     if not isinstance(obj, dict) or "schema" not in obj:
         raise ValueError("instance file is not a JSON object with a schema version field")
@@ -146,6 +144,8 @@ def instance_from_json(obj: dict) -> Instance:
             seen.add(x)
     r = frozenset(map(pairs.__getitem__, indices))
     emb = None
+    if "signs" in obj and "rotation" not in obj:
+        raise ValueError("signs: given without a rotation; signs belong to an embedding")
     if "rotation" in obj:
         rotation = _per_vertex(obj["rotation"], "rotation", g.n)
         signs = obj.get("signs")

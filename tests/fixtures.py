@@ -42,7 +42,7 @@ def face_of_length(emb: EmbeddedGraph, length: int, containing: set[int] | None 
     hits = [
         i
         for i, f in enumerate(emb.faces)
-        if f.length == length and (containing is None or containing <= set(f.vertex_set()))
+        if len(f) == length and (containing is None or containing <= {v for v, _ in f})
     ]
     assert len(hits) == 1, f"face lookup not unique: {hits}"
     return hits[0]

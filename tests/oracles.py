@@ -17,7 +17,9 @@ that advanced tuple flags through two closures is kept as
 The face search from before its mirror cut is kept as
 ``face_search_reference`` to pin the cut search to the same embeddings.
 The per-vertex relaxedness test that ``relaxed_flags`` replaced is kept as
-``is_r_relaxed``, the reference for the flags.
+``is_r_relaxed``, the reference for the flags.  Vertex switching, which the
+library does not need, is kept as ``switched_reference`` to check that the
+faces, the genus and orientability do not change under it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from collections import Counter, deque
 from itertools import combinations, permutations, product
 
 from oddcolor.coloring import Coloring, RelaxedInstance, solver_order
-from oddcolor.embedding import EmbeddedGraph, FaceWalk, _canonical_walk
+from oddcolor.embedding import EmbeddedGraph, FaceWalk
 from oddcolor.generate import GenerationBudgetError, _two_core_component
 from oddcolor.graphs import Cycle, Graph, RSet, girth, relaxed_flags
 
@@ -349,7 +351,7 @@ def enumerate_cycles_reference(g: Graph, max_edge_count: int) -> list[Cycle]:
     def extend(start: int, u: int) -> None:
         for w in adj_sorted[u]:
             if w == start and len(path) >= 3 and path[1] < path[-1]:
-                out.append(Cycle(tuple(path)))
+                out.append(tuple(path))
             if w <= start or on_path[w] or len(path) == max_edge_count:
                 continue
             path.append(w)
@@ -366,12 +368,18 @@ def enumerate_cycles_reference(g: Graph, max_edge_count: int) -> list[Cycle]:
     return out
 
 
+def cycle_edge_set(c: Cycle) -> frozenset[tuple[int, int]]:
+    """The edges of the cycle through the vertices of ``c`` in order, each
+    as a sorted pair."""
+    return frozenset(tuple(sorted(e)) for e in zip(c, c[1:] + c[:1]))
+
+
 def five_pairs_reference(fives: list[Cycle]) -> list[tuple[Cycle, Cycle, tuple[int, int]]]:
     """Every pair of the given cycles sharing exactly one edge, by scanning
     all pairs in order."""
     pairs = []
     for c1, c2 in combinations(fives, 2):
-        shared = c1.edge_set & c2.edge_set
+        shared = cycle_edge_set(c1) & cycle_edge_set(c2)
         if len(shared) == 1:
             pairs.append((c1, c2, min(shared)))
     return pairs
@@ -438,7 +446,7 @@ def trace_faces_reference(emb: EmbeddedGraph) -> tuple[FaceWalk, ...]:
     if not graph.is_connected():
         raise ValueError("face tracing needs a connected graph")
     if graph.n == 1 and not graph.edges:
-        return (FaceWalk(()),)
+        return ((),)
 
     pos_of = [
         {w: i for i, w in enumerate(emb.rotation[v])} for v in range(graph.n)
@@ -478,7 +486,8 @@ def trace_faces_reference(emb: EmbeddedGraph) -> tuple[FaceWalk, ...]:
             flag = corner(*crossed)
             if flag == start:
                 break
-        faces.append(_canonical_walk(walk))
+        k = walk.index(min(walk))  # the smallest dart leads
+        faces.append(tuple(walk[k:] + walk[:k]))
     return tuple(faces)
 
 
@@ -502,6 +511,35 @@ def is_orientable_reference(e: EmbeddedGraph) -> bool:
             elif mark[w] != mark[u] ^ s:
                 return False
     return True
+
+
+def dfs_tree_reference(g: Graph) -> list[tuple[int, int]]:
+    """(parent, child) edges of the depth-first spanning tree from vertex 0
+    that takes neighbors in increasing order: the tree whose edges
+    ``embed_search`` keeps at sign +1."""
+    tree, seen, stack = [], {0}, [0]
+    while stack:
+        u = stack.pop()
+        for w in sorted(g.adj[u]):
+            if w not in seen:
+                seen.add(w)
+                tree.append((u, w))
+                stack.append(w)
+    return tree
+
+
+def switched_reference(e: EmbeddedGraph) -> EmbeddedGraph:
+    """``e`` with vertices switched so that every edge of
+    ``dfs_tree_reference`` has sign +1.  Switching a vertex reverses its
+    rotation and flips the signs of its edges; it keeps the face lengths,
+    the Euler genus and orientability."""
+    g = e.graph
+    flip = [False] * g.n
+    for u, w in dfs_tree_reference(g):
+        flip[w] = flip[u] != (e.signs[g.edge_index((u, w))] == -1)
+    signs = [-s if flip[u] != flip[v] else s for (u, v), s in zip(g.edges, e.signs)]
+    rotation = [order[::-1] if flip[v] else order for v, order in enumerate(e.rotation)]
+    return EmbeddedGraph(g, rotation, signs)
 
 
 # -- embedding oracle ------------------------------------------------------------

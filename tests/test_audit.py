@@ -174,7 +174,7 @@ class TestFaceLemmas:
         # counting), so audit an arbitrary rotation: faces are all long
         g = mcgee_graph()
         emb = sorted_rotation(g)
-        assert min(f.length for f in emb.faces) >= 7
+        assert min(len(f) for f in emb.faces) >= 7
         frag = by_lemma(check_face_lemmas(analyze_embedded(emb, EMPTY)))
         assert all(e.verdict == "holds" for e in frag.values())
 
@@ -202,7 +202,7 @@ class TestFaceLemmas:
         emb = embed_planar(
             g, {0: (0, 1), 1: (1, 1), 2: (2, 1), 3: (0, 0), 4: (1, 0), 5: (2, 0)}
         )
-        assert sorted(f.length for f in emb.faces) == [4, 4, 6]
+        assert sorted(len(f) for f in emb.faces) == [4, 4, 6]
         frag = by_lemma(check_face_lemmas(analyze_embedded(emb, EMPTY)))
         assert frag["L3.13"].verdict == "violated"
         assert {w["vertex"] for w in frag["L3.13"].witnesses} == {1, 4}
@@ -223,7 +223,7 @@ class TestFaceLemmas:
              4: (-1.41, 1.69), 5: (-2.17, 0.38),
              6: (-0.75, -2.07), 7: (0.75, -2.07), 8: (1.9, 1.1)},
         )
-        lengths = sorted(f.length for f in emb.faces)
+        lengths = sorted(len(f) for f in emb.faces)
         assert lengths == [4, 5, 5, 8]
         frag = by_lemma(check_face_lemmas(analyze_embedded(emb, EMPTY)))
         assert frag["L3.15"].verdict == "violated"
@@ -235,12 +235,12 @@ class TestFullAudit:
         emb = sorted_rotation(cycle_graph(5))
         rep = full_audit(analyze_embedded(emb, EMPTY))
         assert not rep.counterexample_shaped
-        assert rep.entry("L3.2").verdict == "violated"
+        assert by_lemma(rep.entries)["L3.2"].verdict == "violated"
 
     def test_quadrangulation_not_shaped(self):
         rep = full_audit(analyze_embedded(torus_quadrangulation(4), EMPTY))
         assert not rep.counterexample_shaped
-        assert rep.entry("L3.16").verdict == "violated"
+        assert by_lemma(rep.entries)["L3.16"].verdict == "violated"
 
     def test_matches_fragment_union(self):
         a = analyze_embedded(theta_planar(), EMPTY)
@@ -258,7 +258,7 @@ class TestFullAudit:
         g = cycle_graph(7)
         rep = full_audit(analyze(g, EMPTY))
         for lemma in FACE_LEMMAS:
-            assert rep.entry(lemma).verdict == "skipped"
+            assert by_lemma(rep.entries)[lemma].verdict == "skipped"
         embedded = full_audit(analyze_embedded(sorted_rotation(g), EMPTY))
         assert [e for e in rep.entries if e.lemma not in FACE_LEMMAS] == [
             e for e in embedded.entries if e.lemma not in FACE_LEMMAS
@@ -310,12 +310,12 @@ class TestWitnessesSelfVerify:
         elif lemma == "L3.13":
             assert g.degree(w["vertex"]) <= 3
             fa, fb = emb.faces[w["face_a"]], emb.faces[w["face_b"]]
-            assert fa.length == 4 and fb.length == 4
-            assert w["vertex"] in fa.vertex_set() & fb.vertex_set()
+            assert len(fa) == 4 and len(fb) == 4
+            assert w["vertex"] in {v for v, _ in fa} & {v for v, _ in fb}
         elif lemma == "L3.16":
             v = w["vertex"]
             assert g.degree(v) == 4
-            assert all(emb.faces[fi].length == 4 for fi in w["faces"])
+            assert all(len(emb.faces[fi]) == 4 for fi in w["faces"])
 
     def test_known_fixtures(self):
         cases = [

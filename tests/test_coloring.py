@@ -27,7 +27,6 @@ from oddcolor.coloring import (
     is_relaxed_odd,
     odd_chromatic_number,
     reduce_low_degree,
-    relaxed_odd_violations,
     sampled_choosability,
     solve,
     solver_order,
@@ -63,14 +62,16 @@ def random_instance(rng, max_n=8, max_k=4):
 
 class TestVerifiers:
     def test_proper(self):
-        def monochromatic(g, c):
-            inst = RelaxedInstance(g, frozenset(), ListAssignment((frozenset(c.values()),) * g.n))
-            return [bad["edge"] for bad in relaxed_odd_violations(inst, c) if bad["kind"] == "proper"]
+        def proper(g, c):
+            # with every edge in R every vertex is relaxed: only properness counts
+            inst = RelaxedInstance(g, frozenset(g.edges), ListAssignment((frozenset(c.values()),) * g.n))
+            return is_relaxed_odd(inst, c)
 
         c4 = cycle_graph(4)
-        assert monochromatic(c4, {0: 1, 1: 2, 2: 1, 3: 2}) == []
-        assert monochromatic(Graph(2, [(0, 1)]), {0: 1, 1: 1}) == [[0, 1]]
-        assert monochromatic(complete_graph(4), {v: v for v in range(4)}) == []
+        assert proper(c4, {0: 1, 1: 2, 2: 1, 3: 2})
+        assert not proper(Graph(2, [(0, 1)]), {0: 1, 1: 1})
+        assert not proper(c4, {0: 1, 1: 2, 2: 2, 3: 1})
+        assert proper(complete_graph(4), {v: v for v in range(4)})
 
     def test_partial_rejected(self):
         with pytest.raises(PartialColoringError):
@@ -121,8 +122,9 @@ class TestVerifiers:
         with pytest.raises(ListViolationError):
             is_relaxed_odd(inst, {0: 7, 1: 1})
         assert is_relaxed_odd(inst, {0: 1, 1: 1}) is False
-        kinds = {v["kind"] for v in relaxed_odd_violations(inst, {0: 7, 1: 7})}
-        assert kinds == {"list", "proper"}
+        # a list violation is reported even when the coloring is not proper
+        with pytest.raises(ListViolationError):
+            is_relaxed_odd(inst, {0: 7, 1: 7})
 
     def test_uniform_size_enforced(self):
         with pytest.raises(ValueError):
@@ -458,18 +460,20 @@ class TestSampledChoosability:
 class TestReduceExtend:
     def test_pendant_case(self):
         p3 = path_graph(3)
-        reduced, rr, rec = reduce_low_degree(p3, frozenset(), 2)
+        rec = reduce_low_degree(p3, frozenset(), 2)
+        reduced, rr = rec.reduced_graph, rec.reduced_r
         assert rec.case == "pendant"
         assert reduced.n == 2 and rr == frozenset()
 
     def test_relaxed_edge_case(self):
         c7 = cycle_graph(7)
-        _, _, rec = reduce_low_degree(c7, r_set(c7, [(0, 1)]), 0)
+        rec = reduce_low_degree(c7, r_set(c7, [(0, 1)]), 0)
         assert rec.case == "relaxed_edge"
 
     def test_bridge_case_adds_marked_edge(self):
         c7 = cycle_graph(7)
-        reduced, rr, rec = reduce_low_degree(c7, frozenset(), 0)
+        rec = reduce_low_degree(c7, frozenset(), 0)
+        reduced, rr = rec.reduced_graph, rec.reduced_r
         assert rec.case == "bridge"
         assert reduced.n == 6 and len(reduced.edges) == 6
         assert rr == frozenset({(0, 5)})  # relabeled neighbors 1, 6
@@ -485,7 +489,8 @@ class TestReduceExtend:
 
     def _roundtrip(self, g, r, v, lists=None):
         lists = lists or uniform_lists(g.n, 5)
-        reduced, rr, rec = reduce_low_degree(g, r, v)
+        rec = reduce_low_degree(g, r, v)
+        reduced, rr = rec.reduced_graph, rec.reduced_r
         reduced_lists = ListAssignment(
             tuple(
                 lists[old]
@@ -514,7 +519,7 @@ class TestReduceExtend:
 
     def test_invalid_reduced_coloring_rejected(self):
         c7 = cycle_graph(7)
-        _, _, rec = reduce_low_degree(c7, frozenset(), 0)
+        rec = reduce_low_degree(c7, frozenset(), 0)
         lists = uniform_lists(7, 5)
         bad = {v: 1 for v in range(6)}  # not even proper on the reduced graph
         with pytest.raises(ValueError):
@@ -522,6 +527,6 @@ class TestReduceExtend:
 
     def test_five_list_required(self):
         c7 = cycle_graph(7)
-        _, rr, rec = reduce_low_degree(c7, frozenset(), 0)
+        rec = reduce_low_degree(c7, frozenset(), 0)
         with pytest.raises(ValueError):
             extend_low_degree(rec, {}, uniform_lists(7, 4))

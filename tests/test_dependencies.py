@@ -1,4 +1,5 @@
-"""The package runs on the standard library alone: ``dependencies = []``."""
+"""The package runs on the standard library alone: ``dependencies = []``, and
+exports exactly the public names listed here."""
 
 import ast
 import pathlib
@@ -25,3 +26,23 @@ def test_every_import_is_relative_or_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_public_names_are_pinned():
+    # adding or removing a public name is a deliberate edit of this list
+    assert sorted(oddcolor.__all__) == [
+        "Analysis", "AuditEntry", "AuditReport", "ChargeLedger", "ChargeReport",
+        "ChoosabilityReport", "Cycle", "EmbeddedGraph", "FaceWalk",
+        "GenerationBudgetError", "Graph", "HuntReport", "HypothesisReport",
+        "ListAssignment", "ReductionRecord", "RelaxedInstance", "Transfer",
+        "analyze", "charge_report", "check_degree_lemmas", "check_face_lemmas",
+        "check_four_vertex_configs", "check_relaxed_neighborhoods",
+        "check_triangle_lemmas", "complete_bipartite_graph", "complete_graph",
+        "cycle_graph", "embed_search", "enumerate_cycles", "extend_low_degree",
+        "full_audit", "generate_girth_instances", "generate_transfers", "girth",
+        "hunt", "hypothesis_check", "initial_charges", "is_odd_coloring",
+        "is_relaxed_odd", "odd_chromatic_number", "one_subdivision", "path_graph",
+        "r_length", "r_set", "r_set_from_indices", "reduce_low_degree",
+        "relaxed_flags", "sampled_choosability", "settle", "solve",
+        "sorted_rotation", "trace_faces", "uniform_lists",
+    ]

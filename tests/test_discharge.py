@@ -2,8 +2,6 @@ import random
 from collections import Counter
 from itertools import combinations
 
-import pytest
-
 from oddcolor.graphs import Graph, complete_graph, cycle_graph, one_subdivision, r_set
 from oddcolor.embedding import sorted_rotation
 from oddcolor.audit import full_audit
@@ -11,7 +9,6 @@ from oddcolor.discharge import (
     RULE_TWELFTHS,
     Transfer,
     charge_report,
-    euler_identity_twelfths,
     generate_transfers,
     hunt,
     initial_charges,
@@ -49,7 +46,7 @@ def transfer_multiset(transfers):
 
 
 def expect(rule, src, tgt, via=None, times=1):
-    t = Transfer(rule, src, tgt, RULE_TWELFTHS[rule], via)
+    t = Transfer(rule, src, tgt, via)
     return {t: times}
 
 
@@ -72,7 +69,7 @@ class TestInitialCharges:
 
     def test_sum_is_euler_identity(self):
         for emb in (theta_planar(), cube_planar(), torus_quadrangulation(4), k4_planar()):
-            assert sum(initial_charges(analyze_embedded(emb)).values()) == euler_identity_twelfths(emb)
+            assert sum(initial_charges(analyze_embedded(emb)).values()) == -48 * (2 - emb.euler_genus)
 
     def test_torus_total_zero(self):
         assert sum(initial_charges(analyze_embedded(torus_quadrangulation(4))).values()) == 0
@@ -113,7 +110,7 @@ class TestRuleFixtures:
         assert g.degree(x) % 2 == 0 and g.degree(x) > 0  # non-relaxed witness
         w = t.witness["outside_at_b"]
         assert w in g.adj[b]
-        tri_vertices = emb.faces[t.target[1]].vertex_set()
+        tri_vertices = {v for v, _ in emb.faces[t.target[1]]}
         assert w not in tri_vertices
 
     def test_r3(self):
@@ -151,7 +148,7 @@ class TestRuleFixtures:
             g = emb.graph
             an = analyze_embedded(emb, r)
             transfers = generate_transfers(an)
-            lengths = [f.length for f in emb.faces]
+            lengths = [len(f) for f in emb.faces]
             for ei, (a, b) in enumerate(g.edges):
                 fa, fb = an.sides[ei]
                 pair = sorted((lengths[fa], lengths[fb]))
@@ -219,7 +216,7 @@ class TestRuleFixtures:
     def test_r7_wheel(self):
         emb = rule_r7_fixture()
         outer = face_of_length(emb, 5)
-        triangles = [i for i, f in enumerate(emb.faces) if f.length == 3]
+        triangles = [i for i, f in enumerate(emb.faces) if len(f) == 3]
         got = transfer_multiset(generate_transfers(analyze_embedded(emb, EMPTY)))
         want = merge(
             *[expect("R7", ("v", 0), ("f", t)) for t in triangles],
@@ -230,14 +227,12 @@ class TestRuleFixtures:
     def test_r8_flower(self):
         emb = rule_r8_fixture()
         outer = face_of_length(emb, 18)
-        sectors = [i for i, f in enumerate(emb.faces) if f.length == 5]
+        sectors = [i for i, f in enumerate(emb.faces) if len(f) == 5]
         assert len(sectors) == 6
         got = transfer_multiset(generate_transfers(analyze_embedded(emb, EMPTY)))
         pieces = [expect("R8", ("v", 0), ("f", s)) for s in sectors]
         for s in sectors:
-            corners = sorted(
-                v for v in emb.faces[s].vertex_set() if emb.graph.degree(v) == 3
-            )
+            corners = sorted({v for v, _ in emb.faces[s] if emb.graph.degree(v) == 3})
             assert len(corners) == 2
             pieces += [expect("R1", ("f", s), ("v", v)) for v in corners]
         pieces += [expect("R1", ("f", outer), ("v", v)) for v in range(1, 7)]
@@ -284,11 +279,7 @@ class TestAmountsAndDeterminism:
     def test_rule_amount_binding(self):
         for emb in (rule_r5_fixture(), rule_r6_fixture(), rule_r8_fixture()):
             for t in generate_transfers(analyze_embedded(emb, EMPTY)):
-                assert t.amount_twelfths == RULE_TWELFTHS[t.rule]
-
-    def test_wrong_amount_rejected(self):
-        with pytest.raises(ValueError):
-            Transfer("R1", ("f", 0), ("v", 1), 4)
+                assert t.amount_twelfths == t.to_json()["amount_twelfths"] == RULE_TWELFTHS[t.rule]
 
     def test_generate_deterministic(self):
         emb = rule_r6_fixture()
@@ -313,7 +304,7 @@ class TestSettle:
         for emb in self.fixtures():
             led = settle(analyze_embedded(emb, EMPTY))
             assert sum(led.final.values()) == sum(led.initial.values())
-            assert sum(led.initial.values()) == euler_identity_twelfths(emb)
+            assert sum(led.initial.values()) == -48 * (2 - emb.euler_genus)
 
     def test_final_recomputed_independently(self):
         emb = rule_r5_fixture()

@@ -18,7 +18,6 @@ from oddcolor.graphs import (
 from oddcolor.embedding import (
     EmbeddedGraph,
     embed_search,
-    normalize_signatures,
     sorted_rotation,
     trace_faces,
 )
@@ -35,10 +34,12 @@ from fixtures import (
     wheel_planar,
 )
 from oracles import (
+    dfs_tree_reference,
     embeds_brute_force,
     face_search_reference,
     is_orientable_reference,
     is_planar,
+    switched_reference,
     trace_faces_orientable_oracle,
     trace_faces_reference,
 )
@@ -63,11 +64,11 @@ def random_embedded(rng, max_n=7, signed=True):
 class TestTraceFaces:
     def test_c4_two_squares(self):
         emb = sorted_rotation(cycle_graph(4))
-        assert sorted(f.length for f in emb.faces) == [4, 4]
+        assert sorted(len(f) for f in emb.faces) == [4, 4]
 
     def test_k4_planar_four_triangles(self):
         emb = k4_planar()
-        assert sorted(f.length for f in emb.faces) == [3, 3, 3, 3]
+        assert sorted(len(f) for f in emb.faces) == [3, 3, 3, 3]
         assert emb.euler_genus == 0
 
     def test_k4_agrees_with_orientable_oracle(self):
@@ -80,32 +81,32 @@ class TestTraceFaces:
                 rng.shuffle(order)
                 rot.append(order)
             mine = sorted(
-                f.length for f in trace_faces(EmbeddedGraph(g, rot))
+                len(f) for f in trace_faces(EmbeddedGraph(g, rot))
             )
             assert mine == trace_faces_orientable_oracle(g, rot)
 
     def test_single_edge_one_face_of_length_two(self):
         g = Graph(2, [(0, 1)])
         emb = sorted_rotation(g)
-        assert [f.length for f in emb.faces] == [2]
+        assert [len(f) for f in emb.faces] == [2]
 
     def test_path_outer_face_counts_edges_twice(self):
         g = path_graph(3)
         emb = sorted_rotation(g)
-        assert [f.length for f in emb.faces] == [4]
+        assert [len(f) for f in emb.faces] == [4]
 
     def test_bowtie_outer_face_length_six(self):
         emb = bowtie_planar()
-        assert sorted(f.length for f in emb.faces) == [3, 3, 6]
-        outer = max(emb.faces, key=lambda f: f.length)
+        assert sorted(len(f) for f in emb.faces) == [3, 3, 6]
+        outer = max(emb.faces, key=len)
         # the shared vertex appears twice on the outer walk
-        assert [v for v, _ in outer.darts].count(2) == 2
+        assert [v for v, _ in outer].count(2) == 2
 
     def test_dart_conservation(self):
         rng = random.Random(9)
         for _ in range(60):
             emb = random_embedded(rng)
-            assert sum(f.length for f in emb.faces) == 2 * len(emb.graph.edges)
+            assert sum(len(f) for f in emb.faces) == 2 * len(emb.graph.edges)
 
     def test_every_dart_in_exactly_one_face(self):
         rng = random.Random(10)
@@ -113,7 +114,7 @@ class TestTraceFaces:
             emb = random_embedded(rng)
             per_edge = {i: 0 for i in range(len(emb.graph.edges))}
             for f in emb.faces:
-                for _, e in f.darts:
+                for _, e in f:
                     per_edge[e] += 1
             assert all(c == 2 for c in per_edge.values())
 
@@ -129,7 +130,7 @@ class TestTraceFaces:
             ref = trace_faces_reference(emb)
             sides = [[] for _ in emb.graph.edges]
             for fi, f in enumerate(ref):
-                for _, e in f.darts:
+                for _, e in f:
                     sides[e].append(fi)
             assert emb.faces == ref
             assert list(analyze_embedded(emb).sides) == [tuple(s) for s in sides]
@@ -187,7 +188,7 @@ class TestEulerGenus:
     def test_torus_grid(self):
         emb = torus_quadrangulation(4)
         assert emb.euler_genus == 2
-        assert all(f.length == 4 for f in emb.faces)
+        assert all(len(f) == 4 for f in emb.faces)
 
     def test_nonnegative_for_all_rotations(self):
         rng = random.Random(13)
@@ -205,7 +206,7 @@ class TestEulerGenus:
     def test_crosscap_cycle_projective(self):
         g = cycle_graph(3)
         emb = EmbeddedGraph(g, [[1, 2], [0, 2], [0, 1]], [-1, 1, 1])
-        assert [f.length for f in emb.faces] == [6]
+        assert [len(f) for f in emb.faces] == [6]
         assert emb.euler_genus == 1
         assert not emb.is_orientable()
 
@@ -235,7 +236,7 @@ class TestIsOrientable:
         rng = random.Random(16)
         for _ in range(100):
             emb = random_embedded(rng)
-            assert normalize_signatures(emb).is_orientable() == is_orientable_reference(emb)
+            assert switched_reference(emb).is_orientable() == is_orientable_reference(emb)
 
 
 class TestFaceAdjacency:
@@ -289,8 +290,8 @@ class TestFaceAdjacency:
             a = analyze_embedded(emb)
             want = [[] for _ in range(emb.graph.n)]
             for fi, f in enumerate(emb.faces):
-                for i, (v, dep) in enumerate(f.darts):
-                    want[v].append((fi, f.darts[i - 1][1], dep))
+                for i, (v, dep) in enumerate(f):
+                    want[v].append((fi, f[i - 1][1], dep))
             assert [list(cs) for cs in a.corners] == want
             assert [len(cs) for cs in a.corners] == [emb.graph.degree(v) for v in range(emb.graph.n)]
 
@@ -301,38 +302,34 @@ class TestFaceAdjacency:
             emb = random_embedded(rng)
             g, a = emb.graph, analyze_embedded(emb)
             for fi, f in enumerate(trace_faces_reference(emb)):
-                on_face = {e for _, e in f.darts}
+                on_face = {e for _, e in f}
                 for v in range(g.n):
                     assert a.edges_at(v, fi) == sorted(e for e in on_face if v in g.edges[e])
-                revisits += len(f.darts) > len({v for v, _ in f.darts})
+                revisits += len(f) > len({v for v, _ in f})
         assert revisits > 100  # walks that visit a vertex twice
 
 
+def tree_signs_positive(emb: EmbeddedGraph) -> bool:
+    g = emb.graph
+    return all(emb.signs[g.edge_index(t)] == 1 for t in dfs_tree_reference(g))
+
+
 class TestNormalizeSignatures:
+    """Switching vertices, by ``switched_reference``, keeps the traced faces."""
+
     def test_tree_edges_positive_and_faces_preserved(self):
         rng = random.Random(21)
         for _ in range(40):
             emb = random_embedded(rng)
-            norm = normalize_signatures(emb)
-            assert sorted(f.length for f in norm.faces) == sorted(
-                f.length for f in emb.faces
-            )
+            norm = switched_reference(emb)
+            assert sorted(map(len, norm.faces)) == sorted(map(len, emb.faces))
             assert norm.euler_genus == emb.euler_genus
-            # find a spanning tree and check its signs
-            g = norm.graph
-            seen = {0}
-            stack = [0]
-            while stack:
-                u = stack.pop()
-                for w in sorted(g.adj[u]):
-                    if w not in seen:
-                        seen.add(w)
-                        assert norm.signs[g.edge_index((u, w))] == 1
-                        stack.append(w)
+            assert norm.is_orientable() == emb.is_orientable()
+            assert tree_signs_positive(norm)
 
     def test_search_results_come_back_unchanged(self):
         """``embed_search`` fixes the spanning-tree signs to +1 itself, so
-        normalizing its result switches no vertex and traces no faces."""
+        switching its result to that form changes nothing."""
         cases = [
             (complete_graph(5), 1),  # projective plane, from the signed phase
             (complete_graph(7), 2),
@@ -342,15 +339,17 @@ class TestNormalizeSignatures:
         kinds = set()
         for g, max_genus in cases:
             emb = embed_search(g, max_genus)
-            assert normalize_signatures(emb) is emb
+            assert tree_signs_positive(emb)
+            norm = switched_reference(emb)
+            assert (norm.rotation, norm.signs) == (emb.rotation, emb.signs)
             kinds.add(emb.is_orientable())
         assert kinds == {True, False}
 
     def test_switching_needed_gives_a_new_embedding(self):
         g = complete_graph(4)
         emb = sorted_rotation(g, [-1] + [1] * (len(g.edges) - 1))
-        norm = normalize_signatures(emb)
-        assert norm is not emb
+        norm = switched_reference(emb)
+        assert norm.signs != emb.signs and norm.rotation != emb.rotation
         assert norm.signs[0] == 1
         assert norm.euler_genus == emb.euler_genus
 
@@ -465,7 +464,7 @@ class TestEmbedSearch:
                 emb = embed_search(g, max_genus)
                 assert (emb is not None) == embeds_brute_force(g, max_genus)
                 assert emb is None or emb.euler_genus <= max_genus
-                assert emb is None or normalize_signatures(emb) is emb
+                assert emb is None or tree_signs_positive(emb)
 
     @pytest.mark.parametrize(
         "name, max_genus",
@@ -486,7 +485,7 @@ class TestEmbedSearch:
         emb = embed_search(g, max_genus)
         assert (emb is not None) == embeds_brute_force(g, max_genus)
         assert emb is None or emb.euler_genus <= max_genus
-        assert emb is None or normalize_signatures(emb) is emb
+        assert emb is None or tree_signs_positive(emb)
 
     @pytest.mark.parametrize("name", ["K4+leaf", "K33+leaf", "C5+chord+path", "cube+leaf", "sK4+path"])
     def test_pendant_paths_keep_the_girth_bound(self, name):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddcolor.graphs import (
-    Cycle,
     Graph,
     complete_graph,
     cycle_graph,
@@ -23,6 +22,7 @@ from oddcolor.graphs import (
 
 from fixtures import grid_with_diagonals, torus_quadrangulation
 from oracles import (
+    cycle_edge_set,
     cycles_by_subsets,
     enumerate_cycles_reference,
     five_pairs_reference,
@@ -122,8 +122,7 @@ class TestCycles:
         # smaller of that vertex's two cycle-neighbors, however it is labeled
         for perm in permutations(range(5)):
             g = Graph(5, zip(perm, perm[1:] + perm[:1]))
-            (c,) = enumerate_cycles(g, 5)
-            vs = c.vertices
+            (vs,) = enumerate_cycles(g, 5)
             assert vs[0] == 0 and vs[1] < vs[-1]
             assert Graph(5, zip(vs, vs[1:] + vs[:1])) == g
 
@@ -131,18 +130,14 @@ class TestCycles:
 class TestRLength:
     def test_five_cycle_one_marked_edge(self):
         g = cycle_graph(5)
-        c = Cycle((0, 1, 2, 3, 4))
-        assert r_length(c, r_set(g, [(0, 1)])) == 6
+        assert r_length((0, 1, 2, 3, 4), r_set(g, [(0, 1)])) == 6
 
     def test_triangle_two_marked_edges(self):
         g = complete_graph(3)
-        c = Cycle((0, 1, 2))
-        assert r_length(c, r_set(g, [(0, 1), (1, 2)])) == 5
+        assert r_length((0, 1, 2), r_set(g, [(0, 1), (1, 2)])) == 5
 
     def test_square_disjoint_from_r(self):
-        g = cycle_graph(4)
-        c = Cycle((0, 1, 2, 3))
-        assert r_length(c, frozenset()) == 4
+        assert r_length((0, 1, 2, 3), frozenset()) == 4
 
     def test_lower_bound_with_equality_iff_disjoint(self):
         rng = random.Random(7)
@@ -153,9 +148,9 @@ class TestRLength:
                 continue
             r = frozenset(rng.sample(g.edges, rng.randint(0, len(g.edges))))
             for c in cycles:
-                L = r_length(c, r)
-                assert L >= len(c.edge_set)
-                assert (L == len(c.edge_set)) == (not (c.edge_set & r))
+                L, edges = r_length(c, r), cycle_edge_set(c)
+                assert L >= len(edges) == len(c)
+                assert (L == len(edges)) == (not (edges & r))
 
 
 class TestRRelaxed:
@@ -212,7 +207,7 @@ class TestEnumerateCycles:
         rng = random.Random(11)
         for _ in range(40):
             g = small_random_graph(rng)
-            got = {c.vertices for c in enumerate_cycles(g, g.n if g.n >= 3 else 3)}
+            got = set(enumerate_cycles(g, g.n if g.n >= 3 else 3))
             assert got == cycles_by_subsets(g, g.n)
 
     def test_bad_bound_rejected(self):
@@ -231,7 +226,7 @@ class TestEnumerateCycles:
 
     @pytest.mark.usefixtures("default_recursion_limit")
     def test_long_bound_at_default_recursion_limit(self):
-        assert enumerate_cycles(cycle_graph(1500), 1500) == [Cycle(tuple(range(1500)))]
+        assert enumerate_cycles(cycle_graph(1500), 1500) == [tuple(range(1500))]
 
 
 class TestGirth:

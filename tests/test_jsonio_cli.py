@@ -68,7 +68,7 @@ class TestRoundTrips:
 
     def test_coloring_round_trip(self):
         c = {0: 3, 1: 1, 2: 2}
-        assert jsonio.coloring_from_json(jsonio.coloring_to_json(c)) == c
+        assert jsonio.coloring_to_json(c) == {"colors": {"0": 3, "1": 1, "2": 2}}
 
     def test_edges_serialized_sorted(self):
         g = Graph(4, [(3, 2), (1, 0)])
@@ -416,6 +416,10 @@ class TestCli:
             ({"rotation": {"0": [1], "1": [0, 2], "2": [0]}}, 'rotation["2"]: expected an order of the neighbors [1], got [0]', SOLVE_K3),
             ({"rotation": {"0": [1], "1": [0, 2], "2": [True]}}, 'rotation["2"][0]: expected an integer, got True', SOLVE_K3),
             ({"lists": {"0": [1, 2], "1": [1, 2], "2": [1, False]}}, 'lists["2"][1]: expected an integer, got False', ["solve"]),
+            # signs belong to an embedding, and an empty range names no bounds
+            ({"edges": [[0, 1], [0, 2], [1, 2]], "signs": [1, 1, 5]}, "signs: given without a rotation", ["check"]),
+            ({"n": 0, "edges": [[0, 1]]}, "edges[0][0]: 0 is out of range: the range is empty", ["check"]),
+            ({"edges": [], "R": [0]}, "R[0]: 0 is out of range: the range is empty", ["check"]),
         ],
     )
     def test_malformed_field_is_input_error_naming_it(self, tmp_path, capsys, fields, path, flags):
