@@ -3,8 +3,9 @@
 Every run prints a JSON report to stdout and a one-line summary to stderr.
 Exit codes: 0 success / SAT / pass, 1 refuted / UNSAT / violations found,
 2 input error, 3 internal error (an uncaught exception, never a verdict).
-All randomness flows through one seed, echoed in the report so runs can be
-reproduced byte for byte (durations aside).
+All randomness flows through one seed, set only by ``--seed`` (default 0) and
+echoed in the report so runs can be reproduced byte for byte (durations
+aside).  The parser is built once, on import, from the verb table alone.
 """
 
 from __future__ import annotations
@@ -37,17 +38,13 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-class InputError(ValueError):
-    pass
-
-
 def _load(args) -> tuple[Instance | None, str | None]:
     if "path" not in args:  # gen reads no file
         return None, None
     try:
         inst, digest = jsonio.load_instance(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load {args.path}: {exc}") from exc
+    except (OSError, ValueError, KeyError) as exc:
+        raise ValueError(f"cannot load {args.path}: {exc}") from exc
     if args.r is not None:
         try:
             idx = [int(tok) for tok in args.r.split(",") if tok.strip() != ""]
@@ -55,19 +52,19 @@ def _load(args) -> tuple[Instance | None, str | None]:
                 inst.graph, r_set_from_indices(inst.graph, idx), inst.embedding, inst.lists
             )
         except ValueError as exc:
-            raise InputError(f"bad --r value: {exc}") from exc
+            raise ValueError(f"bad --r value: {exc}") from exc
     return inst, digest
 
 
 def _at_least(flag: str, value: int, low: int) -> int:
     if value < low:
-        raise InputError(f"{flag} must be at least {low}, got {value}")
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
     return value
 
 
 def _need_embedding(inst: Instance) -> None:
     if inst.embedding is None:
-        raise InputError("this command needs an instance file with a rotation")
+        raise ValueError("this command needs an instance file with a rotation")
 
 
 # -- subcommand bodies: return (result_json, exit_code) -------------------------
@@ -106,10 +103,10 @@ def cmd_solve(args, inst: Instance):
     lists = inst.lists
     if lists is None:
         if args.k is None:
-            raise InputError("give --k or an instance file with lists")
+            raise ValueError("give --k or an instance file with lists")
         lists = uniform_lists(inst.graph.n, _at_least("--k", args.k, 1))
     elif args.k is not None:
-        raise InputError("--k cannot be combined with an instance file with lists")
+        raise ValueError("--k cannot be combined with an instance file with lists")
     k = lists.k if args.k is None else args.k  # an empty graph's lists have no size
     coloring = solve(RelaxedInstance(inst.graph, inst.r, lists))
     if coloring is None:
@@ -123,9 +120,10 @@ def cmd_chromatic(args, inst: Instance):
 
 def cmd_choosable(args, inst: Instance):
     k = _at_least("--k", args.k, 1)
-    universe = 2 * k if args.universe is None else _at_least("--universe", args.universe, k)
+    if args.universe is not None:
+        _at_least("--universe", args.universe, k)
     trials = _at_least("--trials", args.trials, 1)
-    rep = sampled_choosability(inst.graph, k, inst.r, trials, universe, args.seed)
+    rep = sampled_choosability(inst.graph, k, inst.r, trials, args.universe, args.seed)
     result = {
         "k": rep.k,
         "trials": rep.trials,
@@ -172,7 +170,7 @@ def cmd_gen(args, _inst):
             args.seed,
         )
     except GenerationBudgetError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     return (
         {
             "instances": [jsonio.graph_to_json(g) for g in graphs],
@@ -216,34 +214,32 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="oddcolor", description=__doc__)
-    env_seed = os.environ.get("ODDCOLOR_SEED", "0")
-    try:
-        default_seed = int(env_seed)
-    except ValueError:
-        top.error(f"ODDCOLOR_SEED must be an integer, got {env_seed!r}")  # exits 2
     sub = top.add_subparsers(dest="command", required=True)
     for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         if name != "gen":
             p.add_argument("--graph", "--instance", dest="path", required=True, help="graph or instance JSON file")
             p.add_argument("--r", help="relaxation set as edge indices, e.g. 0,3,5")
-        p.add_argument("--seed", type=int, default=default_seed)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
         for flag, kw in flags.items():
             p.add_argument(flag, **kw)
     return top
 
 
+# COMMANDS is the parser's only input, so one parser serves every call
+PARSER = build_parser()
+
+
 def run_command(argv: list[str]) -> int:
     """Run one subcommand, print its report and return its exit code."""
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
         inst, digest = _load(args)
         result, code = COMMANDS[args.command][0](args, inst)
     except ValueError as exc:
-        # InputError is a ValueError, the library's contract-violation type
-        # (disconnected input to an embedding command, malformed lists, ...)
+        # bad input, found by the CLI or the library (malformed lists, ...)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = {

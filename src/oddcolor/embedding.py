@@ -8,10 +8,10 @@ orientation-reversing edges, which is what makes non-orientable surfaces
 Faces are traced with the flag construction: every (vertex, edge) incidence
 carries two flags, one per corner side, and the two involutions "turn the
 corner" and "cross the edge" generate orbits that are exactly the face
-boundary walks.  Each edge contributes two darts overall and every dart lands
-in exactly one face walk, so the face lengths always sum to 2|E| and the
-Euler genus 2 - (|V| - |E| + |F|) is well defined.  A face is the plain tuple
-of its darts, rotated so that its smallest dart leads.
+boundary walks.  Each edge index occurs exactly twice over all walks, so the
+face lengths sum to 2|E| and the Euler genus 2 - (|V| - |E| + |F|) is well
+defined.  A face is the tuple of its darts as its trace met them, smallest
+first; walks need not partition the darts (C5's two faces are one tuple).
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ from typing import Sequence
 from .graphs import Graph, girth
 
 Dart = tuple[int, int]  # (tail vertex, edge index): one traversal step of a walk
-# A face's closed boundary walk: its step i, a dart (v, e), traverses edge e
-# away from tail v, whose head is the tail of step i + 1.  The corner at the
-# tail of step i sits between the edges of steps i - 1 and i.
+# A face's closed boundary walk, as its trace met it: step i, a dart (v, e),
+# traverses edge e away from tail v, whose head is the tail of step i + 1.
+# The corner at the tail of step i sits between the edges of steps i - 1 and i.
 FaceWalk = tuple[Dart, ...]
 _SIGNS = frozenset((1, -1))
 
 
 def trace_faces(emb: EmbeddedGraph) -> tuple[FaceWalk, ...]:
-    """Partition all darts of ``emb`` into face boundary walks.
+    """Trace the face walks of ``emb``: each edge occurs twice over all walks.
 
     The next-dart rule is the rotation successor, reflected on the far side
     of a -1 edge.  A flag is a (vertex, rotation position, side) triple,

@@ -170,7 +170,10 @@ def load_instance(path: str) -> tuple[Instance, str]:
     """Read an instance file; returns (instance, sha256 digest of the bytes)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return instance_from_json(json.loads(data)), digest_bytes(data)
+    try:
+        return instance_from_json(json.loads(data)), digest_bytes(data)
+    except RecursionError:  # parsing, and repr in a message, recurse per level of nesting
+        raise ValueError("the file nests too deeply to be parsed") from None
 
 
 def dump_instance(path: str, obj: dict) -> None:

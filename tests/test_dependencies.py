@@ -1,5 +1,6 @@
-"""The package runs on the standard library alone: ``dependencies = []``, and
-exports exactly the public names listed here."""
+"""The package runs on the standard library alone: ``dependencies = []``,
+reads no environment variable, and exports exactly the public names listed
+here."""
 
 import ast
 import pathlib
@@ -8,12 +9,16 @@ import sys
 import oddcolor
 
 
-def test_every_import_is_relative_or_standard_library():
+def parsed_modules():
     modules = sorted(pathlib.Path(oddcolor.__file__).parent.rglob("*.py"))
     assert len(modules) >= 9
+    return [(path, ast.parse(path.read_text(encoding="utf-8"), str(path))) for path in modules]
+
+
+def test_every_import_is_relative_or_standard_library():
     outside = []
-    for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for path, tree in parsed_modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -26,6 +31,22 @@ def test_every_import_is_relative_or_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_no_module_reads_the_environment():
+    # every input is a flag or a file, so argv and the files reproduce a run
+    env = {"environ", "environb", "getenv"}
+    reads = []
+    for path, tree in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id == "os" else []
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads += [f"{path.name}:{node.lineno}: os.{name}" for name in names if name in env]
+    assert reads == []
 
 
 def test_public_names_are_pinned():

@@ -109,13 +109,17 @@ class TestTraceFaces:
             assert sum(len(f) for f in emb.faces) == 2 * len(emb.graph.edges)
 
     def test_every_dart_in_exactly_one_face(self):
+        """Each edge index occurs exactly twice over all walks, and each walk
+        chains every dart's head to the next dart's tail.  A dart itself may
+        occur twice, since each walk runs as its trace met it."""
         rng = random.Random(10)
         for _ in range(30):
             emb = random_embedded(rng)
             per_edge = {i: 0 for i in range(len(emb.graph.edges))}
             for f in emb.faces:
-                for _, e in f:
+                for i, (v, e) in enumerate(f):
                     per_edge[e] += 1
+                    assert sum(emb.graph.edges[e]) - v == f[(i + 1) % len(f)][0]  # head to next tail
             assert all(c == 2 for c in per_edge.values())
 
     def test_matches_flag_reference_on_random_signed_rotations(self):

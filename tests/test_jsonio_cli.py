@@ -299,7 +299,7 @@ class TestCli:
         assert message in err and out == ""
 
     def test_every_verb_is_in_the_parser_and_has_help(self, capsys):
-        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (sub,) = [a for a in cli.PARSER._actions if isinstance(a, argparse._SubParsersAction)]
         assert set(sub.choices) == set(cli.COMMANDS)
         for verb in cli.COMMANDS:
             with pytest.raises(SystemExit) as exc:
@@ -468,6 +468,20 @@ class TestCli:
         assert exc.value.code == 3
         assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("default_recursion_limit")
+    @pytest.mark.parametrize("wrap", ["{}", '{{"schema":1,"n":1,"edges":[{}]}}'], ids=["array", "edge"])
+    def test_deeply_nested_file_is_input_error(self, tmp_path, capsys, monkeypatch, wrap):
+        # written as text: json.dumps recurses per level as json.loads does
+        path = tmp_path / "deep.json"
+        path.write_text(wrap.format("[" * 100_000 + "]" * 100_000))
+        monkeypatch.setattr(sys, "argv", ["oddcolor", "check", "--graph", str(path)])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"cannot load {path}: the file nests too deeply" in err
+        assert "Traceback" not in err and "internal error" not in err
+
     @pytest.mark.parametrize("verb, code", [("gen", 0), ("check", 1)])
     def test_closed_stdout_keeps_the_verdict(self, tmp_path, capsys, monkeypatch, verb, code):
         # a reader that stops early (`oddcolor gen ... | head -c 100`)
@@ -522,26 +536,10 @@ class TestCli:
         rep2.pop("duration_s")
         assert rep1 == rep2
 
-    def test_seed_echoed(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ODDCOLOR_SEED", "77")
+    def test_seed_echoed(self, tmp_path, capsys):
         path = write_graph(tmp_path, "c5.json", cycle_graph(5))
-        _, rep, _ = self.run(capsys, "chromatic", "--graph", path)
+        _, rep, _ = self.run(capsys, "chromatic", "--graph", path, "--seed", "77")
         assert rep["seed"] == 77
-
-    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
-    def test_malformed_seed_variable_is_input_error(self, tmp_path, capsys, monkeypatch, value):
-        path = write_graph(tmp_path, "c5.json", cycle_graph(5))
-        monkeypatch.setenv("ODDCOLOR_SEED", value)
-        monkeypatch.setattr(sys, "argv", ["oddcolor", "chromatic", "--graph", path])
-        with pytest.raises(SystemExit) as exc:
-            cli.main()
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert f"ODDCOLOR_SEED must be an integer, got {value!r}" in err
-        assert "Traceback" not in err and "internal error" not in err
-        monkeypatch.setenv("ODDCOLOR_SEED", " 12 ")
-        _, rep, _ = self.run(capsys, "chromatic", "--graph", path)
-        assert rep["seed"] == 12
 
 
 class TestRunCommandReuse:
@@ -556,8 +554,7 @@ class TestRunCommandReuse:
 
     def fresh_process(self, *argv):
         """The same call in a new ``oddcolor`` process, with its own parser."""
-        env = {k: v for k, v in os.environ.items() if k != "ODDCOLOR_SEED"}
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         done = subprocess.run(
             [sys.executable, "-m", "oddcolor.cli", *argv, "--quiet"],
             env=env, capture_output=True, text=True, timeout=60,
@@ -575,30 +572,31 @@ class TestRunCommandReuse:
             ("embed", "--graph", k5),  # default --max-genus, no --seed
             ("choosable", "--graph", c5, "--k", "4", "--trials", "3", "--seed", "2"),
             ("choosable", "--graph", c5, "--k", "5", "--trials", "2"),  # default --universe
+            ("choosable", "--graph", c5, "--k", "4", "--trials", "3", "--universe", "12"),
+            ("choosable", "--graph", c5, "--k", "4", "--trials", "3"),  # default --universe
             ("check", "--graph", c5, "--r", "0"),
             ("check", "--graph", c5),
+            ("solve", "--graph", c5, "--k", "5", "--r", "0"),
+            ("solve", "--graph", c5, "--k", "5"),  # no R
+            ("chromatic", "--graph", c5, "--seed", "4"),
+            ("chromatic", "--graph", c5),  # default --seed
             ("discharge", "--instance", torus),
             ("gen", "--n", "12", "--min-girth", "5", "--count", "2", "--seed", "3"),
             ("gen", "--n", "12", "--min-girth", "5"),
         ]
 
-    def test_same_reports_as_one_process_per_call(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("ODDCOLOR_SEED", raising=False)
+    def test_same_reports_as_one_process_per_call(self, tmp_path, capsys):
         calls = self.calls(tmp_path)
         # each call twice, in and out of order, in this one process
         got = [self.report(capsys, *argv) for argv in calls + calls[::-1]]
         want = [self.fresh_process(*argv) for argv in calls]
         assert got == want + want[::-1]
-        assert [rep["seed"] for _, rep in want] == [5, 0, 2, 0, 0, 0, 0, 3, 0]
+        assert [rep["seed"] for _, rep in want] == [5, 0, 2, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 3, 0]
 
-    def test_seed_variable_read_at_each_call(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("ODDCOLOR_SEED", raising=False)
+    def test_seed_variable_read_at_each_call(self, tmp_path, capsys):
         path = write_graph(tmp_path, "c5.json", cycle_graph(5))
         assert self.report(capsys, "chromatic", "--graph", path)[1]["seed"] == 0
-        monkeypatch.setenv("ODDCOLOR_SEED", "77")
-        assert self.report(capsys, "chromatic", "--graph", path)[1]["seed"] == 77
         assert self.report(capsys, "chromatic", "--graph", path, "--seed", "4")[1]["seed"] == 4
-        monkeypatch.delenv("ODDCOLOR_SEED")
         assert self.report(capsys, "chromatic", "--graph", path)[1]["seed"] == 0
 
     def test_argparse_error_then_valid_call(self, tmp_path, capsys):
