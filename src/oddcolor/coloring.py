@@ -8,23 +8,28 @@ coloring, so the odd-coloring check is the relaxed check with an empty
 relaxation set.  Both read one scan for the monochromatic edges and the
 non-relaxed vertices that see no color an odd number of times.
 
-The solver is an exact, iterative backtracking search.  Each vertex carries
-the XOR mask of the colors on its colored neighbors, so a parity check is one
-comparison with 0.  After each assignment, a neighbor with no color left
-rejects the choice, and one with a single color left is colored at once, so
-chains of forced colors cost one pass (forced-color propagation).  When every
-vertex has the same list, the colors are interchangeable, so a vertex never
-tries a color above the highest one already used plus one
-(value-interchangeability symmetry breaking).  None of this changes which
+The solver is an exact, iterative backtracking search over a static vertex
+order, highest degree first, that solver_order builds in O(n + m) pushes
+and pops on small heaps of ints.  The order, the neighbor tuples and the
+parity flags depend only on the graph and the relaxation set, so
+odd_chromatic_number and sampled_choosability compute them once per call,
+not once per k or per trial.  Each vertex carries the XOR mask of the
+colors on its colored neighbors, so a parity check is one comparison with 0.
+After each assignment, a neighbor with no color left rejects the choice, and
+one with a single color left is colored at once, so chains of forced colors
+cost one pass (forced-color propagation).  When every vertex has the same
+list, the colors are interchangeable, so a vertex never tries a color above
+the highest one already used plus one (value-interchangeability symmetry
+breaking).  None of this changes which
 coloring the search returns: the first valid one in its fixed order.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable
 
 from .graphs import Edge, Graph, RSet, normalize_edge, relaxed_flags
@@ -139,25 +144,55 @@ def solver_order(g: Graph) -> list[int]:
     turns subdivision-like instances from exponential into trivial; a plain
     degeneracy order scatters them through the order and stalls the search.
 
-    A lazy max-heap makes this O((n + m) log n): placed-neighbor counts only
-    grow, so a vertex's newest heap entry pops before its stale ones, which
-    are skipped once the vertex is placed.
+    Degree is the first key, so the order runs through the degree classes
+    from the highest degree down.  Within a class the placed-neighbor counts
+    only grow.  Vertices with count 0 come out in id order through a pointer
+    over the class; the others wait in one min-heap of ids per count, where
+    an entry goes stale (and is skipped) once its vertex is placed or its
+    count grows.  Each vertex gets at most one entry per count, so the whole
+    order costs O(n + m) heap pushes and pops on small heaps of ints.
     """
-    placed = [False] * g.n
-    ordered_nbrs = [0] * g.n
-    heap = [(-g.degree(v), 0, v) for v in range(g.n)]
-    heapq.heapify(heap)
+    adj = g.adj
+    deg = [len(a) for a in adj]
+    classes: list[list[int]] = [[] for _ in range(max(deg, default=-1) + 1)]
+    for v, d in enumerate(deg):
+        classes[d].append(v)
+    count = [0] * g.n  # placed neighbors, or -1 once the vertex is placed
     out = []
-    while heap:
-        v = heapq.heappop(heap)[2]
-        if placed[v]:
-            continue
-        placed[v] = True
-        out.append(v)
-        for w in g.adj[v]:
-            if not placed[w]:
-                ordered_nbrs[w] += 1
-                heapq.heappush(heap, (-g.degree(w), -ordered_nbrs[w], w))
+    for d in range(len(classes) - 1, -1, -1):
+        members = classes[d]  # in id order
+        if not members:
+            continue  # so the heaps cost O(n + m) over all classes
+        heaps: list[list[int]] = [[] for _ in range(d + 1)]
+        for v in members:
+            if count[v]:
+                heaps[count[v]].append(v)  # appended in id order: a heap
+        top = d  # no count above top has a member waiting
+        i = 0  # every member before members[i] is placed
+        for _ in members:
+            while top:  # the smallest id with the largest count, if any
+                h = heaps[top]
+                if not h:
+                    top -= 1
+                elif count[h[0]] != top:
+                    heappop(h)
+                else:
+                    v = heappop(h)
+                    break
+            else:  # no member with a count is left: the smallest id
+                while count[members[i]] < 0:
+                    i += 1
+                v = members[i]
+            count[v] = -1
+            out.append(v)
+            for w in adj[v]:
+                c = count[w] + 1
+                if c:  # w is not placed
+                    count[w] = c
+                    if deg[w] == d:
+                        heappush(heaps[c], w)
+                        if c > top:
+                            top = c
     return out
 
 
@@ -191,8 +226,25 @@ def solve(inst: RelaxedInstance) -> Coloring | None:
     shrink by up to k! this way.  Lists that differ anywhere get the full
     search.
     """
-    g = inst.graph
-    n = g.n
+    return _search(inst, *_solver_setup(inst.graph, inst.r))
+
+
+def _solver_setup(
+    g: Graph, r: RSet
+) -> tuple[list[tuple[int, ...]], list[bool], list[int]]:
+    """The part of solve's set-up that the lists do not change: neighbor
+    tuples, whether each vertex must see an odd color, and solver_order."""
+    return [tuple(a) for a in g.adj], [not x for x in relaxed_flags(g, r)], solver_order(g)
+
+
+def _search(
+    inst: RelaxedInstance,
+    adj: list[tuple[int, ...]],
+    constrained: list[bool],
+    order: list[int],
+) -> Coloring | None:
+    """solve's search, given _solver_setup(inst.graph, inst.r)."""
+    n = inst.graph.n
     if n == 0:
         return {}
     distinct = set(inst.lists.lists)
@@ -200,8 +252,6 @@ def solve(inst: RelaxedInstance) -> Coloring | None:
     rank = {col: i for i, col in enumerate(palette)}
     masks = {s: sum(1 << rank[col] for col in s) for s in distinct}
     list_mask = [masks[s] for s in inst.lists.lists]
-    adj = [tuple(g.adj[v]) for v in range(n)]
-    constrained = [not x for x in relaxed_flags(g, inst.r)]
     color = [-1] * n
     mask = [0] * n
     uncolored = [len(a) for a in adj]
@@ -237,20 +287,25 @@ def solve(inst: RelaxedInstance) -> Coloring | None:
         todo = [u]
         while todo:
             for w in adj[todo.pop()]:
-                last = -1
+                if color[w] < 0:
+                    left = allowed(w)
+                    if not left:
+                        return False
+                    if not left & (left - 1):
+                        assign(w, left.bit_length() - 1)
+                        todo.append(w)
                 if constrained[w] and uncolored[w] == 1:
-                    last = next(x for x in adj[w] if color[x] < 0)
-                for x in (w, last):
-                    if x >= 0 and color[x] < 0:
-                        left = allowed(x)
-                        if not left:
-                            return False
-                        if not left & (left - 1):
-                            assign(x, left.bit_length() - 1)
-                            todo.append(x)
+                    for x in adj[w]:
+                        if color[x] < 0:  # w's last uncolored neighbor
+                            left = allowed(x)
+                            if not left:
+                                return False
+                            if not left & (left - 1):
+                                assign(x, left.bit_length() - 1)
+                                todo.append(x)
+                            break
         return True
 
-    order = solver_order(g)
     # cap[p]: the ranks position p may try, as a bit mask.  With one list
     # everywhere these are the ranks up to top[p] + 1, else all ranks (-1).
     cap = [1 if len(masks) == 1 else -1] * n
@@ -290,8 +345,9 @@ def odd_chromatic_number(g: Graph) -> int:
     if g.n == 0:
         return 0
     empty: RSet = frozenset()
+    setup = _solver_setup(g, empty)
     for k in range(1, g.n + 1):
-        if solve(RelaxedInstance(g, empty, uniform_lists(g.n, k))) is not None:
+        if _search(RelaxedInstance(g, empty, uniform_lists(g.n, k)), *setup) is not None:
             return k
     raise AssertionError("unreachable: rainbow coloring is always odd")
 
@@ -334,12 +390,13 @@ def sampled_choosability(
         raise ValueError("universe must be at least k")
     rng = random.Random(seed)
     palette = range(1, universe + 1)  # sampled by index, never built
+    setup = _solver_setup(g, r)
     found = []
     for t in range(trials):
         lists = ListAssignment(
             tuple(frozenset(rng.sample(palette, k)) for _ in range(g.n))
         )
-        if solve(RelaxedInstance(g, r, lists)) is None:
+        if _search(RelaxedInstance(g, r, lists), *setup) is None:
             found.append((t, tuple(tuple(sorted(s)) for s in lists.lists)))
     return ChoosabilityReport(k, trials, universe, seed, tuple(found))
 

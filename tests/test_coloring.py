@@ -4,8 +4,9 @@ import tracemalloc
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oddcolor import jsonio
+from oddcolor import coloring, jsonio
 from oddcolor.generate import generate_girth_instances
 from oddcolor.graphs import (
     Graph,
@@ -380,6 +381,61 @@ class TestSolverOrder:
             p = mean_degree / max(n - 1, 1)
             g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
             assert solver_order(g) == solver_order_reference(g)
+
+    def test_matches_reference_on_the_graph_atlas(self):
+        # every graph on at most 7 vertices, disconnected ones, isolated
+        # vertices and the empty graph included
+        nx = pytest.importorskip("networkx")
+        atlas = nx.graph_atlas_g()
+        assert len(atlas) == 1253
+        for h in atlas:
+            g = Graph(h.number_of_nodes(), list(h.edges))
+            assert solver_order(g) == solver_order_reference(g), g.edges
+
+    def test_matches_reference_where_counts_rise_before_a_class(self):
+        # the high-degree vertices come first and give the lower classes
+        # their placed-neighbor counts: the branch vertices of a subdivided
+        # K_h, and a star's center with the cycle vertices it touches (every
+        # one of them, without leaves, makes a wheel)
+        shapes = [one_subdivision(complete_graph(h)) for h in range(1, 13)]
+        for length, step, leaves in product((*range(3, 13), 16), (1, 2, 3, 5), (0, 1, 4)):
+            hub = length
+            edges = [(i, (i + 1) % length) for i in range(length)]
+            edges += [(hub, i) for i in range(0, length, step)]
+            edges += [(hub, hub + 1 + j) for j in range(leaves)]
+            shapes.append(Graph(length + 1 + leaves, edges))
+        for g in shapes:
+            assert solver_order(g) == solver_order_reference(g), g.edges
+
+    @given(st.integers(1, 30), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_mixed_degrees(self, n, data):
+        # a few hubs over a sparse background, so the degree classes vary
+        # in size and the counts climb both inside and across classes
+        pairs = list(combinations(range(n), 2))
+        hubs = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+        hub_edges = [e for e in pairs if e[0] in hubs or e[1] in hubs]
+        edges = set(data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n))) if pairs else set()
+        if hub_edges:
+            edges |= set(data.draw(st.lists(st.sampled_from(hub_edges), max_size=3 * n)))
+        g = Graph(n, sorted(edges))
+        assert solver_order(g) == solver_order_reference(g)
+
+    def test_built_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return solver_order(g)
+
+        monkeypatch.setattr(coloring, "solver_order", counted)
+        c5 = cycle_graph(5)
+        assert odd_chromatic_number(c5) == 5  # five solver runs, k = 1..5
+        assert calls == [c5]
+        calls.clear()
+        rep = sampled_choosability(c5, 4, frozenset(), 12, 5, seed=2)
+        assert [t for t, _ in rep.refutations] == [2]
+        assert calls == [c5]
 
 
 class TestOddChromatic:

@@ -1,7 +1,7 @@
 """Pinned CLI reports: ``check``, ``audit``, ``discharge``, ``hunt``,
-``embed``, ``gen``, ``solve`` and ``chromatic`` on a few fixed instances must
-keep every byte of their JSON (``duration_s`` aside), so that an
-optimisation cannot silently change a report.
+``embed``, ``gen``, ``solve``, ``chromatic`` and ``choosable`` on a few fixed
+instances must keep every byte of their JSON (``duration_s`` aside), so that
+an optimisation cannot silently change a report.
 
 The ``check`` … ``hunt`` digests were recorded with the quadratic analysis
 code (pairwise 5-cycle and triangle scans, per-negative witness scans,
@@ -17,8 +17,10 @@ rotations at vertices of degree 9.  The ``gen`` digests of the perfbench
 catalogue graphs (n = 300, 40, 30 and 32) were recorded while the generator
 ran one bounded BFS per candidate edge.  The ``hard-*`` digests (girth-7
 graphs of 48 to 60 vertices at k = 3; n = 56 is UNSAT) were recorded while
-``solve`` backtracked chronologically.  A digest that changes means a report
-changed: find out why before recording a new one.
+``solve`` backtracked chronologically.  The ``choosable`` digests were
+recorded while ``solve`` built its vertex order with a lazy heap and
+``sampled_choosability`` set the solver up again for every trial.  A digest
+that changes means a report changed: find out why before recording a new one.
 """
 
 import contextlib
@@ -105,8 +107,15 @@ def instances():
         **{name: (jsonio.graph_to_json(g), orientable) for name, g in girth7.items()},
         **{name: (jsonio.graph_to_json(g), ("hunt",) + orientable) for name, g in tight.items()},
         # one instance name per ``solve --k``, so the keys stay "name:command"
-        "C5-k4": (jsonio.graph_to_json(c5), ("solve --k 4",)),
-        "C5-k5": (jsonio.graph_to_json(c5), ("solve --k 5", "chromatic")),
+        "C5-k4": (
+            jsonio.graph_to_json(c5),
+            # lists of 4 from 5 colors: only trial 2 draws a refutation
+            ("solve --k 4", "choosable --k 4 --universe 5 --trials 12 --seed 2"),
+        ),
+        "C5-k5": (
+            jsonio.graph_to_json(c5),
+            ("solve --k 5", "chromatic", "choosable --k 5 --trials 12 --seed 2"),
+        ),
         "sK5-k4": (jsonio.graph_to_json(one_subdivision(complete_graph(5))), ("solve --k 4",)),
         "sK4": (jsonio.graph_to_json(one_subdivision(complete_graph(4))), ("chromatic",)),
         "petersen-k3": (jsonio.graph_to_json(pete), ("solve --k 3", "chromatic")),
@@ -201,6 +210,8 @@ GOLDEN = {
     "hard-52-k3:solve": "f3421ed6623771066cb95bf47ac865b71099a748933a77126e08b612c0cce3af",
     "hard-56-k3:solve": "b19b405716f8b1f62f1d571cccbeb444bac6392b2294edc8adbbb21913045748",
     "hard-60-k3:solve": "4b3165ee337d023139b1417d6de1af0d7638a81827acce441dccebd5e95ee446",
+    "C5-k4:choosable": "3e863ddd541ee16e50eac7b9e6447b3449a4f88d9a2b70a3b5473f9fdaa4d483",
+    "C5-k5:choosable": "57ceb4d71571f4a253a952f0bce227b4316b8bc2c53fb9beb45d6bb588cacb3e",
 }
 
 
@@ -239,7 +250,8 @@ def test_golden_instances_reach_every_stage(reports):
     """The pinned reports are worth pinning: they hold 5-cycle pairs, audit
     violations, negative charges explained by lemmas, hunts stopped at the
     hypothesis, the embedding and the audit, embeddings found at Euler genus
-    0, 1 and 2 and refuted at genus 2, and colorings both found and refuted."""
+    0, 1 and 2 and refuted at genus 2, colorings both found and refuted, and
+    sampled list assignments both refuted and not."""
     seen = set()
     for report in reports.values():
         command, res = report["command"], report["result"]
@@ -255,9 +267,11 @@ def test_golden_instances_reach_every_stage(reports):
             seen.add(f"embed:eg{res['euler_genus']}" if res["embedding"] else "embed:refuted")
         if command == "solve":
             seen.add(f"solve:{res['status']}")
+        if command == "choosable":
+            seen.add(f"choosable:{'refuted' if res['refutations'] else 'none'}")
     assert seen == {
         "five_pairs", "violations", "explained_by",
         "hunt:hypothesis", "hunt:embedding", "hunt:audit",
         "embed:eg0", "embed:eg1", "embed:eg2", "embed:refuted",
-        "solve:SAT", "solve:UNSAT",
+        "solve:SAT", "solve:UNSAT", "choosable:refuted", "choosable:none",
     }
