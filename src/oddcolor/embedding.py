@@ -16,6 +16,7 @@ first; walks need not partition the darts (C5's two faces are one tuple).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 from .graphs import Graph, girth
@@ -168,12 +169,44 @@ def _spanning_tree(g: Graph) -> list[tuple[int, int]]:
 # -- embedding search --------------------------------------------------------
 
 
+# a dart of the face search: (dart number, head vertex, edge index, reverse dart)
+_DartRow = tuple[int, int, int, int]
+_DartTables = tuple[tuple[_DartRow, ...], tuple[tuple[_DartRow, ...], ...]]
+
+
+def _dart_tables(g: Graph) -> _DartTables:
+    """The darts of ``g`` as (dart, head, edge, reverse) tuples: all of them
+    by dart number, and the darts leaving each vertex.
+
+    Darts are numbered vertex by vertex, neighbours in increasing order.
+    ``g.edges`` is in lexicographic order, so each vertex meets its edges in
+    increasing order of the other end, and one pass over them, with a next
+    free slot per vertex, numbers every dart, its reverse and its edge.
+    """
+    total = 2 * len(g.edges)
+    bounds = list(accumulate(map(len, g.adj), initial=0))  # each vertex's first dart
+    slot = bounds[:-1]
+    head = [0] * total
+    edge_of = [0] * total
+    rev = [0] * total
+    for e, (a, b) in enumerate(g.edges):
+        x, y = slot[a], slot[b]
+        slot[a], slot[b] = x + 1, y + 1
+        head[x], head[y] = b, a
+        edge_of[x] = edge_of[y] = e
+        rev[x], rev[y] = y, x
+    darts = tuple(zip(range(total), head, edge_of, rev))
+    return darts, tuple(darts[i:j] for i, j in zip(bounds, bounds[1:]))
+
+
 def _face_search(
-    g: Graph, min_faces: int, min_len: int, free: frozenset[int] = frozenset()
+    tables: _DartTables, min_faces: int, min_len: int, free: frozenset[int] = frozenset()
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
     """Depth-first search over signed rotation systems, building faces dart
     by dart on an explicit stack; returns the (rotation, signs) pair of the
-    first embedding with ``min_faces`` faces, or None.
+    first embedding with ``min_faces`` faces, or None.  ``tables`` are the
+    graph's darts from ``_dart_tables``, built once per ``embed_search``
+    call and read, never changed, by each of its runs.
 
     A walk state is a dart plus the local orientation eps it is walked in.
     Arriving at w over edge e with eps' = eps * sign(e), the search chooses
@@ -199,66 +232,33 @@ def _face_search(
     there keeps the earlier of the two.  Of each mirror pair, under every
     choice of the free signs, exactly one corresponds to a search path.
     """
-    n = g.n
-    m = len(g.edges)
-    darts: list[tuple[int, int]] = []
-    for u, v in g.edges:
-        darts.append((u, v))
-        darts.append((v, u))
-    darts.sort()
-    idx = {d: i for i, d in enumerate(darts)}
-    rev = [idx[(v, u)] for (u, v) in darts]
-    head = [v for (_, v) in darts]
-    tail = [u for (u, _) in darts]
-    edge_of = [g.edge_index(d) for d in darts]
-    out_darts: list[list[int]] = [[] for _ in range(n)]
-    for i, (u, _) in enumerate(darts):
-        out_darts[u].append(i)
-    deg = [g.degree(v) for v in range(n)]
-    sign = [0 if e in free else 1 for e in range(m)]  # 0: not chosen yet
-    # signs to try, indexed by sign[e]: an open edge (0) tries both, a set
-    # one (+1, or -1 as the last index) keeps its own
-    choices = ((1, -1), (1,), (-1,))
+    darts, out = tables
+    total = len(darts)  # 2m
+    sign = [1] * (total // 2)
+    for e in free:
+        sign[e] = 0  # not chosen yet
 
     # per-dart rotation links: succ[a] = b and pred[b] = a when sigma(a) = b,
     # -1 when unset.  The links at a vertex form paths until the last one
     # closes them into a single cycle through all its darts.
-    succ = [-1] * (2 * m)
-    pred = [-1] * (2 * m)
-
-    def link(a: int, b: int) -> bool:
-        """Set sigma(a) = b, unless a already has a successor, b already has
-        a predecessor, or the link would close a cycle through fewer than
-        all the darts at tail(a).  b has no predecessor, so the walk from b
-        along succ ends, after at most deg - 1 steps, at the end of b's
-        path; the link closes a cycle exactly when that end is a."""
-        if succ[a] != -1 or pred[b] != -1:
-            return False
-        end, size = b, 1
-        while succ[end] != -1:
-            end = succ[end]
-            size += 1
-        if end == a and size != deg[tail[a]]:
-            return False
-        succ[a] = b
-        pred[b] = a
-        return True
+    succ = [-1] * total
+    pred = [-1] * total
 
     # state s < total walks dart s with eps = +1, state s >= total walks
     # dart s - total with eps = -1
-    total = 2 * m
     used = [False] * (2 * total)
 
     # the mirror cut: walk the forced first face from dart 0 to z, ``at``
     # darts; a walk that closes first never meets z and gets no cut
-    at, cut, d = -1, (), 0
+    at, cut = -1, ()
+    _, w, _, a = darts[0]
     for count in range(1, total + 1):
-        w, a = head[d], rev[d]
-        if deg[w] >= 3:
-            top = max(b for b in out_darts[w] if b != a)
-            at, cut = count, [b for b in out_darts[w] if b != top]
+        here = out[w]
+        if len(here) >= 3:
+            top = max(t for t in here if t[0] != a)
+            at, cut = count, tuple(t for t in here if t is not top)
             break
-        d = next((b for b in out_darts[w] if b != a), a)
+        _, w, _, a = next((t for t in here if t[0] != a), darts[a])
 
     # A walk standing at w needs at least dist(w, root) more darts to close.
     # Balls are cut at the longest face the target allows, less the two darts
@@ -276,7 +276,7 @@ def _face_search(
                 break
             nxt = []
             for u in frontier:
-                for w in g.adj[u]:
+                for _, w, _, _ in out[u]:
                     if w not in dist:
                         dist[w] = d
                         nxt.append(w)
@@ -288,7 +288,8 @@ def _face_search(
     # resumed.  Only children that pass the bound are yielded.  A child that
     # closes a face always passes, since its bound is the one its parent
     # passed; closing the last face yields None.  Entering a state marks it
-    # and its mirror, after choosing the sign of its edge if that is open.
+    # and its mirror, after choosing the sign of its edge if that is open;
+    # an edge whose sign is set is entered once, with no choice to undo.
     def begin(faces_done: int, used_count: int, after: int):
         """Open a face at the first unused state past ``after``, the start
         of the previous face: every state before it is in use."""
@@ -298,54 +299,81 @@ def _face_search(
         while used[s]:
             s += 1
         plus = s < total  # eps = +1 at the start
-        b = s if plus else s - total
-        root = tail[b]
+        _, w, e, r = darts[s if plus else s - total]
+        root = darts[r][1]
         dist = balls.get(root)
         if dist is None:
             dist = balls[root] = ball(root)
         # the most darts in use once this face closes that still leave
         # min_len darts for each face still missing
         limit = total - (min_faces - faces_done - 1) * min_len
-        e = edge_of[b]
         was = sign[e]
-        for sg in choices[was]:
+        for sg in (was,) if was else (1, -1):
             sign[e] = sg
             ahead = plus == (sg == 1)
-            mirror = rev[b] + total if ahead else rev[b]
+            mirror = r + total if ahead else r
             used[s] = used[mirror] = True
-            yield extend(faces_done, used_count + 1, s, b, ahead, dist, limit)
+            yield extend(faces_done, used_count + 1, s, w, r, ahead, dist, limit)
             used[s] = used[mirror] = False
         sign[e] = was
 
     def extend(
-        faces_done: int, used_count: int, start: int, d: int, forward: bool,
+        faces_done: int, used_count: int, start: int, w: int, a: int, forward: bool,
         dist: dict[int, int], limit: int,
     ):
-        """Continue an open walk whose last dart is d, arriving at head(d)
+        """Continue an open walk that has arrived at w, a the return dart,
         with eps' = +1 iff ``forward``; ``dist`` is the ball of the face's
         root and ``limit`` the most darts in use when the face closes."""
         slack = limit - used_count - 1  # darts left to close after one more
         offset = 0 if forward else total
-        a = rev[d]  # the return dart
-        for b in cut if faces_done == 0 and used_count == at else out_darts[head[d]]:
+        size = len(out[w])
+        step = used_count + 1
+        for b, h, e, r in cut if faces_done == 0 and used_count == at else out[w]:
             s = b + offset
-            x, y = (a, b) if forward else (b, a)
+            if used[s]:
+                if s != start:
+                    continue
+            elif dist.get(h, far) > slack:
+                continue
+            if forward:
+                x, y = a, b
+            else:
+                x, y = b, a
+            # set sigma(x) = y, unless x already has a successor, y already
+            # has a predecessor, or the link would close a cycle through
+            # fewer than all the darts at w.  y has no predecessor, so the
+            # walk from y along succ ends, after at most size - 1 steps, at
+            # the end of y's path; the link closes a cycle exactly when that
+            # end is x.
+            if succ[x] != -1 or pred[y] != -1:
+                continue
+            end, length = y, 1
+            while succ[end] != -1:
+                end = succ[end]
+                length += 1
+            if end == x and length != size:
+                continue
+            succ[x] = y
+            pred[y] = x
+            sg = sign[e]
             if s == start:
-                if link(x, y):
-                    yield begin(faces_done + 1, used_count, start) if used_count < total else None
-                    succ[x] = pred[y] = -1
-            elif not used[s] and dist.get(head[b], far) <= slack and link(x, y):
-                e = edge_of[b]
-                was = sign[e]
-                for sg in choices[was]:
+                yield begin(faces_done + 1, used_count, start) if used_count < total else None
+            elif sg:
+                ahead = forward == (sg == 1)
+                mirror = r + total if ahead else r
+                used[s] = used[mirror] = True
+                yield extend(faces_done, step, start, h, r, ahead, dist, limit)
+                used[s] = used[mirror] = False
+            else:
+                for sg in (1, -1):
                     sign[e] = sg
                     ahead = forward == (sg == 1)
-                    mirror = rev[b] + total if ahead else rev[b]
+                    mirror = r + total if ahead else r
                     used[s] = used[mirror] = True
-                    yield extend(faces_done, used_count + 1, start, b, ahead, dist, limit)
+                    yield extend(faces_done, step, start, h, r, ahead, dist, limit)
                     used[s] = used[mirror] = False
-                sign[e] = was
-                succ[x] = pred[y] = -1
+                sign[e] = 0
+            succ[x] = pred[y] = -1
 
     stack = [begin(0, 0, -1)]
     push, pop = stack.append, stack.pop
@@ -366,15 +394,15 @@ def _face_search(
         return None
 
     rotation = []
-    for v in range(n):
-        if not out_darts[v]:
+    for here in out:
+        if not here:
             rotation.append(())
             continue
-        first = out_darts[v][0]
-        order = [head[first]]
+        first, w, _, _ = here[0]
+        order = [w]
         d = succ[first]
         while d != first:
-            order.append(head[d])
+            order.append(darts[d][1])
             d = succ[d]
         rotation.append(tuple(order))
     return tuple(rotation), tuple(sign)
@@ -384,8 +412,9 @@ def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
     """Find any 2-cell embedding of Euler genus <= max_genus, or None.
 
     Exhaustive and deterministic.  One face-driven search runs at most
-    twice.  The first run fixes every sign to +1, so it decides the
-    orientable surfaces of Euler genus <= max_genus.  If that fails and
+    twice, over dart tables built once per call.  The first run fixes
+    every sign to +1, so it decides the orientable surfaces of Euler genus
+    <= max_genus.  If that fails and
     max_genus >= 1, the second run leaves free the signs of the edges
     outside one spanning tree.  That covers every surface: switching
     vertices turns any embedding into one whose tree edges are all +1.
@@ -412,11 +441,12 @@ def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
         return None
     # orientable surfaces have even Euler genus
     orient_target = max_genus - max_genus % 2
-    found = _face_search(g, sphere_faces - orient_target, min_len)
+    tables = _dart_tables(g)
+    found = _face_search(tables, sphere_faces - orient_target, min_len)
     if found is None and max_genus >= 1:
         tree = {g.edge_index(t) for t in _spanning_tree(g)}
         free = frozenset(e for e in range(m) if e not in tree)
-        found = _face_search(g, sphere_faces - max_genus, min_len, free)
+        found = _face_search(tables, sphere_faces - max_genus, min_len, free)
     if found is None:
         return None
     emb = EmbeddedGraph(g, *found)

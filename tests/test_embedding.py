@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -509,10 +511,11 @@ class TestEmbedSearch:
         for max_genus in (0, 1, 2):
             emb = embed_search(g, max_genus)
             assert (emb is not None) == embeds_brute_force(g, max_genus)
+            tables = embedding._dart_tables(g)
             for min_faces, min_len, free in phase_args(g, max_genus):
                 assert min_len == girth(h)
-                found = embedding._face_search(g, min_faces, min_len, free)
-                assert found == embedding._face_search(g, min_faces, 3, free)
+                found = embedding._face_search(tables, min_faces, min_len, free)
+                assert found == embedding._face_search(tables, min_faces, 3, free)
 
     def test_known_nonplanar_cases(self):
         for g in (complete_graph(5), complete_bipartite_graph(3, 3), petersen_graph()):
@@ -561,9 +564,10 @@ class TestMirrorCut:
 
     @staticmethod
     def assert_same_search(g, genera=(0, 1, 2)):
+        tables = embedding._dart_tables(g)
         for max_genus in genera:
             for args in phase_args(g, max_genus):
-                assert embedding._face_search(g, *args) == face_search_reference(g, *args), (
+                assert embedding._face_search(tables, *args) == face_search_reference(g, *args), (
                     g.edges, max_genus, args[2] != frozenset())
 
     def test_random_connected_graphs(self):
@@ -621,3 +625,55 @@ class TestMirrorCut:
         g = generate_girth_instances(n, 7, 3, 5000 + n)[i]
         assert embed_search(g, 2) is None
         self.assert_same_search(g, genera=(2,))
+
+
+class TestFaceSearchState:
+    """What the face search builds per call, and what it leaves behind."""
+
+    # SHA-256 of repr([(rotation, signs) or None, ...]) over the 51 hunt
+    # catalogue graphs, recorded at commit 55dc3aa, before the dart tables
+    # were built once per call: 41, 23 and 10 of them are refuted
+    PINS = {
+        0: "fe9f2e707045bf9f1542c238bc603a2623fe87660add5672048045dcadbe71d6",
+        1: "3298beac7de04c6901d41a5226a187c9724c80c3c8f5afe71d47110ba77f6ad6",
+        2: "4c9c986edaa97988888e66845beb91239ead4a1d492571af95eb9eb6415a1df2",
+    }
+    REFUTED = {0: 41, 1: 23, 2: 10}
+
+    @pytest.mark.parametrize("max_genus", [0, 1, 2])
+    def test_hunt_catalogue_embeddings_pinned(self, max_genus):
+        graphs = [g for n in range(16, 33) for g in generate_girth_instances(n, 7, 3, 5000 + n)]
+        found = [None if e is None else (e.rotation, e.signs) for e in (embed_search(g, max_genus) for g in graphs)]
+        assert found.count(None) == self.REFUTED[max_genus]
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == self.PINS[max_genus]
+
+    def test_dart_tables_built_once_per_call(self, monkeypatch):
+        calls = []
+        dart_tables = embedding._dart_tables
+
+        def counted(g):
+            calls.append(g)
+            return dart_tables(g)
+
+        monkeypatch.setattr(embedding, "_dart_tables", counted)
+        k5 = complete_graph(5)
+        # the orientable phase fails at Euler genus 0, the signed one finds
+        # the projective plane
+        emb = embed_search(k5, 1)
+        assert emb is not None and emb.euler_genus == 1
+        assert calls == [k5]
+
+    def test_search_leaves_no_reference_cycle(self):
+        graphs = [complete_graph(5), complete_graph(6)]
+        graphs += generate_girth_instances(29, 7, 3, 5029)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for g in graphs:
+                for max_genus in (0, 1, 2):
+                    gc.collect()
+                    embed_search(g, max_genus)
+                    assert gc.collect() == 0, (g.n, max_genus)
+        finally:
+            if enabled:
+                gc.enable()
