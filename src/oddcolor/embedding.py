@@ -214,9 +214,16 @@ def _face_search(
     eps' = +1 (sigma(a) = b), its predecessor when eps' = -1 (sigma(b) = a).
     Each edge side is walked once, so a state is marked used together with
     its mirror, the same side walked backwards.  Edges in ``free`` get their
-    sign, +1 then -1, when a walk first crosses them; all others are +1.  A
-    face closes when the walk returns to its starting state.  Prunes with
-    the bound faces_done + remaining_sides // min_len < min_faces, where
+    sign, +1 then -1, when a walk first crosses them; all others are +1.
+    A free edge crossed into a vertex h whose edges are all still unsigned
+    gets +1 only.  No walk has reached h, so no link or sign at h is
+    decided, and switching h (reversing its rotation and negating its edges;
+    Mohar & Thomassen, *Graphs on Surfaces*, ch. 3-4) turns any embedding on
+    the -1 branch into one on the +1 branch with the same faces, so the
+    search stays complete up to switching.  When ``free`` leaves a spanning
+    tree at +1, every vertex has a +1 edge and the rule never fires.  A face
+    closes when the walk returns to its starting state.  Prunes with the
+    bound faces_done + remaining_sides // min_len < min_faces, where
     ``min_len`` is a lower bound on every face length, and looks ahead: a
     face opened at root v may close with at most
     limit = total - (min_faces - faces_done - 1) * min_len darts in use, so
@@ -230,7 +237,9 @@ def _face_search(
     reversed, signs kept) walk the first face alike up to its first vertex z
     of degree >= 3 and leave z by different darts, so skipping the largest
     there keeps the earlier of the two.  Of each mirror pair, under every
-    choice of the free signs, exactly one corresponds to a search path.
+    choice of the free signs, exactly one corresponds to a search path.  The
+    mirror is the switch of every vertex, so this cut and the switching rule
+    together still reach every switching class.
     """
     darts, out = tables
     total = len(darts)  # 2m
@@ -283,6 +292,10 @@ def _face_search(
             frontier = nxt
         return dist
 
+    def fresh(h: int) -> bool:
+        """No edge at h has a sign yet: no walk has reached h."""
+        return all(sign[f] == 0 for _, _, f, _ in out[h])
+
     # Each node of the search is a generator that yields its children, also
     # generators, in search order, and restores the state it changed when
     # resumed.  Only children that pass the bound are yielded.  A child that
@@ -308,7 +321,7 @@ def _face_search(
         # min_len darts for each face still missing
         limit = total - (min_faces - faces_done - 1) * min_len
         was = sign[e]
-        for sg in (was,) if was else (1, -1):
+        for sg in (was,) if was else (1,) if fresh(w) else (1, -1):
             sign[e] = sg
             ahead = plus == (sg == 1)
             mirror = r + total if ahead else r
@@ -365,7 +378,7 @@ def _face_search(
                 yield extend(faces_done, step, start, h, r, ahead, dist, limit)
                 used[s] = used[mirror] = False
             else:
-                for sg in (1, -1):
+                for sg in (1,) if fresh(h) else (1, -1):
                     sign[e] = sg
                     ahead = forward == (sg == 1)
                     mirror = r + total if ahead else r
@@ -412,17 +425,21 @@ def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
     """Find any 2-cell embedding of Euler genus <= max_genus, or None.
 
     Exhaustive and deterministic.  One face-driven search runs at most
-    twice, over dart tables built once per call.  The first run fixes
+    three times, over dart tables built once per call.  The first run fixes
     every sign to +1, so it decides the orientable surfaces of Euler genus
-    <= max_genus.  If that fails and
-    max_genus >= 1, the second run leaves free the signs of the edges
-    outside one spanning tree.  That covers every surface: switching
-    vertices turns any embedding into one whose tree edges are all +1.
-    Each run needs F = E - V + 2 - eg faces, each at least the girth long,
-    and prunes an open face walk that cannot return to its first vertex, by
-    BFS distance, within the darts the other faces leave it.  Each run
-    searches exactly one of each mirror pair of rotation systems.
-    Exponential in general; practical for small graphs.
+    <= max_genus.  If that fails and max_genus >= 1, the second run leaves
+    every sign free and searches up to vertex switching; when it finds
+    nothing, no surface admits the graph.  Otherwise the third run leaves
+    free the signs of the edges outside one spanning tree, which covers
+    every surface too, since switching vertices turns any embedding into
+    one whose tree edges are all +1, and its embedding is returned.  The
+    second run opens far fewer sign branches than the third, but finds a
+    different first embedding, so the third stays to keep the embedding
+    found the same.  Each run needs F = E - V + 2 - eg faces, each at least
+    the girth long, and prunes an open face walk that cannot return to its
+    first vertex, by BFS distance, within the darts the other faces leave
+    it.  The first and third runs search exactly one of each mirror pair of
+    rotation systems.  Exponential in general; practical for small graphs.
     """
     if max_genus not in (0, 1, 2):
         raise ValueError("max_genus must be 0, 1, or 2")
@@ -444,9 +461,12 @@ def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
     tables = _dart_tables(g)
     found = _face_search(tables, sphere_faces - orient_target, min_len)
     if found is None and max_genus >= 1:
+        min_faces = sphere_faces - max_genus
+        if _face_search(tables, min_faces, min_len, frozenset(range(m))) is None:
+            return None
         tree = {g.edge_index(t) for t in _spanning_tree(g)}
         free = frozenset(e for e in range(m) if e not in tree)
-        found = _face_search(tables, sphere_faces - max_genus, min_len, free)
+        found = _face_search(tables, min_faces, min_len, free)
     if found is None:
         return None
     emb = EmbeddedGraph(g, *found)

@@ -530,14 +530,16 @@ class TestEmbedSearch:
 
 
 def phase_args(g, max_genus):
-    """The arguments ``embed_search`` passes to each phase of the face
-    search: the orientable one, then the signed one when max_genus >= 1."""
+    """The arguments ``embed_search`` passes to each run of the face search:
+    the orientable one, then, when max_genus >= 1, the one with every edge
+    free and the one with the cotree edges free."""
     m = len(g.edges)
     min_len = girth(g)
     sphere_faces = m - g.n + 2
     out = [(sphere_faces - (max_genus - max_genus % 2), min_len, frozenset())]
     if max_genus >= 1:
         tree = {g.edge_index(t) for t in embedding._spanning_tree(g)}
+        out.append((sphere_faces - max_genus, min_len, frozenset(range(m))))
         out.append((sphere_faces - max_genus, min_len, frozenset(e for e in range(m) if e not in tree)))
     return out
 
@@ -566,9 +568,16 @@ class TestMirrorCut:
     def assert_same_search(g, genera=(0, 1, 2)):
         tables = embedding._dart_tables(g)
         for max_genus in genera:
-            for args in phase_args(g, max_genus):
-                assert embedding._face_search(tables, *args) == face_search_reference(g, *args), (
-                    g.edges, max_genus, args[2] != frozenset())
+            runs = phase_args(g, max_genus)
+            # the reference's orientable and cotree runs
+            expected = [face_search_reference(g, *args) for args in runs[::2]]
+            assert embedding._face_search(tables, *runs[0]) == expected[0], (g.edges, max_genus, "orientable")
+            if max_genus >= 1:
+                # the all-free run searches up to vertex switching, so only
+                # its verdict is held to the cotree run's
+                found = embedding._face_search(tables, *runs[1])
+                assert (found is None) == (expected[1] is None), (g.edges, max_genus, "all free")
+                assert embedding._face_search(tables, *runs[2]) == expected[1], (g.edges, max_genus, "cotree")
 
     def test_random_connected_graphs(self):
         rng = random.Random(13)
@@ -625,6 +634,65 @@ class TestMirrorCut:
         g = generate_girth_instances(n, 7, 3, 5000 + n)[i]
         assert embed_search(g, 2) is None
         self.assert_same_search(g, genera=(2,))
+
+
+class TestSwitchingRule:
+    """With every edge free, the face search gives an edge into a vertex no
+    walk has reached the sign +1 only.  That run must refute exactly what
+    the cotree run refutes, and ``embed_search`` runs it only to refute."""
+
+    @staticmethod
+    def assert_same_verdict(g, max_genus):
+        tables = embedding._dart_tables(g)
+        _, (min_faces, min_len, every), (_, _, cotree) = phase_args(g, max_genus)
+        found = embedding._face_search(tables, min_faces, min_len, every)
+        expected = embedding._face_search(tables, min_faces, min_len, cotree)
+        assert (found is None) == (expected is None), (g.edges, max_genus)
+
+    def test_atlas_verdicts(self):
+        nx = pytest.importorskip("networkx")
+        checked = 0
+        for h in nx.graph_atlas_g():
+            n, m = h.number_of_nodes(), h.number_of_edges()
+            if n == 0 or m < n or not nx.is_connected(h):
+                continue
+            g = Graph(n, [tuple(sorted(e)) for e in h.edges()])
+            for euler_genus in (1, 2, 3):
+                # Euler's bound: the faces needed fit at girth length each
+                if m - n + 2 - euler_genus <= 2 * m // girth(g):
+                    self.assert_same_verdict(g, euler_genus)
+                    checked += 1
+        assert checked > 2000
+
+    def test_hunt_catalogue_verdicts(self):
+        for n in range(16, 33):
+            for g in generate_girth_instances(n, 7, 3, 5000 + n):
+                for max_genus in (1, 2):
+                    self.assert_same_verdict(g, max_genus)
+
+    @pytest.mark.parametrize(
+        "name, max_genus, runs",
+        [("K4", 0, 1), ("27c", 2, 2), ("K5", 1, 3)],
+    )
+    def test_runs_per_call(self, monkeypatch, name, max_genus, runs):
+        # an orientable find stops after the first run, a refutation after
+        # the all-free one, and a signed find runs the cotree search too
+        g = {
+            "K4": complete_graph(4),
+            "27c": generate_girth_instances(27, 7, 3, 5027)[2],
+            "K5": complete_graph(5),
+        }[name]
+        calls = []
+        face_search = embedding._face_search
+
+        def counted(tables, min_faces, min_len, free=frozenset()):
+            calls.append((min_faces, min_len, free))
+            return face_search(tables, min_faces, min_len, free)
+
+        monkeypatch.setattr(embedding, "_face_search", counted)
+        emb = embed_search(g, max_genus)
+        assert (emb is None) == (runs == 2)
+        assert calls == phase_args(g, max_genus)[:runs]
 
 
 class TestFaceSearchState:
