@@ -22,14 +22,7 @@ from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 
-from .graphs import (
-    Graph,
-    RSet,
-    edge_sharing_pairs,
-    enumerate_cycles,
-    r_length,
-    relaxed_flags,
-)
+from .graphs import Graph, RSet, one_edge_pairs, r_length, relaxed_flags
 from .embedding import EmbeddedGraph
 
 LEMMA_STATEMENTS = {
@@ -186,7 +179,10 @@ def check_relaxed_neighborhoods(a: Analysis) -> list[AuditEntry]:
 
 
 def check_triangle_lemmas(a: Analysis) -> list[AuditEntry]:
-    triangles = enumerate_cycles(a.g, 3)
+    # each triangle u < v < w once, from its lowest edge, in the canonical
+    # order of enumerate_cycles(g, 3)
+    adj = a.g.adj
+    triangles = sorted((u, v, w) for u, v in a.g.edges for w in adj[u] & adj[v] if w > v)
     relaxed = a.relaxed
     w4 = []
     for t in triangles:
@@ -202,13 +198,10 @@ def check_triangle_lemmas(a: Analysis) -> list[AuditEntry]:
         for v in t
         if a.deg[v] == 3
     ]
+    # two distinct triangles share at most one edge
     w10 = [
-        {
-            "cycle_a": list(triangles[i]),
-            "cycle_b": list(triangles[j]),
-            "shared_edges": [list(e) for e in shared],
-        }
-        for i, j, shared in edge_sharing_pairs(triangles)
+        {"cycle_a": list(triangles[i]), "cycle_b": list(triangles[j]), "shared_edges": [list(e)]}
+        for i, j, e in one_edge_pairs(triangles)
     ]
     return [_entry("L3.4", w4), _entry("L3.5", w5), _entry("L3.10", w10)]
 

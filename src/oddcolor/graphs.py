@@ -280,28 +280,29 @@ def enumerate_cycles(g: Graph, bound: int, r: RSet = frozenset()) -> list[Cycle]
     return out
 
 
-def edge_sharing_pairs(cycles: list[Cycle]) -> Iterator[tuple[int, int, list[Edge]]]:
-    """(i, j, shared edges, sorted) for every pair i < j of ``cycles`` that
-    share an edge, in (i, j) order.
+def one_edge_pairs(cycles: list[Cycle]) -> Iterator[tuple[int, int, Edge]]:
+    """(i, j, e) for every pair i < j of ``cycles`` that share exactly one
+    edge, e, in (i, j) order.
 
     Each cycle meets the later cycles through an edge -> cycles index, so the
-    cost is the number of (edge, cycle, cycle) incidences, not of pairs.
+    cost is the number of (edge, cycle, cycle) incidences, not of pairs.  Per
+    cycle a map holds each later cycle met with the edge it shares, or None
+    once it shares a second.
     """
-    edge_lists = [
-        sorted((a, b) if a < b else (b, a) for a, b in zip(c, c[1:] + c[:1])) for c in cycles
-    ]
+    edge_lists = [[(a, b) if a < b else (b, a) for a, b in zip(c, c[1:] + c[:1])] for c in cycles]
     holders: dict[Edge, list[int]] = {}
     for i, es in enumerate(edge_lists):
         for e in es:
             holders.setdefault(e, []).append(i)
     for i, es in enumerate(edge_lists):
-        shared: dict[int, list[Edge]] = {}
+        once: dict[int, Edge | None] = {}
         for e in es:
             on_e = holders[e]
             for j in on_e[bisect_right(on_e, i):]:
-                shared.setdefault(j, []).append(e)
-        for j in sorted(shared):
-            yield i, j, shared[j]
+                once[j] = None if j in once else e
+        for j, e in sorted(once.items()):
+            if e is not None:
+                yield i, j, e
 
 
 def girth(g: Graph) -> int | float:
@@ -362,15 +363,13 @@ class HypothesisReport:
     five_pairs: tuple[tuple[Cycle, Cycle, Edge], ...]  # r-length-5 pair, shared edge
 
     def to_json(self) -> dict:
+        """The report as JSON-ready data; cycles and edges stay tuples,
+        which JSON encodes as arrays."""
         return {
             "passes": self.passes,
-            "forbidden_cycles": [
-                {"cycle": list(c), "r_length": L}
-                for c, L in self.forbidden_cycles
-            ],
+            "forbidden_cycles": [{"cycle": c, "r_length": L} for c, L in self.forbidden_cycles],
             "five_pairs": [
-                {"cycle_a": list(a), "cycle_b": list(b), "shared_edge": list(e)}
-                for a, b, e in self.five_pairs
+                {"cycle_a": a, "cycle_b": b, "shared_edge": e} for a, b, e in self.five_pairs
             ],
         }
 
@@ -384,8 +383,10 @@ def hypothesis_check(g: Graph, r: RSet) -> HypothesisReport:
     those: its search is cut by r-length, so it never builds a cycle that
     this check would discard.
 
-    (b) pairs the r-length-5 cycles through an edge index: its cost is the
-    number of (edge, cycle, cycle) incidences, not all pairs of cycles.
+    (b) is ``one_edge_pairs`` on the r-length-5 cycles: it meets each cycle
+    with the later ones through an edge index, so its cost is the number of
+    (edge, cycle, cycle) incidences, not all pairs of cycles, and it drops a
+    pair as soon as it finds a second shared edge.
     """
     cycles = enumerate_cycles(g, 6, r)
     forbidden = []
@@ -397,11 +398,7 @@ def hypothesis_check(g: Graph, r: RSet) -> HypothesisReport:
             forbidden.append((c, L))
         elif L == 5:
             fives.append(c)
-    pairs = [
-        (fives[i], fives[j], shared[0])
-        for i, j, shared in edge_sharing_pairs(fives)
-        if len(shared) == 1
-    ]
+    pairs = [(fives[i], fives[j], e) for i, j, e in one_edge_pairs(fives)]
     return HypothesisReport(
         passes=not forbidden and not pairs,
         forbidden_cycles=tuple(forbidden),

@@ -19,7 +19,10 @@ The face search from before its mirror cut is kept as
 The per-vertex relaxedness test that ``relaxed_flags`` replaced is kept as
 ``is_r_relaxed``, the reference for the flags.  Vertex switching, which the
 library does not need, is kept as ``switched_reference`` to check that the
-faces, the genus and orientability do not change under it.
+faces, the genus and orientability do not change under it.  The
+triangle audit's entries built from ``enumerate_cycles_reference(g, 3)`` and
+an all-pairs scan are kept as ``triangle_lemmas_reference`` to pin the
+neighbour-intersection triangle listing to the same witnesses.
 """
 
 from __future__ import annotations
@@ -383,6 +386,25 @@ def five_pairs_reference(fives: list[Cycle]) -> list[tuple[Cycle, Cycle, tuple[i
         if len(shared) == 1:
             pairs.append((c1, c2, min(shared)))
     return pairs
+
+
+def triangle_lemmas_reference(g: Graph, r: RSet) -> dict[str, list[dict]]:
+    """The L3.4, L3.5 and L3.10 witnesses, each list sorted by ``repr``,
+    from the triangles of ``enumerate_cycles_reference(g, 3)`` and a scan of
+    all their pairs."""
+    triangles = enumerate_cycles_reference(g, 3)
+    w4, w5, w10 = [], [], []
+    for t in triangles:
+        L = 3 + len(cycle_edge_set(t) & r)
+        if L != 5:
+            w4.append({"cycle": list(t), "r_length": L})
+        w4 += [{"cycle": list(t), "non_relaxed_vertex": v} for v in t if not is_r_relaxed(v, g, r)]
+        w5 += [{"cycle": list(t), "vertex": v} for v in t if g.degree(v) == 3]
+    for a, b in combinations(triangles, 2):
+        shared = sorted(cycle_edge_set(a) & cycle_edge_set(b))
+        if shared:
+            w10.append({"cycle_a": list(a), "cycle_b": list(b), "shared_edges": [list(e) for e in shared]})
+    return {lemma: sorted(w, key=repr) for lemma, w in (("L3.4", w4), ("L3.5", w5), ("L3.10", w10))}
 
 
 def _mentions(witness: dict, element) -> bool:

@@ -1,12 +1,16 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from oddcolor.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    hypothesis_check,
     r_set,
 )
-from oddcolor.embedding import sorted_rotation
+from oddcolor.embedding import EmbeddedGraph, sorted_rotation
 from oddcolor.audit import (
     FACE_LEMMAS,
     analyze,
@@ -29,7 +33,7 @@ from fixtures import (
     torus_quadrangulation,
     tri_quad_planar,
 )
-from oracles import is_r_relaxed
+from oracles import is_r_relaxed, triangle_lemmas_reference
 
 EMPTY = frozenset()
 
@@ -118,6 +122,50 @@ class TestTriangleLemmas:
             assert not any(
                 "r_length" in w for w in after["L3.4"].witnesses
             )
+
+    def test_same_witnesses_as_reference_triangles(self):
+        rng = random.Random(24)
+        graphs = [Graph(n, []) for n in range(4)] + [Graph(2, [(0, 1)])]
+        graphs += [complete_graph(n) for n in range(3, 8)]
+        graphs += [Graph(9, [(0, 1), (1, 2), (0, 2), (2, 3), (5, 6)])]  # isolated 4, 7, 8
+        for _ in range(60):
+            n = rng.randint(0, 12)
+            p = rng.choice((0.2, 0.4, 0.7))
+            graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+        seen = set()
+        for g in graphs:
+            r = frozenset(e for e in g.edges if rng.random() < 0.4)
+            got = {e.lemma: list(e.witnesses) for e in check_triangle_lemmas(analyze(g, r))}
+            assert got == triangle_lemmas_reference(g, r), (g, sorted(r))
+            seen.update(lemma for lemma, w in got.items() if w)
+        assert seen == {"L3.4", "L3.5", "L3.10"}
+
+
+class TestLemmasImpliedByHypotheses:
+    """On instances that pass the cycle hypotheses, L3.4 and L3.10 hold,
+    and L3.5 follows from L3.3: a triangle of r-length 5 has two R edges,
+    which touch all three of its vertices, so a 3-vertex on it has two
+    relaxed neighbors."""
+
+    def test_random_instances_with_random_rotations(self):
+        rng = random.Random(8)
+        instances = l35 = 0
+        while instances < 300:
+            n = rng.randint(5, 11)
+            p = rng.choice((0.3, 0.45, 0.6))
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            r = frozenset(e for e in g.edges if rng.random() < 0.5)
+            if not g.is_connected() or not hypothesis_check(g, r).passes:
+                continue
+            instances += 1
+            rotation = [rng.sample(sorted(g.adj[v]), g.degree(v)) for v in range(n)]
+            signs = [rng.choice((1, -1)) for _ in g.edges]
+            rep = by_lemma(full_audit(analyze(g, r, EmbeddedGraph(g, rotation, signs))).entries)
+            assert rep["L3.4"].verdict == rep["L3.10"].verdict == "holds", (g, sorted(r))
+            l33 = {w["vertex"] for w in rep["L3.3"].witnesses}
+            assert {w["vertex"] for w in rep["L3.5"].witnesses} <= l33, (g, sorted(r))
+            l35 += len(rep["L3.5"].witnesses)
+        assert l35 > 50  # the hypotheses leave triangles with 3-vertices
 
 
 class TestFourVertexConfigs:

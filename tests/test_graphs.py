@@ -12,6 +12,7 @@ from oddcolor.graphs import (
     enumerate_cycles,
     girth,
     hypothesis_check,
+    one_edge_pairs,
     one_subdivision,
     path_graph,
     r_length,
@@ -356,6 +357,43 @@ class TestHypothesisCheck:
         for _ in range(20):
             r = frozenset(rng.sample(g.edges, rng.randint(0, 9)))
             assert hypothesis_check(g, r).passes
+
+
+class TestOneEdgePairs:
+    def pairs(self, cycles):
+        return [(cycles[i], cycles[j], e) for i, j, e in one_edge_pairs(cycles)]
+
+    def test_pairs_sharing_more_edges_are_dropped(self):
+        # the r-length-5 cycles of K5 and K6 under random R, and of the
+        # hypothesis corpus, include pairs sharing two or more edges
+        rng = random.Random(24)
+        families = [(f"K{n}/{t}", complete_graph(n)) for n in (5, 6) for t in range(6)]
+        families += [(name, g) for name, g, _ in order_oracle_corpus()]
+        multi = single = 0
+        for name, g in families:
+            r = frozenset(rng.sample(g.edges, rng.randint(0, len(g.edges) // 2)))
+            fives = [c for c in enumerate_cycles_reference(g, 5) if r_length(c, r) == 5]
+            assert self.pairs(fives) == five_pairs_reference(fives), name
+            for c1, c2 in combinations(fives, 2):
+                k = len(cycle_edge_set(c1) & cycle_edge_set(c2))
+                multi += k >= 2
+                single += k == 1
+        assert multi > 1000 and single > 1000
+
+    def test_triangles_pair_on_any_shared_edge(self):
+        # two distinct triangles share at most one edge, so every pair
+        # sharing an edge is reported
+        rng = random.Random(3)
+        graphs = [complete_graph(n) for n in range(3, 8)]
+        graphs += [small_random_graph(rng, 10) for _ in range(40)]
+        for g in graphs:
+            triangles = enumerate_cycles_reference(g, 3)
+            want = [
+                (a, b, min(cycle_edge_set(a) & cycle_edge_set(b)))
+                for a, b in combinations(triangles, 2)
+                if cycle_edge_set(a) & cycle_edge_set(b)
+            ]
+            assert self.pairs(triangles) == want, g
 
 
 class TestOneSubdivision:
