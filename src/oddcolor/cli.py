@@ -11,7 +11,6 @@ aside).  The parser is built once, on import, from the verb table alone.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -232,7 +231,13 @@ PARSER = build_parser()
 
 
 def run_command(argv: list[str]) -> int:
-    """Run one subcommand, print its report and return its exit code."""
+    """Run one subcommand, print its report and return its exit code.
+
+    ``duration_s`` times loading and the verb; the report is encoded after
+    that, by ``jsonio.dumps_report``, which builds the pre-encoded text of
+    any five pairs then.  An encoding failure (TypeError, or AssertionError
+    for a misplaced text) propagates, so ``main`` exits 3, never a verdict.
+    """
     args = PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
@@ -250,9 +255,7 @@ def run_command(argv: list[str]) -> int:
         "result": result,
     }
     try:
-        # a report never contains itself, so the encoder's check for
-        # reference cycles is skipped
-        print(json.dumps(report, sort_keys=True, check_circular=False), flush=True)
+        print(jsonio.dumps_report(report), flush=True)
     except BrokenPipeError:
         # the reader stopped early (`| head`): the verdict stands, and stdout
         # now writes to the null device, so no flush at exit fails again

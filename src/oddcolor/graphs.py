@@ -7,8 +7,9 @@ subset of the edge set; edges of R count twice in the weighted cycle length
 degree is odd or zero, or when it is incident with an R edge.  A cycle is
 the plain tuple of its vertices in walk order.  ``r_length`` and
 ``relaxed_flags`` are the only implementations of the two definitions;
-``enumerate_cycles`` cuts its search by the same edge weights, and its tests
-hold it to ``r_length``.
+``enumerate_cycles`` cuts its search by the same edge weights,
+``hypothesis_check`` reads each cycle's r-length off that search, and their
+tests hold both to ``r_length``.
 
 The hypothesis check implemented here accepts exactly the graphs whose cycles
 avoid r-lengths 3, 4, and 6 and in which no two cycles of r-length 5 share
@@ -205,9 +206,13 @@ def relaxed_flags(g: Graph, r: RSet) -> list[bool]:
     return [g.degree(v) % 2 == 1 or not g.adj[v] or v in ends for v in range(g.n)]
 
 
-def enumerate_cycles(g: Graph, bound: int, r: RSet = frozenset()) -> list[Cycle]:
+def enumerate_cycles(
+    g: Graph, bound: int, r: RSet = frozenset(), *, r_lengths: list[int] | None = None
+) -> list[Cycle]:
     """All simple cycles of r-length at most ``bound``, each once; with
-    ``r`` empty that is every cycle of at most ``bound`` edges.
+    ``r`` empty that is every cycle of at most ``bound`` edges.  Given a
+    list ``r_lengths``, the search appends to it each cycle's r-length, in
+    output order.
 
     Each cycle is produced exactly once up to rotation and reflection: the
     search roots every cycle at its smallest vertex s and fixes the
@@ -228,6 +233,7 @@ def enumerate_cycles(g: Graph, bound: int, r: RSet = frozenset()) -> list[Cycle]
     if bound < 3:
         raise ValueError("bound must be at least 3")
     out: list[Cycle] = []
+    lengths = [] if r_lengths is None else r_lengths
     adj_sorted = [sorted(a) for a in g.adj]
     heavy: list[tuple[int, ...]] = [()] * g.n  # the neighbors across an R edge
     for a, b in r:
@@ -264,8 +270,11 @@ def enumerate_cycles(g: Graph, bound: int, r: RSet = frozenset()) -> list[Cycle]
                     if c + d <= room:
                         path.append(w)
                         room -= c
-                        if d == 1 and len(path) >= 3 and path[1] < w and (2 if w in back else 1) <= room:
-                            out.append(tuple(path))
+                        if d == 1 and len(path) >= 3 and path[1] < w:
+                            rest = room - (2 if w in back else 1)  # after the edge back
+                            if rest >= 0:
+                                out.append(tuple(path))
+                                lengths.append(bound - rest)
                         rooms.append(room)
                         saved.append(d)
                         dist[w] = far
@@ -355,6 +364,35 @@ def girth(g: Graph) -> int | float:
 
 
 @dataclass(frozen=True)
+class FivePairsJSON:
+    """The JSON array of a report's five pairs, written when encoded.
+
+    ``text()`` is what ``json.dumps`` writes for the pairs as
+    ``{"cycle_a", "cycle_b", "shared_edge"}`` objects, with its default
+    separators and sorted keys, but it writes each distinct cycle and edge
+    once: dense graphs pair few cycles many times (K7: 15,120 pairs of 252
+    cycles).  ``jsonio.dumps_report`` splices it into a report.
+    """
+
+    pairs: tuple[tuple[Cycle, Cycle, Edge], ...]
+
+    def text(self) -> str:
+        memo: dict[tuple[int, ...], str] = {}  # cycle or edge -> its JSON array
+        out = []
+        for a, b, e in self.pairs:
+            ta, tb, te = memo.get(a), memo.get(b), memo.get(e)
+            if ta is None:
+                # vertices are ints, which JSON writes as str() does
+                ta = memo[a] = "[" + ", ".join(map(str, a)) + "]"
+            if tb is None:
+                tb = memo[b] = "[" + ", ".join(map(str, b)) + "]"
+            if te is None:
+                te = memo[e] = "[" + ", ".join(map(str, e)) + "]"
+            out.append(f'{{"cycle_a": {ta}, "cycle_b": {tb}, "shared_edge": {te}}}')
+        return "[" + ", ".join(out) + "]"
+
+
+@dataclass(frozen=True)
 class HypothesisReport:
     """Outcome of the relaxed-cycle hypothesis check with witnesses."""
 
@@ -363,14 +401,14 @@ class HypothesisReport:
     five_pairs: tuple[tuple[Cycle, Cycle, Edge], ...]  # r-length-5 pair, shared edge
 
     def to_json(self) -> dict:
-        """The report as JSON-ready data; cycles and edges stay tuples,
-        which JSON encodes as arrays."""
+        """The report as data for ``jsonio.dumps_report``.  Cycles stay
+        tuples, which JSON encodes as arrays, and ``five_pairs`` is a
+        ``FivePairsJSON``, whose text is built only when the report is
+        encoded; plain ``json.dumps`` rejects it."""
         return {
             "passes": self.passes,
             "forbidden_cycles": [{"cycle": c, "r_length": L} for c, L in self.forbidden_cycles],
-            "five_pairs": [
-                {"cycle_a": a, "cycle_b": b, "shared_edge": e} for a, b, e in self.five_pairs
-            ],
+            "five_pairs": FivePairsJSON(self.five_pairs),
         }
 
 
@@ -381,19 +419,18 @@ def hypothesis_check(g: Graph, r: RSet) -> HypothesisReport:
     r-length 5 share exactly one edge.  Both speak only of cycles of
     r-length at most 6, and ``enumerate_cycles(g, 6, r)`` builds exactly
     those: its search is cut by r-length, so it never builds a cycle that
-    this check would discard.
+    this check would discard, and it hands over the r-length of each.
 
     (b) is ``one_edge_pairs`` on the r-length-5 cycles: it meets each cycle
     with the later ones through an edge index, so its cost is the number of
     (edge, cycle, cycle) incidences, not all pairs of cycles, and it drops a
     pair as soon as it finds a second shared edge.
     """
-    cycles = enumerate_cycles(g, 6, r)
+    lengths: list[int] = []
+    cycles = enumerate_cycles(g, 6, r, r_lengths=lengths)
     forbidden = []
     fives = []
-    for c in cycles:
-        # r-lengths are at most 6, so a cycle of 6 edges has no R edge
-        L = r_length(c, r) if r and len(c) < 6 else len(c)
+    for c, L in zip(cycles, lengths):
         if L in (3, 4, 6):
             forbidden.append((c, L))
         elif L == 5:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 
-from .graphs import Graph, RSet
+from .graphs import FivePairsJSON, Graph, RSet
 from .embedding import EmbeddedGraph
 from .coloring import Coloring, ListAssignment
 
@@ -24,6 +24,36 @@ SCHEMA_VERSION = 1
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# what json.dumps writes for the placeholder string "\0"
+_PLACEHOLDER = json.dumps("\0")
+
+
+def dumps_report(report: dict) -> str:
+    """``json.dumps(report, sort_keys=True)`` with each ``FivePairsJSON``
+    in it written as its pre-encoded text.
+
+    The encoder writes a placeholder string in each one's place, met in
+    output order, and the texts replace the placeholders.  The program
+    writes no string holding NUL, so each placeholder stands for one text;
+    if the counts differ anyway, a text would land in the wrong place, and
+    this raises AssertionError.  Any other value JSON cannot encode raises
+    TypeError.
+    """
+    texts: list[str] = []
+
+    def pre_encoded(obj):
+        if not isinstance(obj, FivePairsJSON):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        texts.append(obj.text())
+        return "\0"
+
+    # a report never contains itself, so the check for reference cycles is skipped
+    parts = json.dumps(report, sort_keys=True, check_circular=False, default=pre_encoded).split(_PLACEHOLDER)
+    if len(parts) != len(texts) + 1:
+        raise AssertionError(f"{len(parts) - 1} placeholders for {len(texts)} pre-encoded values")
+    return "".join(chain.from_iterable(zip(parts, texts))) + parts[-1]
 
 
 def digest_bytes(data: bytes) -> str:

@@ -218,12 +218,15 @@ class TestEnumerateCycles:
     def test_same_list_as_recursive_oracle(self):
         """Same cycles in the same order, for every bound the library uses
         and for bounds up to n on the small graphs; with R, the oracle's
-        cycles of r-length within the bound."""
+        cycles of r-length within the bound, and the search's r-length of
+        each is ``r_length``'s."""
         for name, g, r in order_oracle_corpus():
             bounds = range(3, 7) if g.n > 10 else range(3, max(g.n, 6) + 1)
             for bound in bounds:
                 want = [c for c in enumerate_cycles_reference(g, bound) if r_length(c, r) <= bound]
-                assert enumerate_cycles(g, bound, r) == want, (name, bound)
+                lengths = []
+                assert enumerate_cycles(g, bound, r, r_lengths=lengths) == want, (name, bound)
+                assert lengths == [r_length(c, r) for c in want], (name, bound)
 
     @pytest.mark.usefixtures("default_recursion_limit")
     def test_long_bound_at_default_recursion_limit(self):

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,9 +16,18 @@ from oddcolor import cli, embedding, jsonio
 from oddcolor.cli import run_command
 from oddcolor.coloring import RelaxedInstance, uniform_lists
 from oddcolor.embedding import sorted_rotation
-from oddcolor.graphs import Graph, cycle_graph, path_graph, r_set
+from oddcolor.discharge import hunt
+from oddcolor.graphs import (
+    FivePairsJSON,
+    Graph,
+    complete_graph,
+    cycle_graph,
+    hypothesis_check,
+    path_graph,
+    r_set,
+)
 
-from fixtures import k4_planar, torus_quadrangulation
+from fixtures import grid_with_diagonals, k4_planar, torus_quadrangulation
 from oracles import brute_force_relaxed_odd, solver_order_reference
 
 
@@ -615,3 +625,86 @@ class TestRunCommandReuse:
         code, rep = self.report(capsys, "embed", "--graph", path)
         assert code == 0
         assert (rep["command"], rep["result"]["euler_genus"]) == ("embed", 0)
+
+
+def dict_per_pair(hyp) -> dict:
+    """A hypothesis report as the plain JSON data it stands for: one dict per
+    five pair."""
+    return {
+        "passes": hyp.passes,
+        "forbidden_cycles": [{"cycle": list(c), "r_length": L} for c, L in hyp.forbidden_cycles],
+        "five_pairs": [
+            {"cycle_a": list(a), "cycle_b": list(b), "shared_edge": list(e)} for a, b, e in hyp.five_pairs
+        ],
+    }
+
+
+def seeded_grid_with_r():
+    g = grid_with_diagonals(6, 6, seed=3).graph
+    return g, frozenset(random.Random(3).sample(g.edges, len(g.edges) // 4))
+
+
+class TestReportEncoding:
+    """Reports with five pairs are written from pre-encoded text, byte for
+    byte as ``json.dumps`` writes the plain report."""
+
+    INSTANCES = {
+        "K6": lambda: (complete_graph(6), frozenset()),
+        "K7": lambda: (complete_graph(7), frozenset()),
+        "grid-6x6-R": seeded_grid_with_r,
+        "C7": lambda: (cycle_graph(7), frozenset()),
+    }
+
+    @pytest.mark.parametrize("name", INSTANCES)
+    @pytest.mark.parametrize("verb", ["check", "hunt"])
+    def test_stdout_equals_the_plain_encoding(self, tmp_path, capsys, verb, name):
+        g, r = self.INSTANCES[name]()
+        hyp = hypothesis_check(g, r)
+        if name == "grid-6x6-R":
+            assert hyp.forbidden_cycles and hyp.five_pairs
+        if name == "C7":
+            assert not hyp.five_pairs
+        if verb == "check":
+            result, refuted = dict_per_pair(hyp), not hyp.passes
+        else:
+            rep = hunt(g, r, 2)
+            result = {**rep.to_json(), "hypothesis": dict_per_pair(rep.hypothesis)}
+            refuted = rep.eliminated_at is None
+        path = write_graph(tmp_path, f"{name}.json", g, r)
+        code = run_command([verb, "--graph", path, "--quiet"])
+        out = capsys.readouterr().out
+        report = {
+            "command": verb,
+            "input_digest": jsonio.load_instance(path)[1],
+            "seed": 0,
+            "duration_s": json.loads(out)["duration_s"],
+            "result": result,
+        }
+        assert out == json.dumps(report, sort_keys=True) + "\n"
+        assert code == refuted
+
+    def test_other_values_json_cannot_encode_raise_type_error(self):
+        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+            jsonio.dumps_report({"five_pairs": FivePairsJSON(()), "x": {1, 2}})
+
+    @pytest.mark.parametrize("text", ["\0", '"\0', "a\0"], ids=["nul", "quote-nul", "text-nul"])
+    def test_a_string_holding_nul_raises_assertion_error(self, text):
+        report = {"a": text, "b": FivePairsJSON((((0, 1, 2, 3, 4), (0, 1, 5, 6, 7), (0, 1)),))}
+        if text == "a\0":  # not written as the placeholder, so nothing is misplaced
+            assert json.loads(jsonio.dumps_report(report))["a"] == text
+            return
+        with pytest.raises(AssertionError, match="placeholders"):
+            jsonio.dumps_report(report)
+
+    def test_a_misplaced_text_exits_internal_not_refuted(self, tmp_path, capsys, monkeypatch):
+        def nul(args, inst):
+            return {"note": "\0", "five_pairs": FivePairsJSON(())}, cli.EXIT_REFUTED
+
+        path = write_graph(tmp_path, "c5.json", cycle_graph(5))
+        monkeypatch.setitem(cli.COMMANDS, "check", (nul, {}))
+        monkeypatch.setattr(sys, "argv", ["oddcolor", "check", "--graph", path])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (3, "")
+        assert "internal error: AssertionError" in err
