@@ -135,35 +135,27 @@ class EmbeddedGraph:
         return 2 - (self.graph.n - len(self.graph.edges) + len(self.faces))
 
     def is_orientable(self) -> bool:
-        # switching each vertex by its flip, 0 or 1, leaves the spanning tree
-        # +1; the embedding is orientable exactly when no edge is then -1
+        # 2-color the vertices so that a -1 edge joins two colors and a +1
+        # edge one; the embedding is orientable exactly when that succeeds
         g = self.graph
-        flip = [0] * g.n
-        for u, w in _spanning_tree(g):
-            flip[w] = flip[u] ^ (self.signs[g.edge_index((u, w))] == -1)
-        return all((s == -1) == (flip[u] != flip[v]) for (u, v), s in zip(g.edges, self.signs))
+        side = [-1] * g.n
+        side[0] = 0
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for w in g.adj[u]:
+                want = side[u] ^ (self.signs[g.edge_index((u, w))] == -1)
+                if side[w] < 0:
+                    side[w] = want
+                    stack.append(w)
+                elif side[w] != want:
+                    return False
+        return True
 
 
 def sorted_rotation(graph: Graph, signs: Sequence[int] | None = None) -> EmbeddedGraph:
     """The embedding whose rotation lists neighbors in increasing order."""
     return EmbeddedGraph(graph, [sorted(graph.adj[v]) for v in range(graph.n)], signs)
-
-
-def _spanning_tree(g: Graph) -> list[tuple[int, int]]:
-    """(parent, child) edges of a depth-first spanning tree rooted at 0, in
-    discovery order, neighbors scanned in increasing order."""
-    tree = []
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in sorted(g.adj[u]):
-            if not seen[w]:
-                seen[w] = True
-                tree.append((u, w))
-                stack.append(w)
-    return tree
 
 
 # -- embedding search --------------------------------------------------------
@@ -200,7 +192,7 @@ def _dart_tables(g: Graph) -> _DartTables:
 
 
 def _face_search(
-    tables: _DartTables, min_faces: int, min_len: int, free: frozenset[int] = frozenset()
+    tables: _DartTables, min_faces: int, min_len: int, signed: bool = False
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
     """Depth-first search over signed rotation systems, building faces dart
     by dart on an explicit stack; returns the (rotation, signs) pair of the
@@ -213,15 +205,14 @@ def _face_search(
     the next dart b at w: the rotation successor of the return dart a when
     eps' = +1 (sigma(a) = b), its predecessor when eps' = -1 (sigma(b) = a).
     Each edge side is walked once, so a state is marked used together with
-    its mirror, the same side walked backwards.  Edges in ``free`` get their
-    sign, +1 then -1, when a walk first crosses them; all others are +1.
-    A free edge crossed into a vertex h whose edges are all still unsigned
-    gets +1 only.  No walk has reached h, so no link or sign at h is
-    decided, and switching h (reversing its rotation and negating its edges;
-    Mohar & Thomassen, *Graphs on Surfaces*, ch. 3-4) turns any embedding on
-    the -1 branch into one on the +1 branch with the same faces, so the
-    search stays complete up to switching.  When ``free`` leaves a spanning
-    tree at +1, every vertex has a +1 edge and the rule never fires.  A face
+    its mirror, the same side walked backwards.  Every sign is +1 unless
+    ``signed``; then each edge gets its sign, +1 then -1, when a walk first
+    crosses it, except that an edge crossed into a vertex h whose edges are
+    all still unsigned gets +1 only.  No walk has reached h, so no link or
+    sign at h is decided, and switching h (reversing its rotation and
+    negating its edges; Mohar & Thomassen, *Graphs on Surfaces*, ch. 3-4)
+    turns any embedding on the -1 branch into one on the +1 branch with the
+    same faces, so the search stays complete up to switching.  A face
     closes when the walk returns to its starting state.  Prunes with the
     bound faces_done + remaining_sides // min_len < min_faces, where
     ``min_len`` is a lower bound on every face length, and looks ahead: a
@@ -237,15 +228,14 @@ def _face_search(
     reversed, signs kept) walk the first face alike up to its first vertex z
     of degree >= 3 and leave z by different darts, so skipping the largest
     there keeps the earlier of the two.  Of each mirror pair, under every
-    choice of the free signs, exactly one corresponds to a search path.  The
+    choice of signs, at least one member lies on a search path; both do when
+    neither leaves z by its largest dart, which z of degree > 3 allows.  The
     mirror is the switch of every vertex, so this cut and the switching rule
     together still reach every switching class.
     """
     darts, out = tables
     total = len(darts)  # 2m
-    sign = [1] * (total // 2)
-    for e in free:
-        sign[e] = 0  # not chosen yet
+    sign = [0 if signed else 1] * (total // 2)  # 0: not chosen yet
 
     # per-dart rotation links: succ[a] = b and pred[b] = a when sigma(a) = b,
     # -1 when unset.  The links at a vertex form paths until the last one
@@ -425,21 +415,16 @@ def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
     """Find any 2-cell embedding of Euler genus <= max_genus, or None.
 
     Exhaustive and deterministic.  One face-driven search runs at most
-    three times, over dart tables built once per call.  The first run fixes
-    every sign to +1, so it decides the orientable surfaces of Euler genus
-    <= max_genus.  If that fails and max_genus >= 1, the second run leaves
-    every sign free and searches up to vertex switching; when it finds
-    nothing, no surface admits the graph.  Otherwise the third run leaves
-    free the signs of the edges outside one spanning tree, which covers
-    every surface too, since switching vertices turns any embedding into
-    one whose tree edges are all +1, and its embedding is returned.  The
-    second run opens far fewer sign branches than the third, but finds a
-    different first embedding, so the third stays to keep the embedding
-    found the same.  Each run needs F = E - V + 2 - eg faces, each at least
-    the girth long, and prunes an open face walk that cannot return to its
-    first vertex, by BFS distance, within the darts the other faces leave
-    it.  The first and third runs search exactly one of each mirror pair of
-    rotation systems.  Exponential in general; practical for small graphs.
+    twice, over dart tables built once per call.  The first run fixes every
+    sign to +1, so it decides the orientable surfaces of Euler genus
+    <= max_genus.  If that fails and max_genus >= 1, the second run chooses
+    every sign and searches up to vertex switching, which keeps every face,
+    so it decides every surface, and its embedding is returned.  Each run
+    needs F = E - V + 2 - eg faces, each at least the girth long, and prunes
+    an open face walk that cannot return to its first vertex, by BFS
+    distance, within the darts the other faces leave it.  Both runs reach
+    at least one of each mirror pair of rotation systems.  Exponential in
+    general; practical for small graphs.
     """
     if max_genus not in (0, 1, 2):
         raise ValueError("max_genus must be 0, 1, or 2")
@@ -461,12 +446,7 @@ def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
     tables = _dart_tables(g)
     found = _face_search(tables, sphere_faces - orient_target, min_len)
     if found is None and max_genus >= 1:
-        min_faces = sphere_faces - max_genus
-        if _face_search(tables, min_faces, min_len, frozenset(range(m))) is None:
-            return None
-        tree = {g.edge_index(t) for t in _spanning_tree(g)}
-        free = frozenset(e for e in range(m) if e not in tree)
-        found = _face_search(tables, min_faces, min_len, free)
+        found = _face_search(tables, sphere_faces - max_genus, min_len, signed=True)
     if found is None:
         return None
     emb = EmbeddedGraph(g, *found)

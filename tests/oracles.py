@@ -537,8 +537,8 @@ def is_orientable_reference(e: EmbeddedGraph) -> bool:
 
 def dfs_tree_reference(g: Graph) -> list[tuple[int, int]]:
     """(parent, child) edges of the depth-first spanning tree from vertex 0
-    that takes neighbors in increasing order: the tree whose edges
-    ``embed_search`` keeps at sign +1."""
+    that takes neighbors in increasing order: the tree whose edges the
+    signed reference searches keep at sign +1."""
     tree, seen, stack = [], {0}, [0]
     while stack:
         u = stack.pop()

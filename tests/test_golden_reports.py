@@ -19,8 +19,15 @@ ran one bounded BFS per candidate edge.  The ``hard-*`` digests (girth-7
 graphs of 48 to 60 vertices at k = 3; n = 56 is UNSAT) were recorded while
 ``solve`` backtracked chronologically.  The ``choosable`` digests were
 recorded while ``solve`` built its vertex order with a lazy heap and
-``sampled_choosability`` set the solver up again for every trial.  A digest
-that changes means a report changed: find out why before recording a new one.
+``sampled_choosability`` set the solver up again for every trial.  The
+``K5``, ``K33``, ``K34``, ``petersen`` and ``g7-30c`` ``embed`` digests and
+the ``g7-30c`` ``hunt`` digest were re-recorded when a signed find began
+returning the embedding of the face search that chooses every sign, not that
+of a further run with a spanning tree's signs fixed to +1: the rotations and
+signs changed, and with them the corner named by one of the ``g7-30c``
+ledger's transfers, while every Euler genus, face count, audit, charge and
+``eliminated_at`` stayed the same.  A digest that changes means a report
+changed: find out why before recording a new one.
 """
 
 import contextlib
@@ -172,13 +179,13 @@ GOLDEN = {
     "theta-4-4-5:hunt": "d1f7614c67c7b131b1132180a401e2d1218bd794275a138c2cf412b71c3e3505",
     "T12:embed": "81f6cb1f41d4f9d970d0eb69bd9cd4b3ce3efb96c09e9eebc8c9a46861637779",
     "K7:embed": "75e6bac37e2bba4920b508e36b7f13067264a705e077eba238ef809e49d464fd",
-    "petersen:embed": "140ad198fb6642b03f4f7a2fe9ad1e223ab22619df862cd13de1422f073b21b3",
-    "K5:embed": "cc90e57c2314ea40c4fa0124144de6f3be06e9e5204f343fe9091e590aafa28a",
-    "K33:embed": "29cf2bacc26dabc0172145cdf999b50a015f71464035dc950207b754abe4d8a6",
+    "petersen:embed": "a829bcb858a1d068284ac597d0079b51b7786305547e591f9b3e949d862c9bae",
+    "K5:embed": "ae26fdbb497fa9c03c7acae39d7a54eb0ef66f2ba7c195d8d75c298fc89af8a0",
+    "K33:embed": "567b6e19c16292ae445f56817c5c02e73d17d3cd77979898d1bfd091c5102f19",
     "T6:embed": "9feedfa78c0a4e4034bdd1a0df82b5f291591071163f269c29a78219de372292",
     "W9:embed": "7b21324025f52c9ce7729f3429e6ba089d42ca0998a9bf2da4619eb9963cd48e",
     "K29:embed": "b3feb513af5c8919f629ca89ba281c91dfeebd5a3182e62860784ea71b6f748f",
-    "K34:embed": "98ad719ffb647dcf027796073d72b3d5ff658143db85a9bd4b6bd706ad197d27",
+    "K34:embed": "16142f04d6aa7793a9cfce2f77aa3668e2e98553a9c6864e61ee75d3c8aa3fed",
     "g7-16-s1:embed": "a07f086adca710d69ad89fd5f0182e1dcaf912e0536d6fd73f9792dea9e006d9",
     "g7-20-s2:embed": "104a2db910e4239775933fe175885748a33b2724fa79ddf97e1369becd77c4ef",
     "g7-24-s3:embed": "4da1a55435e04656af2f90f6f0c3e3e65894ece8b20b799f56e5b0c7e59d4117",
@@ -186,8 +193,8 @@ GOLDEN = {
     "g7-28b:embed": "d5e1977e414f0b2a0fc6c54a70d96d8d134b8e8202991823a700ee758d5b671a",
     "g7-29a:hunt": "eded32ad3614871425d88c4528347c4b8cc47330d4ed81aabf98f84c36a4682b",
     "g7-29a:embed": "c198ae89456239cc079e5a2719d0924672d646bf1963312aa04ba039d4ceb375",
-    "g7-30c:hunt": "b56cc8bbf34dc3720d3a866d421c2b80db6b14f0111fe52eb016b9f1527dd64f",
-    "g7-30c:embed": "28e084ea7230964386c1038b0618497593f57ab496a6ac0571578ed33d4ce8a8",
+    "g7-30c:hunt": "e06ba41e72f4c47f1cefb3bb4793df17ae954b22c4091c1d58bf6ef60f4cfa96",
+    "g7-30c:embed": "3d943242a3e31bf713e1c8ff6be7b180d35468bfe532efb8e4ac914360901324",
     "gen-n30-g7-s5": "06d6158e844d7567f76b75b58cd69e12023d70a2ed519a07821383e6420c91e1",
     "gen-n20-g5-s11": "33b496e9f449a524dc64647cfac279ccbe7b4afb1e90a9cd3fc99581991e93d8",
     "gen-n300-g7-s7300": "6dc5179000c82626e3ea71c862f3416e3798b2f821efb2b8c7504fbe50e43e29",
