@@ -12,11 +12,17 @@ Every check, and every discharging rule in ``discharge``, reads one
 
 Lemma identifiers L3.1..L3.16 index the catalog; L3.12 is the statement left
 unnamed between the face lemmas, audited as "L3.12-unnamed".  A report lists
-the lemmas in the order of ``LEMMA_STATEMENTS``.
+the lemmas in the order of ``LEMMA_STATEMENTS``, and each lemma its witnesses
+in ``repr`` order, which every report and golden digest pins.  A per-lemma
+key gives that order without calling ``repr``: an int followed by "," in the
+repr is keyed ``str(x)``, one followed by "]" or "}" ``str(x) + "\x7f"``, as
+"," sorts below every digit and "]", "}", "\x7f" above.  L3.13 is read from
+each vertex of degree at most three, pairing its 4-faces through ``shared``.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -125,30 +131,57 @@ def analyze(g: Graph, r: RSet, emb: EmbeddedGraph | None = None) -> Analysis:
     if emb is not None and emb.graph != g:
         raise ValueError("the embedding is of another graph")
     faces = emb.faces if emb is not None else ()
+    m = len(g.edges) if faces else 0
     corners: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    sides: list[list[int]] = [[] for _ in g.edges] if faces else []
+    first, second = [-1] * m, [-1] * m
     for fi, f in enumerate(faces):
         for (v, dep), (_, arr) in zip(f, f[-1:] + f[:-1]):
             corners[v].append((fi, arr, dep))
-            sides[dep].append(fi)
-    pairs = tuple(map(tuple, sides))
+            (first if first[dep] < 0 else second)[dep] = fi
     # every edge has exactly two sides, met in face order, so i <= j
-    assert all(len(p) == 2 for p in pairs)
-    shared: dict[tuple[int, int], set[int]] = {}
-    for ei, pair in enumerate(pairs):
-        shared.setdefault(pair, set()).add(ei)
+    assert -1 not in second and sum(map(len, faces)) == 2 * m
+    sides = tuple(zip(first, second))
+    shared: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
+    for ei, pair in enumerate(sides):
+        shared[pair].add(ei)
     return Analysis(
         g, r, emb, tuple(map(len, g.adj)), tuple(relaxed_flags(g, r)),
         tuple(map(len, faces)),
         tuple(frozenset(map(itemgetter(0), f)) for f in faces),
-        shared,
+        dict(shared),
         tuple(map(tuple, corners)),
-        pairs,
+        sides,
     )
 
 
+_END = "\x7f"  # sorts above every digit, as "]" and "}" do
+
+
+def _cycle_key(c: list[int]) -> tuple[str, str, str]:
+    return str(c[0]), str(c[1]), str(c[2]) + _END
+
+
+# each lemma's witness -> its repr-order key, which stops where the witness is
+# unique: L3.1 has at most one, L3.12 one per faces and vertex, an L3.14 face
+# pair one shared edge; "non_relaxed_vertex" sorts first
+_WITNESS_KEY = {
+    **dict.fromkeys(("L3.2", "L3.3", "L3.6", "L3.8", "L3.15", "L3.16"), lambda w: str(w["vertex"])),
+    "L3.4": lambda w: (*_cycle_key(w["cycle"]), "r_length" in w, str([*w.values()][-1]) + _END),
+    "L3.5": lambda w: (*_cycle_key(w["cycle"]), str(w["vertex"]) + _END),
+    "L3.7": lambda w: (str(w["x"]), str(w["y"]), str(w["z"])),
+    "L3.9": lambda w: (str(w["x"]), str(w["y"])),
+    "L3.10": lambda w: (*_cycle_key(w["cycle_a"]), *_cycle_key(w["cycle_b"])),
+    "L3.11": lambda w: (str(w["three_face"]), str(w["four_face"]),
+                        "shared_edges_count" in w, str([*w.values()][-1]) + _END),
+    "L3.12-unnamed": lambda w: (str(w["three_face"]), str(w["four_face"]), str(w["vertex"])),
+    "L3.13": lambda w: (str(w["face_a"]), str(w["face_b"]), str(w["vertex"])),
+    "L3.14": lambda w: (str(w["face_with_primes"]), str(w["other_face"]), str(w["degree_3_end"])),
+}
+
+
 def _entry(lemma: str, witnesses: list[dict]) -> AuditEntry:
-    witnesses.sort(key=repr)
+    if len(witnesses) > 1:
+        witnesses.sort(key=_WITNESS_KEY[lemma])
     return AuditEntry(lemma, "violated" if witnesses else "holds", tuple(witnesses))
 
 
@@ -156,24 +189,20 @@ def _entry(lemma: str, witnesses: list[dict]) -> AuditEntry:
 
 
 def check_degree_lemmas(a: Analysis) -> list[AuditEntry]:
-    comps = a.g.components()
-    w1 = [] if len(comps) <= 1 else [{"components": comps}]
+    w1 = [] if a.g.is_connected() else [{"components": a.g.components()}]
     w2 = [{"vertex": v, "degree": d} for v, d in enumerate(a.deg) if d <= 2]
     return [_entry("L3.1", w1), _entry("L3.2", w2)]
 
 
 def check_relaxed_neighborhoods(a: Analysis) -> list[AuditEntry]:
     g, relaxed = a.g, a.relaxed
-    w3 = []
-    for v in range(g.n):
-        if a.deg[v] != 3:
-            continue
-        rn = sorted(u for u in g.adj[v] if relaxed[u])
-        if len(rn) >= 2:
-            w3.append({"vertex": v, "relaxed_neighbors": rn})
-    w6 = []
-    for v in range(g.n):
-        if a.deg[v] == 4 and relaxed[v] and all(relaxed[u] for u in g.adj[v]):
+    w3, w6 = [], []
+    for v, d in enumerate(a.deg):
+        if d == 3:
+            rn = sorted(u for u in g.adj[v] if relaxed[u])
+            if len(rn) >= 2:
+                w3.append({"vertex": v, "relaxed_neighbors": rn})
+        elif d == 4 and relaxed[v] and all(relaxed[u] for u in g.adj[v]):
             w6.append({"vertex": v, "neighbors": sorted(g.adj[v])})
     return [_entry("L3.3", w3), _entry("L3.6", w6)]
 
@@ -184,7 +213,7 @@ def check_triangle_lemmas(a: Analysis) -> list[AuditEntry]:
     adj = a.g.adj
     triangles = sorted((u, v, w) for u, v in a.g.edges for w in adj[u] & adj[v] if w > v)
     relaxed = a.relaxed
-    w4 = []
+    w4, w5 = [], []
     for t in triangles:
         L = r_length(t, a.r)
         if L != 5:
@@ -192,12 +221,8 @@ def check_triangle_lemmas(a: Analysis) -> list[AuditEntry]:
         for v in t:
             if not relaxed[v]:
                 w4.append({"cycle": list(t), "non_relaxed_vertex": v})
-    w5 = [
-        {"cycle": list(t), "vertex": v}
-        for t in triangles
-        for v in t
-        if a.deg[v] == 3
-    ]
+            if a.deg[v] == 3:
+                w5.append({"cycle": list(t), "vertex": v})
     # two distinct triangles share at most one edge
     w10 = [
         {"cycle_a": list(triangles[i]), "cycle_b": list(triangles[j]), "shared_edges": [list(e)]}
@@ -208,21 +233,21 @@ def check_triangle_lemmas(a: Analysis) -> list[AuditEntry]:
 
 def check_four_vertex_configs(a: Analysis) -> list[AuditEntry]:
     g, deg, relaxed = a.g, a.deg, a.relaxed
-    # at each 4-vertex x: its 3-vertex neighbors u (in increasing order) with
-    # a relaxed vertex in N(u) - {x}, mapped to the smallest such vertex
-    supported: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for x in range(g.n):
-        if deg[x] != 4:
+    # at each 4-vertex x that has any: its 3-vertex neighbors u (in increasing
+    # order) with a relaxed vertex in N(u) - {x}, mapped to the smallest such
+    supported: dict[int, dict[int, int]] = {}
+    for x, d in enumerate(deg):
+        if d != 4:
             continue
         for u in sorted(g.adj[x]):
             if deg[u] == 3:
                 s = min((w for w in g.adj[u] if w != x and relaxed[w]), default=None)
                 if s is not None:
-                    supported[x][u] = s
+                    supported.setdefault(x, {})[u] = s
 
     w7 = []
-    for x in range(g.n):
-        for y, z in combinations(supported[x], 2):
+    for x, sx in supported.items():
+        for y, z in combinations(sx, 2):
             side = [w for w in sorted((set(g.adj[x]) | {x}) - {y, z}) if relaxed[w]]
             if side:
                 w7.append(
@@ -230,16 +255,16 @@ def check_four_vertex_configs(a: Analysis) -> list[AuditEntry]:
                         "x": x,
                         "y": y,
                         "z": z,
-                        "support_y": supported[x][y],
-                        "support_z": supported[x][z],
+                        "support_y": sx[y],
+                        "support_z": sx[z],
                         "relaxed_in_closed_nbhd": side[0],
                     }
                 )
-    w8 = [{"vertex": v, "support": supported[v]} for v in range(g.n) if len(supported[v]) == 4]
+    w8 = [{"vertex": v, "support": sv} for v, sv in supported.items() if len(sv) == 4]
+    two = {x for x, sx in supported.items() if len(sx) >= 2}
     w9 = [
         {"x": x, "y": y, "x_children": list(supported[x])[:2], "y_children": list(supported[y])[:2]}
-        for x, y in g.edges
-        if len(supported[x]) >= 2 and len(supported[y]) >= 2
+        for x in two for y in g.adj[x] & two if x < y
     ]
     return [_entry("L3.7", w7), _entry("L3.8", w8), _entry("L3.9", w9)]
 
@@ -250,12 +275,12 @@ def check_four_vertex_configs(a: Analysis) -> list[AuditEntry]:
 def check_face_lemmas(a: Analysis) -> list[AuditEntry]:
     g, deg, lengths, vsets = a.g, a.deg, a.lengths, a.vsets
 
-    w11, w12, w13, w14 = [], [], [], []
+    w11, w12, w14 = [], [], []
     for (i, j), shared in a.shared.items():
         if i == j:
             continue
         li, lj = lengths[i], lengths[j]
-        if {li, lj} == {3, 4}:
+        if li == 3 and lj == 4 or li == 4 and lj == 3:
             t, q = (i, j) if li == 3 else (j, i)
             if len(shared) != 1:
                 w11.append({"three_face": t, "four_face": q, "shared_edges_count": len(shared)})
@@ -283,10 +308,6 @@ def check_face_lemmas(a: Analysis) -> list[AuditEntry]:
                                 "third_face_length": lengths[other],
                             }
                         )
-        elif li == lj == 4 and len(shared) == 1:
-            for v in sorted(vsets[i] & vsets[j]):
-                if deg[v] <= 3:
-                    w13.append({"face_a": i, "face_b": j, "vertex": v, "degree": deg[v]})
         elif li == lj == 5 and len(shared) == 1:
             (ei,) = shared
             u, v = g.edges[ei]
@@ -309,15 +330,22 @@ def check_face_lemmas(a: Analysis) -> list[AuditEntry]:
                             }
                         )
 
-    w15, w16 = [], []
-    for v in range(g.n):
+    # L3.13 from each vertex of degree <= 3, pairing its 4-faces through shared
+    w13, w15, w16 = [], [], []
+    for v, d in enumerate(deg):
+        if d > 4:
+            continue
         faces = [fi for fi, _, _ in a.corners[v]]
-        ls = sorted(lengths[fi] for fi in faces)
-        witness = {"vertex": v, "faces": faces}
-        if deg[v] == 3 and ls == [4, 5, 5]:
-            w15.append(witness)
-        elif deg[v] == 4 and set(ls) <= {4}:
-            w16.append(witness)
+        if d == 4:
+            if all(lengths[fi] == 4 for fi in faces):
+                w16.append({"vertex": v, "faces": faces})
+            continue
+        if d == 3 and sorted(lengths[fi] for fi in faces) == [4, 5, 5]:
+            w15.append({"vertex": v, "faces": faces})
+        quads = sorted({fi for fi in faces if lengths[fi] == 4})
+        for fa, fb in combinations(quads, 2):
+            if len(a.shared.get((fa, fb), ())) == 1:
+                w13.append({"face_a": fa, "face_b": fb, "vertex": v, "degree": d})
 
     return [
         _entry("L3.11", w11),

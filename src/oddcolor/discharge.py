@@ -211,10 +211,13 @@ class ChargeLedger:
         return sum(self.final.values())
 
     def to_json(self) -> dict:
+        # final holds the elements of initial: sort and name them once
+        elements = sorted(self.initial)
+        names = list(map(_fmt_element, elements))
         return {
-            "initial": {_fmt_element(k): v for k, v in sorted(self.initial.items())},
+            "initial": dict(zip(names, map(self.initial.__getitem__, elements))),
             "transfers": [t.to_json() for t in self.transfers],
-            "final": {_fmt_element(k): v for k, v in sorted(self.final.items())},
+            "final": dict(zip(names, map(self.final.__getitem__, elements))),
             "total_twelfths": self.total_twelfths,
         }
 
@@ -303,9 +306,7 @@ def charge_report(ledger: ChargeLedger, audit: AuditReport) -> ChargeReport:
     to its lemmas, so the cost is linear in the witnesses plus the
     negatives.
     """
-    negatives = tuple(
-        (el, tw) for el, tw in sorted(ledger.final.items()) if tw < 0
-    )
+    negatives = tuple(sorted((el, tw) for el, tw in ledger.final.items() if tw < 0))
     audits_hold = audit.counterexample_shaped
     total = ledger.total_twelfths
     contradiction = audits_hold and not negatives and total > 0

@@ -167,6 +167,38 @@ def tri_quad_planar() -> EmbeddedGraph:
     return embed_planar(g, coords)
 
 
+def two_squares_planar() -> EmbeddedGraph:
+    """Two squares glued on an edge (a 2 x 1 grid); outer face of length 6."""
+    g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
+    return embed_planar(g, {0: (0, 1), 1: (1, 1), 2: (2, 1), 3: (0, 0), 4: (1, 0), 5: (2, 0)})
+
+
+def tri_quad_wheel_planar() -> EmbeddedGraph:
+    """A 4-vertex 0 inside three triangles and a 4-face; outer face of length 5."""
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 5), (3, 5), (3, 4), (1, 4)])
+    coords = {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (0, -1), 4: (-1, 0), 5: (1, -1)}
+    return embed_planar(g, coords)
+
+
+_HUB_EDGES = [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5), (5, 2), (2, 6), (6, 7), (7, 3), (3, 8), (8, 1)]
+_HUB_COORDS = {
+    0: (0.0, 0.0), 1: (0.0, 1.5), 2: (-1.3, -0.75), 3: (1.3, -0.75), 4: (-1.41, 1.69),
+    5: (-2.17, 0.38), 6: (-0.75, -2.07), 7: (0.75, -2.07), 8: (1.9, 1.1),
+}
+
+
+def pentagon_hub_chain_planar(k: int) -> EmbeddedGraph:
+    """``k`` copies of a 3-vertex hub on faces of lengths 5, 5 and 4, drawn
+    side by side, each joined to the next by one edge; hub c is vertex 9c."""
+    edges, coords = [], {}
+    for c in range(k):
+        edges += [(u + 9 * c, v + 9 * c) for u, v in _HUB_EDGES]
+        coords.update({v + 9 * c: (x + 10 * c, y) for v, (x, y) in _HUB_COORDS.items()})
+        if c:
+            edges.append((9 * c - 1, 9 * c + 5))  # rightmost vertex to the next leftmost
+    return embed_planar(Graph(9 * k, edges), coords)
+
+
 # -- discharging rule fixtures ---------------------------------------------------
 # One minimal embedded configuration per rule.  The outer face of each patch
 # is its unique longest face.

@@ -13,6 +13,8 @@ from oddcolor.graphs import (
 from oddcolor.embedding import EmbeddedGraph, sorted_rotation
 from oddcolor.audit import (
     FACE_LEMMAS,
+    LEMMA_STATEMENTS,
+    _entry,
     analyze,
     check_degree_lemmas,
     check_face_lemmas,
@@ -28,10 +30,14 @@ from fixtures import (
     lemma_4v_two_supported_graph,
     lemma_44_supported_graph,
     mcgee_graph,
+    pentagon_hub_chain_planar,
     petersen_graph,
+    rotation_from_coords,
     theta_planar,
     torus_quadrangulation,
     tri_quad_planar,
+    tri_quad_wheel_planar,
+    two_squares_planar,
 )
 from oracles import is_r_relaxed, triangle_lemmas_reference
 
@@ -245,11 +251,7 @@ class TestFaceLemmas:
         assert frag["L3.11"].verdict == "holds"
 
     def test_two_quads_sharing_edge_with_low_degree_end(self):
-        # two squares glued on an edge: 2x1 planar grid
-        g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
-        emb = embed_planar(
-            g, {0: (0, 1), 1: (1, 1), 2: (2, 1), 3: (0, 0), 4: (1, 0), 5: (2, 0)}
-        )
+        emb = two_squares_planar()
         assert sorted(len(f) for f in emb.faces) == [4, 4, 6]
         frag = by_lemma(check_face_lemmas(analyze_embedded(emb, EMPTY)))
         assert frag["L3.13"].verdict == "violated"
@@ -326,6 +328,87 @@ class TestFullAudit:
         assert all({"lemma", "statement", "verdict", "witnesses"} <= set(e) for e in js)
 
 
+def random_grid_embedding(rng):
+    """A grid of up to 5 x 5 with random edges missing and random diagonals,
+    drawn straight, then up to two vertices' rotations shuffled and about
+    one edge sign in twenty flipped: many faces of lengths 3 to 6."""
+    while True:
+        w, h = rng.randint(3, 5), rng.randint(3, 5)
+        coords = {i * w + j: (j, i) for i in range(h) for j in range(w)}
+        edges = [(v, v + 1) for v in coords if v % w < w - 1 and rng.random() < 0.85]
+        edges += [(v, v + w) for v in coords if v + w < w * h and rng.random() < 0.85]
+        for v in coords:
+            if v % w < w - 1 and v + w < w * h and rng.random() < 0.3:
+                edges.append(rng.choice(((v, v + w + 1), (v + 1, v + w))))
+        g = Graph(w * h, edges)
+        if g.is_connected():
+            break
+    rotation = rotation_from_coords(g, coords)
+    for v in rng.sample(range(g.n), rng.randint(0, 2)):
+        rng.shuffle(rotation[v])
+    return EmbeddedGraph(g, rotation, [-1 if rng.random() < 0.05 else 1 for _ in g.edges])
+
+
+def relabel_ints(x, ids):
+    """``x`` with every int i in it, dict keys too, replaced by ids[i]."""
+    if isinstance(x, int):
+        return ids[x]
+    if isinstance(x, list):
+        return [relabel_ints(y, ids) for y in x]
+    if isinstance(x, dict):
+        return {relabel_ints(k, ids): relabel_ints(v, ids) for k, v in x.items()}
+    return x  # a witness field name
+
+
+class TestWitnessOrder:
+    """Each lemma lists its witnesses in repr order, which every report and
+    golden digest pins; the per-lemma sort keys must give that order on
+    vertex and face ids of one, two and three digits."""
+
+    def test_repr_order_on_random_rotation_systems(self):
+        rng = random.Random(27)
+        reports, most_faces = [], 0
+        for k in range(500):
+            if k % 2:
+                emb = random_grid_embedding(rng)
+                g = emb.graph
+            else:
+                n = rng.randint(4, 14)
+                p = rng.choice((0.25, 0.4, 0.6))
+                g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+                emb = None  # one instance in ten, and every disconnected one
+                if g.is_connected() and rng.random() >= 0.1:
+                    rotation = [rng.sample(sorted(g.adj[v]), g.degree(v)) for v in range(n)]
+                    emb = EmbeddedGraph(g, rotation, [rng.choice((1, -1)) for _ in g.edges])
+            most_faces = max(most_faces, len(emb.faces) if emb else 0)
+            r = frozenset(e for e in g.edges if rng.random() < 0.2)
+            reports.append(full_audit(analyze(g, r, emb)))
+        assert most_faces >= 11  # two-digit face ids occur
+        # L3.12 at the wheel's 4-vertex; L3.14 and L3.15 on twelve hubs,
+        # whose vertex ids run to three digits; both L3.11 witness shapes on
+        # one face pair of the kite, a triangle on two edges of its 4-face
+        kite = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)])
+        kite_coords = {0: (-1, 0), 1: (0, 1), 2: (1, 0), 3: (0, -1)}
+        for emb in (
+            tri_quad_wheel_planar(),
+            pentagon_hub_chain_planar(12),
+            embed_planar(kite, kite_coords),
+        ):
+            reports.append(full_audit(analyze_embedded(emb, EMPTY)))
+        seen = set()
+        for rep in reports:
+            for e in rep.entries:
+                assert list(e.witnesses) == sorted(e.witnesses, key=repr), e.lemma
+                if e.witnesses:
+                    seen.add(e.lemma)
+                    # the same shapes with every id moved into 0..199, where
+                    # ids like 7, 17 and 170 are prefixes of one another
+                    ids = rng.sample(range(200), 200)
+                    moved = [relabel_ints(w, ids) for w in e.witnesses]
+                    assert list(_entry(e.lemma, moved[::-1]).witnesses) == sorted(moved, key=repr)
+        assert seen == set(LEMMA_STATEMENTS)
+
+
 class TestWitnessesSelfVerify:
     """Every reported violation, re-evaluated from its witness alone,
     satisfies the negated lemma condition."""
@@ -360,6 +443,8 @@ class TestWitnessesSelfVerify:
             fa, fb = emb.faces[w["face_a"]], emb.faces[w["face_b"]]
             assert len(fa) == 4 and len(fb) == 4
             assert w["vertex"] in {v for v, _ in fa} & {v for v, _ in fb}
+            # every edge has two sides, so an edge on both walks has one on each
+            assert len({e for _, e in fa} & {e for _, e in fb}) == 1
         elif lemma == "L3.16":
             v = w["vertex"]
             assert g.degree(v) == 4
@@ -371,6 +456,8 @@ class TestWitnessesSelfVerify:
             (tri_quad_planar(), EMPTY),
             (sorted_rotation(cycle_graph(5)), EMPTY),
             (sorted_rotation(complete_graph(4)), EMPTY),
+            (sorted_rotation(cycle_graph(4)), EMPTY),  # two 4-faces sharing four edges
+            (two_squares_planar(), EMPTY),
         ]
         seen = set()
         for emb, r in cases:
@@ -379,4 +466,4 @@ class TestWitnessesSelfVerify:
                 for w in entry.witnesses:
                     self.recheck(emb, r, entry, w)
                     seen.add(entry.lemma)
-        assert {"L3.2", "L3.4", "L3.16"} <= seen
+        assert {"L3.2", "L3.4", "L3.13", "L3.16"} <= seen
