@@ -6,10 +6,14 @@ enough apart, then the graph is trimmed to the largest component of its
 2-core so that every surviving vertex has degree at least 2.  Everything is
 driven by one seeded generator, so output is reproducible per seed.
 
-"Far enough apart" is read off distance balls: each vertex keeps a bitmask
-of the vertices within distance ``min_girth - 2`` of it, so refusing a
-candidate is one bit test, and only an accepted edge pays for a BFS, which
-grows the balls it shortens.
+"Far enough apart" means more than ``min_girth - 2``, and it is read off
+distance balls that meet in the middle.  Each vertex keeps two bitmasks: the
+vertices within p = (min_girth - 2) // 2 of it, and those within
+q = min_girth - 2 - p.  Two endpoints are too close exactly when some vertex
+lies within p of one and within q of the other, so refusing a candidate is
+one AND of two masks.  Only an accepted edge pays for a BFS, from each end to
+depth q - 1, which grows the balls it shortens; at about half the radius of
+one ball of radius ``min_girth - 2``, it reaches far fewer vertices.
 """
 
 from __future__ import annotations
@@ -94,12 +98,17 @@ def generate_girth_instances(n: int, min_girth: int, count: int, seed: int) -> l
     """``count`` connected graphs on <= n vertices, girth >= min_girth,
     minimum degree >= 2; deterministic per seed.
 
-    A candidate uv is refused when v lies in the ball of radius
-    ``min_girth - 2`` around u.  The balls stay exact: a path shortened by
-    a new edge uv runs a..u, uv, v..b with both halves shortest in the old
-    graph, so accepting uv ORs into the ball of each a at distance i from u
-    the ball of radius ``min_girth - 3 - i`` around v, and the same with u
-    and v swapped.
+    Each vertex a keeps ``lo[a]``, its ball of radius
+    p = (min_girth - 2) // 2, and ``hi[a]``, its ball of radius
+    q = min_girth - 2 - p.  A candidate uv is refused when ``lo[u] & hi[v]``
+    is non-zero: some vertex lies within p of u and within q of v exactly
+    when dist(u, v) <= p + q = min_girth - 2.  The balls stay exact: a path
+    shortened by a new edge uv runs a..u, uv, v..b with both halves shortest
+    in the old graph, so accepting uv ORs into ``hi[a]``, for each a at
+    distance i <= q - 1 from u, the ball of radius q - 1 - i around v, and
+    into ``lo[a]``, when also i < p, the ball of radius p - 1 - i; the same
+    with u and v swapped.  One BFS from each end to depth q - 1, before uv
+    is added, gives all of these.
 
     Raises GenerationBudgetError when the attempt budget runs out, which is
     the expected outcome for unreachable parameter combinations (for example
@@ -109,6 +118,8 @@ def generate_girth_instances(n: int, min_girth: int, count: int, seed: int) -> l
         raise ValueError("min_girth must be at least 3")
     if n < 3 or count < 1:
         raise ValueError("need n >= 3 and count >= 1")
+    p = (min_girth - 2) // 2
+    q = min_girth - 2 - p
     rng = random.Random(seed)
     out: list[Graph] = []
     budget = count * ATTEMPTS_PER_INSTANCE
@@ -124,18 +135,25 @@ def generate_girth_instances(n: int, min_girth: int, count: int, seed: int) -> l
         rng.shuffle(candidates)
         adj: list[set[int]] = [set() for _ in range(n)]
         edges: set[tuple[int, int]] = set()
-        # near[a]: bit b set iff dist(a, b) <= min_girth - 2
-        near = [1 << a for a in range(n)]
+        # lo[a], hi[a]: bit b set iff dist(a, b) <= p, resp. <= q
+        lo = [1 << a for a in range(n)]
+        hi = lo.copy()
         for u, v in candidates:
             # adding uv closes a cycle of length dist(u,v) + 1
-            if near[u] >> v & 1:
+            if lo[u] & hi[v]:
                 continue
-            depth = min_girth - 3
-            (lu, bu), (lv, bv) = _balls(adj, u, depth), _balls(adj, v, depth)
+            (lu, bu), (lv, bv) = _balls(adj, u, q - 1), _balls(adj, v, q - 1)
             for layers, balls in ((lu, bv), (lv, bu)):
                 for i, layer in enumerate(layers):
-                    for a in layer:
-                        near[a] |= balls[depth - i]
+                    far = balls[q - 1 - i]
+                    if i < p:
+                        near = balls[p - 1 - i]
+                        for a in layer:
+                            lo[a] |= near
+                            hi[a] |= far
+                    else:
+                        for a in layer:
+                            hi[a] |= far
             adj[u].add(v)
             adj[v].add(u)
             edges.add((u, v))

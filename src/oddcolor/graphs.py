@@ -309,7 +309,8 @@ def one_edge_pairs(cycles: list[Cycle]) -> Iterator[tuple[int, int, Edge]]:
             on_e = holders[e]
             for j in on_e[bisect_right(on_e, i):]:
                 once[j] = None if j in once else e
-        for j, e in sorted(once.items()):
+        for j in sorted(once):
+            e = once[j]
             if e is not None:
                 yield i, j, e
 

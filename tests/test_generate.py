@@ -51,7 +51,8 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_girth_instances(2, 3, count=1, seed=0)
 
-    @pytest.mark.parametrize("min_girth", range(3, 10))
+    # up to girth 11 the two ball radii reach p = 4 and q = 5
+    @pytest.mark.parametrize("min_girth", range(3, 12))
     def test_same_graphs_as_per_candidate_bfs(self, min_girth):
         graphs_compared = 0
         for n in [*range(3, 15), 20, 33, 50, 80]:
@@ -60,6 +61,13 @@ class TestGenerator:
                 assert got == outcome(girth_instances_reference, n, min_girth, count, seed)
                 graphs_compared += not isinstance(got, str)
         assert graphs_compared >= 20
+
+    # larger graphs, where balls grow by many accepted edges per vertex
+    @pytest.mark.parametrize(("n", "min_girth"), [(120, 7), (200, 9)])
+    def test_same_graphs_as_per_candidate_bfs_at_scale(self, n, min_girth):
+        assert generate_girth_instances(n, min_girth, 1, n) == girth_instances_reference(
+            n, min_girth, 1, n
+        )
 
     def test_large_instance_properties(self):
         (g,) = generate_girth_instances(600, 7, 1, 600)
