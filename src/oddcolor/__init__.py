@@ -2,8 +2,9 @@
 
 Exact solvers and verifiers for odd and relaxed-odd list colorings, cycle
 hypothesis checking with a relaxation edge set, combinatorial surface
-embeddings with face tracing up to Euler genus 2, structural configuration
-audits, and an exact discharging ledger.
+embeddings with face tracing on every surface and an embedding search up to
+Euler genus 2, structural configuration audits, and an exact discharging
+ledger.
 """
 
 from types import ModuleType as _ModuleType
@@ -22,7 +23,6 @@ from .graphs import (
     path_graph,
     r_length,
     r_set,
-    r_set_from_indices,
     relaxed_flags,
 )
 from .embedding import (

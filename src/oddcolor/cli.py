@@ -28,7 +28,7 @@ from .coloring import (
 from .discharge import charge_report, hunt, settle
 from .embedding import embed_search
 from .generate import GenerationBudgetError, generate_girth_instances
-from .graphs import girth, hypothesis_check, one_subdivision, r_set_from_indices
+from .graphs import girth, hypothesis_check, one_subdivision
 from .jsonio import Instance
 
 EXIT_OK = 0
@@ -42,17 +42,21 @@ def _load(args) -> tuple[Instance | None, str | None]:
         return None, None
     try:
         inst, digest = jsonio.load_instance(args.path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot load {args.path}: {exc}") from exc
     if args.r is not None:
-        try:
-            idx = [int(tok) for tok in args.r.split(",") if tok.strip() != ""]
-            inst = Instance(
-                inst.graph, r_set_from_indices(inst.graph, idx), inst.embedding, inst.lists
-            )
-        except ValueError as exc:
-            raise ValueError(f"bad --r value: {exc}") from exc
+        idx = [_index(tok) for tok in map(str.strip, args.r.split(",")) if tok]
+        r = jsonio._relaxation(idx, "--r", inst.graph.edges)
+        inst = Instance(inst.graph, r, inst.embedding, inst.lists)
     return inst, digest
+
+
+def _index(token: str) -> int | str:
+    """An --r token as an integer, or as given, for ``jsonio`` to name."""
+    try:
+        return int(token)
+    except ValueError:
+        return token
 
 
 def _at_least(flag: str, value: int, low: int) -> int:

@@ -359,12 +359,6 @@ def hunt(g: Graph, r: RSet, max_genus: int = 2) -> HuntReport:
     audit = full_audit(a)
     ledger = settle(a)
     charges = charge_report(ledger, audit)
-    if not audit.counterexample_shaped:
-        stage = "audit"
-    elif charges.negatives or charges.total_twelfths <= 0:
-        stage = "charges"
-    else:
-        stage = None  # contradiction: would certify a counterexample
-    return HuntReport(
-        stage, hyp, True, emb.euler_genus, audit, ledger, charges
-    )
+    # None: a contradiction, which would certify a counterexample
+    stage = "audit" if not audit.counterexample_shaped else None if charges.contradiction else "charges"
+    return HuntReport(stage, hyp, True, emb.euler_genus, audit, ledger, charges)

@@ -19,7 +19,6 @@ one ball of radius ``min_girth - 2``, it reaches far fewer vertices.
 from __future__ import annotations
 
 import random
-from collections import deque
 from itertools import combinations
 
 from .graphs import Graph, girth
@@ -47,51 +46,44 @@ def _balls(adj: list[set[int]], s: int, depth: int) -> tuple[list[list[int]], li
     return layers, balls
 
 
-def _two_core_component(n: int, edges: set[tuple[int, int]]) -> Graph | None:
-    """Largest connected component of the 2-core, relabeled densely."""
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    alive = set(range(n))
-    queue = deque(v for v in alive if len(adj[v]) <= 1)
-    while queue:
-        v = queue.popleft()
-        if v not in alive:
+def _two_core_component(adj: list[set[int]]) -> Graph | None:
+    """Largest connected component of the 2-core of the graph with neighbour
+    sets ``adj``, the one with the smallest vertex on ties, relabeled
+    densely; peels ``adj`` in place."""
+    n = len(adj)
+    alive = [True] * n
+    stack = [v for v in range(n) if len(adj[v]) <= 1]
+    while stack:
+        v = stack.pop()
+        if not alive[v]:
             continue
-        alive.discard(v)
+        alive[v] = False
         for w in adj[v]:
             adj[w].discard(v)
-            if w in alive and len(adj[w]) <= 1:
-                queue.append(w)
-    if not alive:
+            if alive[w] and len(adj[w]) <= 1:
+                stack.append(w)
+    # survivors now neighbour only survivors; the search clears alive[v] on reaching v
+    best: list[int] = []
+    for s in range(n):
+        if alive[s]:
+            alive[s] = False
+            comp, stack = [s], [s]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if alive[w]:
+                        alive[w] = False
+                        comp.append(w)
+                        stack.append(w)
+            if len(comp) > len(best):
+                best = comp
+    if not best:  # a 2-core component holds a cycle, so at least 3 vertices
         return None
-    comps: list[list[int]] = []
-    seen: set[int] = set()
-    for s in sorted(alive):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in alive and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    best = max(comps, key=len)
-    if len(best) < 3:
-        return None
+    best.sort()
     relabel = {v: i for i, v in enumerate(best)}
-    keep = [
-        (relabel[u], relabel[v])
-        for u, v in edges
-        if u in relabel and v in relabel
-    ]
-    return Graph(len(best), keep)
+    return Graph.from_sorted_edges(
+        len(best),
+        tuple((i, relabel[w]) for i, u in enumerate(best) for w in sorted(adj[u]) if w > u),
+    )
 
 
 def generate_girth_instances(n: int, min_girth: int, count: int, seed: int) -> list[Graph]:
@@ -134,7 +126,6 @@ def generate_girth_instances(n: int, min_girth: int, count: int, seed: int) -> l
         candidates = list(combinations(range(n), 2))
         rng.shuffle(candidates)
         adj: list[set[int]] = [set() for _ in range(n)]
-        edges: set[tuple[int, int]] = set()
         # lo[a], hi[a]: bit b set iff dist(a, b) <= p, resp. <= q
         lo = [1 << a for a in range(n)]
         hi = lo.copy()
@@ -156,8 +147,7 @@ def generate_girth_instances(n: int, min_girth: int, count: int, seed: int) -> l
                             hi[a] |= far
             adj[u].add(v)
             adj[v].add(u)
-            edges.add((u, v))
-        g = _two_core_component(n, edges)
+        g = _two_core_component(adj)
         if g is None:
             continue
         gi = girth(g)

@@ -179,19 +179,6 @@ def r_set(g: Graph, edges: Iterable[tuple[int, int]]) -> RSet:
     return frozenset(out)
 
 
-def r_set_from_indices(g: Graph, indices: Iterable[int]) -> RSet:
-    """Relaxation set given as indices into the sorted edge list, each at
-    most once."""
-    out = set()
-    for i in indices:
-        if not 0 <= i < len(g.edges):
-            raise ValueError(f"edge index {i} out of range")
-        if g.edges[i] in out:
-            raise ValueError(f"edge index {i} is listed twice")
-        out.add(g.edges[i])
-    return frozenset(out)
-
-
 # -- cycles ----------------------------------------------------------------
 
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 
-from .graphs import FivePairsJSON, Graph, RSet
+from .graphs import Edge, FivePairsJSON, Graph, RSet
 from .embedding import EmbeddedGraph
 from .coloring import Coloring, ListAssignment
 
@@ -114,6 +114,19 @@ def _ints(value, path: str, bound: int | None = None) -> list[int]:
     return value
 
 
+def _relaxation(indices, path: str, edges: tuple[Edge, ...]) -> RSet:
+    """The relaxation set named by ``indices`` into the sorted ``edges``,
+    each index listed once; a bad one raises ValueError naming ``path[i]``."""
+    _ints(indices, path, len(edges))
+    if len(set(indices)) < len(indices):  # name the first repeat
+        seen: set[int] = set()
+        for i, x in enumerate(indices):
+            if x in seen:
+                raise ValueError(f"{path}[{i}]: {x} is listed twice; list each relaxation edge once")
+            seen.add(x)
+    return frozenset(map(edges.__getitem__, indices))
+
+
 def _per_vertex(value, path: str, n: int) -> list[list[int]]:
     """One integer list per vertex, in an object keyed "0".."n-1"."""
     keys = list(map(str, range(n)))
@@ -165,14 +178,7 @@ def instance_from_json(obj: dict) -> Instance:
             raise ValueError(f"edges[{i}]: {e} does not follow {edges[i - 1]}; list edges sorted, once each")
         pairs.append(pair)
     g = Graph.from_sorted_edges(n, tuple(pairs))
-    indices = _ints(obj.get("R", []), "R", len(pairs))
-    if len(set(indices)) < len(indices):  # name the first repeat
-        seen: set[int] = set()
-        for i, x in enumerate(indices):
-            if x in seen:
-                raise ValueError(f"R[{i}]: {x} is listed twice; list each relaxation edge once")
-            seen.add(x)
-    r = frozenset(map(pairs.__getitem__, indices))
+    r = _relaxation(obj.get("R", []), "R", g.edges)
     emb = None
     if "signs" in obj and "rotation" not in obj:
         raise ValueError("signs: given without a rotation; signs belong to an embedding")

@@ -9,8 +9,10 @@ all-pairs 5-cycle scan, the per-negative witness scan behind
 ``explained_by``) are kept here unchanged to pin the order of their output,
 and so is the per-edge-BFS ``girth`` it replaced.  The generator loop that
 ran one bounded BFS per candidate edge is kept as ``girth_instances_reference``
-to pin the distance-ball generator to the same graphs.  The solver's
-chronological backtracking search is kept as ``solve_chronological_reference``
+to pin the distance-ball generator to the same graphs, and the 2-core step
+that rebuilt an adjacency from the accepted edge set as
+``two_core_component_reference``.  The solver's chronological backtracking
+search is kept as ``solve_chronological_reference``
 to pin the propagating search to the same first colorings.  The face tracer
 that advanced tuple flags through two closures is kept as
 ``trace_faces_reference`` to pin the flat-table tracer to the same faces.
@@ -34,7 +36,7 @@ from itertools import combinations, permutations, product
 
 from oddcolor.coloring import Coloring, RelaxedInstance, solver_order
 from oddcolor.embedding import EmbeddedGraph, FaceWalk
-from oddcolor.generate import GenerationBudgetError, _two_core_component
+from oddcolor.generate import GenerationBudgetError
 from oddcolor.graphs import Cycle, Graph, RSet, girth, relaxed_flags
 
 
@@ -302,6 +304,53 @@ def _bfs_distance(adj: list[set[int]], s: int, t: int, cap: int) -> int:
     return cap
 
 
+def two_core_component_reference(n: int, edges: set[tuple[int, int]]) -> Graph | None:
+    """Largest connected component of the 2-core, relabeled densely."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    alive = set(range(n))
+    queue = deque(v for v in alive if len(adj[v]) <= 1)
+    while queue:
+        v = queue.popleft()
+        if v not in alive:
+            continue
+        alive.discard(v)
+        for w in adj[v]:
+            adj[w].discard(v)
+            if w in alive and len(adj[w]) <= 1:
+                queue.append(w)
+    if not alive:
+        return None
+    comps: list[list[int]] = []
+    seen: set[int] = set()
+    for s in sorted(alive):
+        if s in seen:
+            continue
+        comp = [s]
+        seen.add(s)
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w in alive and w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    best = max(comps, key=len)
+    if len(best) < 3:
+        return None
+    relabel = {v: i for i, v in enumerate(best)}
+    keep = [
+        (relabel[u], relabel[v])
+        for u, v in edges
+        if u in relabel and v in relabel
+    ]
+    return Graph(len(best), keep)
+
+
 def girth_instances_reference(
     n: int, min_girth: int, count: int, seed: int, attempts_per_instance: int = 60
 ) -> list[Graph]:
@@ -331,7 +380,7 @@ def girth_instances_reference(
                 adj[u].add(v)
                 adj[v].add(u)
                 edges.add((u, v))
-        g = _two_core_component(n, edges)
+        g = two_core_component_reference(n, edges)
         if g is None:
             continue
         gi = girth(g)

@@ -15,7 +15,6 @@ from oddcolor.graphs import (
     one_subdivision,
     path_graph,
     r_set,
-    r_set_from_indices,
 )
 from oddcolor.coloring import (
     ListAssignment,
@@ -286,7 +285,7 @@ class TestPropagation:
                 tuple(frozenset(rng.sample(range(1, k + 3), k)) for _ in range(g.n))
             )
         chosen = rng.sample(range(len(g.edges)), min(len(g.edges), rng.randint(0, 3)))
-        return RelaxedInstance(g, r_set_from_indices(g, chosen), lists), uniform
+        return RelaxedInstance(g, frozenset(g.edges[i] for i in chosen), lists), uniform
 
     def test_matches_chronological_search_on_random_instances(self):
         rng = random.Random(1101)

@@ -63,7 +63,7 @@ def test_public_names_are_pinned():
         "full_audit", "generate_girth_instances", "generate_transfers", "girth",
         "hunt", "hypothesis_check", "initial_charges", "is_odd_coloring",
         "is_relaxed_odd", "odd_chromatic_number", "one_subdivision", "path_graph",
-        "r_length", "r_set", "r_set_from_indices", "reduce_low_degree",
+        "r_length", "r_set", "reduce_low_degree",
         "relaxed_flags", "sampled_choosability", "settle", "solve",
         "sorted_rotation", "trace_faces", "uniform_lists",
     ]

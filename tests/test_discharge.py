@@ -1,10 +1,14 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
+import pytest
+
+from oddcolor import discharge
 from oddcolor.graphs import Graph, complete_graph, cycle_graph, one_subdivision, r_set
 from oddcolor.embedding import sorted_rotation
-from oddcolor.audit import full_audit
+from oddcolor.audit import AuditReport, full_audit
 from oddcolor.discharge import (
     RULE_TWELFTHS,
     Transfer,
@@ -378,6 +382,23 @@ class TestHunt:
     def test_cubic_girth7_fails_embedding(self):
         rep = hunt(mcgee_graph(), EMPTY)
         assert rep.eliminated_at == "embedding"
+
+    # a contradiction cannot arise at Euler genus <= 2, so the audit and the
+    # charge report of C7 are stubbed to reach every stage
+    @pytest.mark.parametrize(
+        ("audits_hold", "contradiction", "stage"),
+        [(False, False, "audit"), (False, True, "audit"), (True, False, "charges"), (True, True, None)],
+    )
+    def test_stage_read_from_audit_then_contradiction(self, monkeypatch, audits_hold, contradiction, stage):
+        if audits_hold:
+            monkeypatch.setattr(discharge, "full_audit", lambda a: AuditReport(()))
+        report = discharge.charge_report
+        monkeypatch.setattr(
+            discharge, "charge_report", lambda ledger, audit: replace(report(ledger, audit), contradiction=contradiction)
+        )
+        rep = hunt(cycle_graph(7), EMPTY)
+        assert rep.eliminated_at == stage
+        assert rep.audit.counterexample_shaped is audits_hold and rep.charges.contradiction is contradiction
 
     def test_never_contradiction_on_small_corpus(self):
         rng = random.Random(41)

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from oddcolor.generate import GenerationBudgetError, generate_girth_instances
-from oddcolor.graphs import girth, hypothesis_check
+from oddcolor.generate import GenerationBudgetError, _two_core_component, generate_girth_instances
+from oddcolor.graphs import Graph, girth, hypothesis_check
 
 from oracles import girth_instances_reference, girth_reference
 
@@ -74,3 +76,61 @@ class TestGenerator:
         assert g.is_connected()
         assert min(g.degree(v) for v in range(g.n)) >= 2
         assert girth_reference(g) >= 7
+
+
+def random_forest_edges(n, edges):
+    """The edges of ``edges`` that join two trees, in order: a forest."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    forest = []
+    for u, v in edges:
+        if find(u) != find(v):
+            root[find(u)] = find(v)
+            forest.append((u, v))
+    return forest
+
+
+def test_two_core_component_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(30)
+    cases = [
+        (0, []),
+        (5, []),  # isolated vertices only
+        (7, [(0, 1), (1, 2), (1, 3), (3, 4), (5, 6)]),  # a forest
+        # two triangles, the later one listed first, and a tail
+        (8, [(5, 6), (6, 7), (5, 7), (0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]),
+        # two 4-cycles joined by a path that peels away
+        (10, [(4, 5), (5, 6), (6, 7), (4, 7), (7, 8), (8, 9), (0, 1), (1, 2), (2, 3), (0, 3)]),
+    ]
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        p = rng.choice((0.03, 0.06, 0.1, 0.2))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        kind = rng.random()
+        if kind < 0.3:
+            edges = random_forest_edges(n, edges)
+        elif kind < 0.5:  # a relabeled copy beside the graph: cores of equal size
+            copy = rng.sample(range(n, 2 * n), n)
+            edges += [(copy[u], copy[v]) for u, v in edges]
+            n *= 2
+        cases.append((n, edges))
+    ties = 0
+    for n, edges in cases:
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        g = nx.Graph(edges)
+        g.add_nodes_from(range(n))
+        comps = sorted(map(sorted, nx.connected_components(nx.k_core(g, 2))))
+        best = max(comps, key=len, default=[])  # the first, by smallest vertex, on ties
+        ties += [len(c) for c in comps].count(len(best)) > 1
+        relabel = {v: i for i, v in enumerate(best)}
+        expected = None if len(best) < 3 else Graph(len(best), [(relabel[u], relabel[v]) for u, v in g.subgraph(best).edges])
+        assert _two_core_component(adj) == expected
+    assert ties >= 20

@@ -48,7 +48,6 @@ from oddcolor.graphs import (
     complete_graph,
     cycle_graph,
     one_subdivision,
-    r_set_from_indices,
 )
 
 from fixtures import (
@@ -65,7 +64,7 @@ from fixtures import (
 def seeded_r(g: Graph, seed: int, share: int) -> frozenset:
     """About one edge in ``share``, drawn with a fixed seed."""
     rng = random.Random(seed)
-    return r_set_from_indices(g, rng.sample(range(len(g.edges)), len(g.edges) // share))
+    return frozenset(g.edges[i] for i in rng.sample(range(len(g.edges)), len(g.edges) // share))
 
 
 def instances():

@@ -17,7 +17,6 @@ from oddcolor.graphs import (
     path_graph,
     r_length,
     r_set,
-    r_set_from_indices,
     relaxed_flags,
 )
 
@@ -93,7 +92,6 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             r_set(g, [(0, 2)])
         assert r_set(g, [(1, 0)]) == frozenset({(0, 1)})
-        assert r_set_from_indices(g, [0]) == frozenset({(0, 1)})
 
     def test_is_connected_small_cases(self):
         assert Graph(0, []).is_connected()

@@ -415,7 +415,7 @@ class TestCli:
             # R indexes the edge list like a set: a repeat would load as one R edge
             ({"R": [0, 0]}, "R[1]: 0 is listed twice", SOLVE_K3),
             ({"R": [1, 0, 1]}, "R[2]: 1 is listed twice", SOLVE_K3),
-            ({}, "bad --r value: edge index 0 is listed twice", ["check", "--r", "0,0"]),
+            ({}, "--r[1]: 0 is listed twice; list each relaxation edge once", ["check", "--r", "0,0"]),
             # only the last element is bad: each field is checked to its end
             ({"edges": [[0, 1], [2, 2]]}, "edges[1]: expected two distinct vertices, got [2, 2]", SOLVE_K3),
             ({"edges": [[0, 1], [1, 3]]}, "edges[1][1]: 3 is out of range 0..2", SOLVE_K3),
@@ -430,6 +430,11 @@ class TestCli:
             ({"edges": [[0, 1], [0, 2], [1, 2]], "signs": [1, 1, 5]}, "signs: given without a rotation", ["check"]),
             ({"n": 0, "edges": [[0, 1]]}, "edges[0][0]: 0 is out of range: the range is empty", ["check"]),
             ({"edges": [], "R": [0]}, "R[0]: 0 is out of range: the range is empty", ["check"]),
+            # --r is checked like the file's R, naming the position of a bad token
+            ({}, "--r[2]: 2 is out of range 0..1", ["check", "--r", "1, 0,2"]),
+            ({}, "--r[1]: -1 is out of range 0..1", ["solve", "--k", "3", "--r", "0,-1"]),
+            ({}, "--r[1]: expected an integer, got '1.0'", ["check", "--r", "0,1.0,"]),
+            ({}, "--r[0]: expected an integer, got 'x'", ["hunt", "--r", "x"]),
         ],
     )
     def test_malformed_field_is_input_error_naming_it(self, tmp_path, capsys, fields, path, flags):
