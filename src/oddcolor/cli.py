@@ -27,7 +27,7 @@ from .coloring import (
 )
 from .discharge import charge_report, hunt, settle
 from .embedding import embed_search
-from .generate import GenerationBudgetError, generate_girth_instances
+from .generate import generate_girth_instances
 from .graphs import girth, hypothesis_check, one_subdivision
 from .jsonio import Instance
 
@@ -165,15 +165,12 @@ def cmd_subdivide(args, inst: Instance):
 
 
 def cmd_gen(args, _inst):
-    try:
-        graphs = generate_girth_instances(
-            _at_least("--n", args.n, 3),
-            _at_least("--min-girth", args.min_girth, 3),
-            _at_least("--count", args.count, 1),
-            args.seed,
-        )
-    except GenerationBudgetError as exc:
-        raise ValueError(str(exc)) from exc
+    graphs = generate_girth_instances(
+        _at_least("--n", args.n, 3),
+        _at_least("--min-girth", args.min_girth, 3),
+        _at_least("--count", args.count, 1),
+        args.seed,
+    )
     return (
         {
             "instances": [jsonio.graph_to_json(g) for g in graphs],

@@ -236,10 +236,6 @@ def settle(a: Analysis) -> ChargeLedger:
     return ChargeLedger(init, transfers, final)
 
 
-def charge_str(twelfths: int) -> str:
-    return str(Fraction(twelfths, 12))
-
-
 @dataclass(frozen=True)
 class ChargeReport:
     total_twelfths: int
@@ -252,7 +248,7 @@ class ChargeReport:
         return {
             "total_twelfths": self.total_twelfths,
             "negatives": [
-                {"element": _fmt_element(el), "twelfths": tw, "charge": charge_str(tw)}
+                {"element": _fmt_element(el), "twelfths": tw, "charge": str(Fraction(tw, 12))}
                 for el, tw in self.negatives
             ],
             "audits_hold": self.audits_hold,

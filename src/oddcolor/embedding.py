@@ -213,15 +213,16 @@ def _face_search(
     negating its edges; Mohar & Thomassen, *Graphs on Surfaces*, ch. 3-4)
     turns any embedding on the -1 branch into one on the +1 branch with the
     same faces, so the search stays complete up to switching.  A face
-    closes when the walk returns to its starting state.  Prunes with the
-    bound faces_done + remaining_sides // min_len < min_faces, where
-    ``min_len`` is a lower bound on every face length, and looks ahead: a
-    face opened at root v may close with at most
-    limit = total - (min_faces - faces_done - 1) * min_len darts in use, so
-    an open walk steps onto dart b only if
+    closes when the walk returns to its starting state.  ``min_len`` is a
+    lower bound on every face length, so a face opened at root v with
+    faces_done faces closed may close with at most
+    limit = total - (min_faces - faces_done - 1) * min_len darts in use.
+    The budget is checked as each face opens: it opens only if
+    used_count + min_len <= limit, which at the root is Euler's bound
+    min_faces * min_len <= 2E.  An open walk then steps onto dart b only if
     used_count + 1 + dist(head(b), v) <= limit.  Distances come from one BFS
     ball per root, built when a face first opens there and cut at the
-    longest face the target allows.  Both bounds cut only subtrees that hold
+    longest face the target allows.  Both tests cut only subtrees that hold
     no embedding with min_faces faces, so the search returns the first such
     embedding in search order, as it would unpruned.
     Complete up to mirror images: an embedding and its mirror (rotations
@@ -296,7 +297,10 @@ def _face_search(
     def begin(faces_done: int, used_count: int, after: int):
         """Open a face at the first unused state past ``after``, the start
         of the previous face: every state before it is in use."""
-        if faces_done + 1 + (total - used_count - 1) // min_len < min_faces:
+        # the most darts in use once this face closes that still leave
+        # min_len darts for each face still missing
+        limit = total - (min_faces - faces_done - 1) * min_len
+        if used_count + min_len > limit:
             return
         s = after + 1
         while used[s]:
@@ -307,9 +311,6 @@ def _face_search(
         dist = balls.get(root)
         if dist is None:
             dist = balls[root] = ball(root)
-        # the most darts in use once this face closes that still leave
-        # min_len darts for each face still missing
-        limit = total - (min_faces - faces_done - 1) * min_len
         was = sign[e]
         for sg in (was,) if was else (1,) if fresh(w) else (1, -1):
             sign[e] = sg
@@ -398,9 +399,6 @@ def _face_search(
 
     rotation = []
     for here in out:
-        if not here:
-            rotation.append(())
-            continue
         first, w, _, _ = here[0]
         order = [w]
         d = succ[first]
@@ -420,11 +418,12 @@ def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
     <= max_genus.  If that fails and max_genus >= 1, the second run chooses
     every sign and searches up to vertex switching, which keeps every face,
     so it decides every surface, and its embedding is returned.  Each run
-    needs F = E - V + 2 - eg faces, each at least the girth long, and prunes
-    an open face walk that cannot return to its first vertex, by BFS
-    distance, within the darts the other faces leave it.  Both runs reach
-    at least one of each mirror pair of rotation systems.  Exponential in
-    general; practical for small graphs.
+    needs F = E - V + 2 - eg faces, each at least the girth long, a budget
+    checked as each face opens (at the root, Euler's bound), and prunes an
+    open face walk that cannot return to its first vertex, by BFS distance,
+    within the darts the other faces leave it.  Both runs reach at least one
+    of each mirror pair of rotation systems.  Exponential in general;
+    practical for small graphs.
     """
     if max_genus not in (0, 1, 2):
         raise ValueError("max_genus must be 0, 1, or 2")
@@ -436,11 +435,8 @@ def embed_search(g: Graph, max_genus: int) -> EmbeddedGraph | None:
         return sorted_rotation(g)
     # every face walk of a connected graph that is not a tree holds a cycle
     min_len = girth(g)
-    # every embedding of any kind satisfies F <= 2E / (minimum face length),
-    # and a sphere embedding has E - V + 2 faces, one more per unit of genus
+    # a sphere embedding has E - V + 2 faces, one fewer per unit of genus
     sphere_faces = m - g.n + 2
-    if sphere_faces - (2 * m) // min_len > max_genus:
-        return None
     # orientable surfaces have even Euler genus
     orient_target = max_genus - max_genus % 2
     tables = _dart_tables(g)

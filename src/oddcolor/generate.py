@@ -26,8 +26,8 @@ from .graphs import Graph, girth
 ATTEMPTS_PER_INSTANCE = 60
 
 
-class GenerationBudgetError(RuntimeError):
-    """The requested number of instances was not reached within the budget."""
+class GenerationBudgetError(ValueError):
+    """The requested number of instances was not reached within the budget (an input error)."""
 
 
 def _balls(adj: list[set[int]], s: int, depth: int) -> tuple[list[list[int]], list[int]]:

@@ -22,10 +22,6 @@ from .coloring import Coloring, ListAssignment
 SCHEMA_VERSION = 1
 
 
-def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 # what json.dumps writes for the placeholder string "\0"
 _PLACEHOLDER = json.dumps("\0")
 
@@ -54,10 +50,6 @@ def dumps_report(report: dict) -> str:
     if len(parts) != len(texts) + 1:
         raise AssertionError(f"{len(parts) - 1} placeholders for {len(texts)} pre-encoded values")
     return "".join(chain.from_iterable(zip(parts, texts))) + parts[-1]
-
-
-def digest_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def graph_to_json(g: Graph, r: RSet = frozenset()) -> dict:
@@ -207,12 +199,12 @@ def load_instance(path: str) -> tuple[Instance, str]:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return instance_from_json(json.loads(data)), digest_bytes(data)
+        return instance_from_json(json.loads(data)), hashlib.sha256(data).hexdigest()
     except RecursionError:  # parsing, and repr in a message, recurse per level of nesting
         raise ValueError("the file nests too deeply to be parsed") from None
 
 
 def dump_instance(path: str, obj: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(obj))
+        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
         fh.write("\n")

@@ -130,6 +130,13 @@ class TestVerifiers:
         with pytest.raises(ValueError):
             ListAssignment((frozenset({1}), frozenset({1, 2})))
 
+    @pytest.mark.parametrize("e", [(0, 2), (1, 0)])
+    def test_r_edge_not_in_the_graph_rejected(self, e):
+        # (0, 2) is no edge of the path 0-1-2; (1, 0) is the edge (0, 1)
+        # reversed, and R holds edges as sorted pairs
+        with pytest.raises(ValueError, match=rf"^relaxation edge \({e[0]}, {e[1]}\) is not in the graph$"):
+            RelaxedInstance(path_graph(3), frozenset({e}), uniform_lists(3, 2))
+
 
 class TestSolve:
     def test_c5_four_unsat_five_sat(self):

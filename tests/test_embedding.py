@@ -689,15 +689,18 @@ class TestSwitchingRule:
 
     @pytest.mark.parametrize(
         "name, max_genus, runs",
-        [("K4", 0, 1), ("27c", 2, 2), ("K5", 1, 2)],
+        [("K4", 0, 1), ("27c", 2, 2), ("K5", 1, 2), ("K7", 1, 2)],
     )
     def test_runs_per_call(self, monkeypatch, name, max_genus, runs):
         # an orientable find stops after the first run; a refutation and a
-        # signed find both end with the signed run
+        # signed find both end with the signed run, also when Euler's bound
+        # refutes both runs at their roots (at Euler genus 1 K7 needs 15
+        # faces of three edge sides each, 45 of its 42)
         g, finds = {
             "K4": (complete_graph(4), True),
             "27c": (generate_girth_instances(27, 7, 3, 5027)[2], False),
             "K5": (complete_graph(5), True),
+            "K7": (complete_graph(7), False),
         }[name]
         calls = []
         face_search = embedding._face_search
@@ -710,6 +713,65 @@ class TestSwitchingRule:
         emb = embed_search(g, max_genus)
         assert (emb is not None) == finds
         assert calls == phase_args(g, max_genus)[:runs]
+
+
+class TestFaceBudget:
+    """Each face is at least the girth long, so the faces a run still needs
+    must fit in the darts left as each face opens; at the root of a run that
+    is Euler's bound, min_faces * girth <= 2E."""
+
+    @staticmethod
+    def euler_refuted(g, euler_genus):
+        return len(g.edges) - g.n + 2 - euler_genus > 2 * len(g.edges) // girth(g)
+
+    @staticmethod
+    def assert_refuted(g, max_genus):
+        if max_genus <= 2:
+            assert embed_search(g, max_genus) is None, (g.edges, max_genus)
+        tables = embedding._dart_tables(g)
+        for run in phase_args(g, max_genus):
+            assert embedding._face_search(tables, *run) is None, (g.edges, max_genus, run)
+
+    def test_atlas_pairs_euler_refutes(self):
+        # the pairs TestSwitchingRule.test_atlas_verdicts leaves out, four
+        # graphs on 7 vertices at Euler genus 1, and 48 at Euler genus 0
+        nx = pytest.importorskip("networkx")
+        checked = []
+        for h in nx.graph_atlas_g():
+            n, m = h.number_of_nodes(), h.number_of_edges()
+            if n == 0 or m < n or not nx.is_connected(h):
+                continue
+            g = Graph(n, [tuple(sorted(e)) for e in h.edges()])
+            for euler_genus in (0, 1, 2, 3):
+                if self.euler_refuted(g, euler_genus):
+                    self.assert_refuted(g, euler_genus)
+                    checked.append(euler_genus)
+        assert (checked.count(0), checked.count(1), len(checked)) == (48, 4, 52)
+
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_large_complete_graphs_refuted_at_the_root(self, n):
+        g = complete_graph(n)
+        assert self.euler_refuted(g, 2)
+        started = time.perf_counter()
+        self.assert_refuted(g, 2)
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("name, max_genus", [("K4", 0), ("cube", 0), ("K7", 2), ("K44", 2), ("T4", 2)])
+    def test_exact_budget_still_finds(self, name, max_genus):
+        # every face of these embeddings is exactly the girth long, so the
+        # orientable run's faces use up every dart
+        g = {
+            "K4": complete_graph(4),
+            "cube": cube_graph(),
+            "K7": complete_graph(7),
+            "K44": complete_bipartite_graph(4, 4),
+            "T4": torus_quadrangulation(4).graph,
+        }[name]
+        (min_faces, min_len, _), *_ = phase_args(g, max_genus)
+        assert min_faces * min_len == 2 * len(g.edges)
+        emb = embed_search(g, max_genus)
+        assert emb is not None and emb.euler_genus == max_genus and emb.is_orientable()
+        assert all(len(face) == min_len for face in emb.faces)
 
 
 class TestFaceSearchState:

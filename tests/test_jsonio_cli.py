@@ -294,6 +294,13 @@ class TestCli:
         )
         assert code == 2
 
+    def test_gen_out_of_attempts_names_the_budget(self, capsys):
+        # no 5-vertex graph has girth 9, so every attempt fails
+        assert run_command(["gen", "--n", "5", "--min-girth", "9"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: generated 0 of 1 instances in 60 attempts (n=5, min_girth=9)\n"
+
     @pytest.mark.parametrize(
         "flags, message",
         [
