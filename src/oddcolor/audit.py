@@ -296,8 +296,9 @@ def check_face_lemmas(a: Analysis) -> list[AuditEntry]:
                     sa, sb = a.sides[ei]
                     if q in (sa, sb):
                         continue
+                    # a 3-face walk is a triangle, so no edge has t on both sides
                     other = sb if sa == t else sa
-                    if other != t and lengths[other] < 5:
+                    if lengths[other] < 5:
                         w12.append(
                             {
                                 "three_face": t,

@@ -107,7 +107,10 @@ def cmd_solve(args, inst: Instance):
     if lists is None:
         if args.k is None:
             raise ValueError("give --k or an instance file with lists")
-        lists = uniform_lists(inst.graph.n, _at_least("--k", args.k, 1))
+        # a vertex never has more than n - 1 colors forbidden, and position p
+        # tries ranks <= p, so every k >= n + 1 runs the search of n + 1
+        n = inst.graph.n
+        lists = uniform_lists(n, min(_at_least("--k", args.k, 1), n + 1))
     elif args.k is not None:
         raise ValueError("--k cannot be combined with an instance file with lists")
     k = lists.k if args.k is None else args.k  # an empty graph's lists have no size

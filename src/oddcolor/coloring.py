@@ -145,32 +145,28 @@ def solver_order(g: Graph) -> list[int]:
     degeneracy order scatters them through the order and stalls the search.
 
     Degree is the first key, so the order runs through the degree classes
-    from the highest degree down.  Within a class the placed-neighbor counts
-    only grow.  Vertices with count 0 come out in id order through a pointer
-    over the class; the others wait in one min-heap of ids per count, where
-    an entry goes stale (and is skipped) once its vertex is placed or its
-    count grows.  Each vertex gets at most one entry per count, so the whole
-    order costs O(n + m) heap pushes and pops on small heaps of ints.
+    that occur, from the highest degree down.  Within a class the
+    placed-neighbor counts only grow.  Members wait in one min-heap of ids
+    per count, count 0 included, where an entry goes stale (and is skipped)
+    once its vertex is placed or its count grows.  Each vertex gets at most
+    one entry per count, so the whole order costs O(n + m) heap pushes and
+    pops on small heaps of ints.
     """
     adj = g.adj
     deg = [len(a) for a in adj]
-    classes: list[list[int]] = [[] for _ in range(max(deg, default=-1) + 1)]
+    classes: dict[int, list[int]] = {}
     for v, d in enumerate(deg):
-        classes[d].append(v)
+        classes.setdefault(d, []).append(v)
     count = [0] * g.n  # placed neighbors, or -1 once the vertex is placed
     out = []
-    for d in range(len(classes) - 1, -1, -1):
-        members = classes[d]  # in id order
-        if not members:
-            continue  # so the heaps cost O(n + m) over all classes
+    for d in sorted(classes, reverse=True):
+        members = classes[d]
         heaps: list[list[int]] = [[] for _ in range(d + 1)]
         for v in members:
-            if count[v]:
-                heaps[count[v]].append(v)  # appended in id order: a heap
+            heaps[count[v]].append(v)  # appended in id order: a heap
         top = d  # no count above top has a member waiting
-        i = 0  # every member before members[i] is placed
         for _ in members:
-            while top:  # the smallest id with the largest count, if any
+            while True:  # the smallest id with the largest count
                 h = heaps[top]
                 if not h:
                     top -= 1
@@ -179,10 +175,6 @@ def solver_order(g: Graph) -> list[int]:
                 else:
                     v = heappop(h)
                     break
-            else:  # no member with a count is left: the smallest id
-                while count[members[i]] < 0:
-                    i += 1
-                v = members[i]
             count[v] = -1
             out.append(v)
             for w in adj[v]:

@@ -213,9 +213,16 @@ def _face_search(
     negating its edges; Mohar & Thomassen, *Graphs on Surfaces*, ch. 3-4)
     turns any embedding on the -1 branch into one on the +1 branch with the
     same faces, so the search stays complete up to switching.  A face
-    closes when the walk returns to its starting state.  ``min_len`` is a
-    lower bound on every face length, so a face opened at root v with
-    faces_done faces closed may close with at most
+    closes when the walk returns to its starting state.  Each edge side is
+    walked once, which settles two things with no test.  A face opens on
+    the first unused state, and that has eps = +1: a closed face crosses -1
+    edges an even number of times, alternately with eps +1 (marking two +1
+    states) and eps -1 (two -1 states), and each side of a +1 edge marks
+    one state of each kind, so while a side is unused so is a +1 state.
+    And a corner x -> y is linked only while x has no successor and y no
+    predecessor, since the face that links it walks both sides there.
+    ``min_len`` is a lower bound on every face length, so a face opened at
+    root v with faces_done faces closed may close with at most
     limit = total - (min_faces - faces_done - 1) * min_len darts in use.
     The budget is checked as each face opens: it opens only if
     used_count + min_len <= limit, which at the root is Euler's bound
@@ -238,11 +245,10 @@ def _face_search(
     total = len(darts)  # 2m
     sign = [0 if signed else 1] * (total // 2)  # 0: not chosen yet
 
-    # per-dart rotation links: succ[a] = b and pred[b] = a when sigma(a) = b,
-    # -1 when unset.  The links at a vertex form paths until the last one
-    # closes them into a single cycle through all its darts.
+    # per-dart rotation links: succ[a] = b when sigma(a) = b, -1 when unset.
+    # The links at a vertex form paths until the last one closes them into a
+    # single cycle through all its darts.
     succ = [-1] * total
-    pred = [-1] * total
 
     # state s < total walks dart s with eps = +1, state s >= total walks
     # dart s - total with eps = -1
@@ -305,8 +311,7 @@ def _face_search(
         s = after + 1
         while used[s]:
             s += 1
-        plus = s < total  # eps = +1 at the start
-        _, w, e, r = darts[s if plus else s - total]
+        _, w, e, r = darts[s]
         root = darts[r][1]
         dist = balls.get(root)
         if dist is None:
@@ -314,7 +319,7 @@ def _face_search(
         was = sign[e]
         for sg in (was,) if was else (1,) if fresh(w) else (1, -1):
             sign[e] = sg
-            ahead = plus == (sg == 1)
+            ahead = sg == 1
             mirror = r + total if ahead else r
             used[s] = used[mirror] = True
             yield extend(faces_done, used_count + 1, s, w, r, ahead, dist, limit)
@@ -343,14 +348,11 @@ def _face_search(
                 x, y = a, b
             else:
                 x, y = b, a
-            # set sigma(x) = y, unless x already has a successor, y already
-            # has a predecessor, or the link would close a cycle through
-            # fewer than all the darts at w.  y has no predecessor, so the
-            # walk from y along succ ends, after at most size - 1 steps, at
-            # the end of y's path; the link closes a cycle exactly when that
-            # end is x.
-            if succ[x] != -1 or pred[y] != -1:
-                continue
+            # set sigma(x) = y, unless the link would close a cycle through
+            # fewer than all the darts at w.  x has no successor and y no
+            # predecessor yet (each side is walked once), so the walk from y
+            # along succ ends, after at most size - 1 steps, at the end of
+            # y's path; the link closes a cycle exactly when that end is x.
             end, length = y, 1
             while succ[end] != -1:
                 end = succ[end]
@@ -358,7 +360,6 @@ def _face_search(
             if end == x and length != size:
                 continue
             succ[x] = y
-            pred[y] = x
             sg = sign[e]
             if s == start:
                 yield begin(faces_done + 1, used_count, start) if used_count < total else None
@@ -377,7 +378,7 @@ def _face_search(
                     yield extend(faces_done, step, start, h, r, ahead, dist, limit)
                     used[s] = used[mirror] = False
                 sign[e] = 0
-            succ[x] = pred[y] = -1
+            succ[x] = -1
 
     stack = [begin(0, 0, -1)]
     push, pop = stack.append, stack.pop

@@ -187,6 +187,16 @@ _HUB_COORDS = {
 }
 
 
+def pentagons_with_two_candidates_planar() -> EmbeddedGraph:
+    """Two 5-faces 0-1-4-3-2 and 0-1-5-6-3 sharing only the edge (0, 1),
+    with the triangle 0-2-3 and the 5-face 1-4-3-6-5.  The 3-vertex 0 has
+    two neighbors, 2 and 3, on the first 5-face besides 1, so L3.14's
+    neighbor across (0, 1) is not unique there."""
+    g = Graph(7, [(0, 1), (1, 4), (3, 4), (2, 3), (0, 2), (0, 3), (1, 5), (5, 6), (3, 6)])
+    coords = {0: (0, 0), 1: (2, 0), 2: (0.5, 1), 3: (0, 2), 4: (2, 2), 5: (3, -1), 6: (3, 3)}
+    return embed_planar(g, coords)
+
+
 def pentagon_hub_chain_planar(k: int) -> EmbeddedGraph:
     """``k`` copies of a 3-vertex hub on faces of lengths 5, 5 and 4, drawn
     side by side, each joined to the next by one edge; hub c is vertex 9c."""
@@ -277,22 +287,54 @@ def rule_r5_fixture() -> EmbeddedGraph:
     return embed_planar(g, coords)
 
 
+# two pentagons sharing edge (0,4); the outer face reaches the second
+# pentagon via that edge; a triangle hangs off the second pentagon
+_R6_EDGES = [
+    (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
+    (4, 5), (5, 6), (6, 7), (0, 7),
+    (5, 9), (6, 9),
+    (0, 8), (7, 10), (6, 11),
+]
+_R6_COORDS = {
+    0: (0, 0), 1: (-1.3, 0.3), 2: (-2, -0.7), 3: (-1.3, -1.7), 4: (0, -1.5),
+    5: (1.3, -1.9), 6: (2.2, -0.7), 7: (1.2, 0.35),
+    8: (0, 1.2), 9: (2.6, -1.7), 10: (1.6, 1.4), 11: (3.4, -0.4),
+}
+
+
 def rule_r6_fixture() -> EmbeddedGraph:
-    # two pentagons sharing edge (0,4); the outer face reaches the second
-    # pentagon via that edge; a triangle hangs off the second pentagon
-    g = Graph(
-        12,
-        [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
-         (4, 5), (5, 6), (6, 7), (0, 7),
-         (5, 9), (6, 9),
-         (0, 8), (7, 10), (6, 11)],
-    )
-    coords = {
-        0: (0, 0), 1: (-1.3, 0.3), 2: (-2, -0.7), 3: (-1.3, -1.7), 4: (0, -1.5),
-        5: (1.3, -1.9), 6: (2.2, -0.7), 7: (1.2, 0.35),
-        8: (0, 1.2), 9: (2.6, -1.7), 10: (1.6, 1.4), 11: (3.4, -0.4),
+    return embed_planar(Graph(12, _R6_EDGES), _R6_COORDS)
+
+
+def rule_r6_near_misses() -> dict[str, EmbeddedGraph]:
+    """Patches where R6 does not fire, one per test of the rule that fails
+    in it; dropping that test from the rule makes R6 fire."""
+    return {
+        # the two 5-faces share the edges (2, 4) and (4, 5): the second is
+        # the triangle 2-4-5 with the pendant 3 inside
+        "two_shared_edges": embed_planar(
+            Graph(8, [(0, 1), (1, 2), (1, 6), (1, 7), (2, 4), (2, 5), (2, 7), (3, 4), (4, 5), (5, 7)]),
+            {0: (7.7, 4.2), 1: (3.7, 3.0), 2: (1.3, 9.5), 3: (4.2, 7.1), 4: (4.9, 5.5),
+             5: (5.1, 7.1), 6: (2.1, 2.6), 7: (7.7, 7.3)},
+        ),
+        # the 4-vertex 0 is on the first 5-face 0-1-2-3-4 and sees the 3-vertices
+        # 5 and 6 of the second, 2-3-6-5-7, but the faces share (2, 3), not an
+        # edge at 0; the pendant 8 makes the face across (0, 1) a 7-face
+        "vertex_off_the_shared_edge": embed_planar(
+            Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (2, 7), (5, 7), (5, 6), (3, 6),
+                      (0, 5), (0, 6), (2, 8)]),
+            {0: (0, 3), 1: (-2, 2), 2: (-2, -1), 3: (-0.5, 0), 4: (-0.7, 1.5), 5: (2, 0),
+             6: (1, 0.5), 7: (0, -3), 8: (-3, -1.5)},
+        ),
+        # the R6 patch with the pendant 12 at 7, whose degree becomes 4
+        "second_face_neighbor_of_degree_4": embed_planar(
+            Graph(13, [*_R6_EDGES, (7, 12)]), {**_R6_COORDS, 12: (2.4, 0.6)}
+        ),
+        # the R6 patch with the triangle 5-6-9 opened to the pendant 9 at 5
+        "no_triangle_at_the_second_face": embed_planar(
+            Graph(12, [e for e in _R6_EDGES if e != (6, 9)]), _R6_COORDS
+        ),
     }
-    return embed_planar(g, coords)
 
 
 def rule_r7_fixture() -> EmbeddedGraph:

@@ -10,8 +10,6 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 
-import pytest
-
 from oddcolor.graphs import (
     Graph,
     complete_graph,

@@ -31,6 +31,7 @@ from fixtures import (
     lemma_44_supported_graph,
     mcgee_graph,
     pentagon_hub_chain_planar,
+    pentagons_with_two_candidates_planar,
     petersen_graph,
     rotation_from_coords,
     theta_planar,
@@ -278,6 +279,13 @@ class TestFaceLemmas:
         frag = by_lemma(check_face_lemmas(analyze_embedded(emb, EMPTY)))
         assert frag["L3.15"].verdict == "violated"
         assert frag["L3.15"].witnesses[0]["vertex"] == 0
+
+
+    def test_two_pentagons_with_no_unique_neighbor(self):
+        emb = pentagons_with_two_candidates_planar()
+        assert sorted(len(f) for f in emb.faces) == [3, 5, 5, 5]
+        frag = by_lemma(check_face_lemmas(analyze_embedded(emb, EMPTY)))
+        assert frag["L3.14"].verdict == "holds" and not frag["L3.14"].witnesses
 
 
 class TestFullAudit:

@@ -137,6 +137,10 @@ class TestVerifiers:
         with pytest.raises(ValueError, match=rf"^relaxation edge \({e[0]}, {e[1]}\) is not in the graph$"):
             RelaxedInstance(path_graph(3), frozenset({e}), uniform_lists(3, 2))
 
+    def test_too_few_lists_rejected(self):
+        with pytest.raises(ValueError, match="^list assignment must cover every vertex$"):
+            RelaxedInstance(path_graph(3), frozenset(), uniform_lists(2, 2))
+
 
 class TestSolve:
     def test_c5_four_unsat_five_sat(self):
@@ -203,6 +207,19 @@ class TestSolve:
         got = solve(inst)
         assert time.perf_counter() - started < 1
         assert is_relaxed_odd(inst, got)
+
+    def test_every_k_past_n_runs_the_same_search(self):
+        """With one list everywhere, an uncolored vertex's forbidden colors
+        are colors already used, at most n - 1 of them, and position p tries
+        ranks up to p only: every k >= n + 1 gives the coloring of n + 1."""
+        rng = random.Random(43)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.45])
+            r = frozenset(rng.sample(g.edges, rng.randint(0, len(g.edges))))
+            want = solve(RelaxedInstance(g, r, uniform_lists(n, n + 1)))
+            for k in (n + 2, n + 5, 3 * n + 7):
+                assert solve(RelaxedInstance(g, r, uniform_lists(n, k))) == want
 
 
 class TestSymmetryCut:
@@ -448,6 +465,9 @@ class TestOddChromatic:
     def test_c5(self):
         assert odd_chromatic_number(cycle_graph(5)) == 5
 
+    def test_empty_graph_needs_no_color(self):
+        assert odd_chromatic_number(Graph(0, [])) == 0
+
     def test_c6_matches_oracle(self):
         c6 = cycle_graph(6)
         inst2 = RelaxedInstance(c6, frozenset(), uniform_lists(6, 2))
@@ -548,6 +568,15 @@ class TestReduceExtend:
     def test_high_degree_rejected(self):
         with pytest.raises(ReductionError):
             reduce_low_degree(complete_graph(4), frozenset(), 0)
+
+    def test_unknown_vertex_rejected(self):
+        with pytest.raises(ValueError, match="^unknown vertex 7$"):
+            reduce_low_degree(cycle_graph(7), frozenset(), 7)
+
+    def test_lists_of_the_reduced_graph_rejected(self):
+        rec = reduce_low_degree(cycle_graph(7), frozenset(), 0)
+        with pytest.raises(ValueError, match="^lists must cover the original graph$"):
+            extend_low_degree(rec, {}, uniform_lists(6, 5))
 
     def _roundtrip(self, g, r, v, lists=None):
         lists = lists or uniform_lists(g.n, 5)

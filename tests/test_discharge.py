@@ -34,6 +34,7 @@ from fixtures import (
     rule_r4_fixture,
     rule_r5_fixture,
     rule_r6_fixture,
+    rule_r6_near_misses,
     rule_r7_fixture,
     rule_r8_fixture,
     theta_planar,
@@ -216,6 +217,11 @@ class TestRuleFixtures:
             expect("R1", ("f", outer), ("v", 7), times=2),
         )
         assert got == want
+
+    @pytest.mark.parametrize("name", sorted(rule_r6_near_misses()))
+    def test_r6_near_miss(self, name):
+        emb = rule_r6_near_misses()[name]
+        assert not any(t.rule == "R6" for t in generate_transfers(analyze_embedded(emb, EMPTY)))
 
     def test_r7_wheel(self):
         emb = rule_r7_fixture()

@@ -166,6 +166,8 @@ class TestTraceFaces:
             EmbeddedGraph(g, [[1, 2], [0, 2], [0, 1]], [1, 1])
         with pytest.raises(ValueError, match=r"^signs\[2\]: "):
             EmbeddedGraph(g, [[1, 2], [0, 2], [0, 1]], [1, 1, 2])
+        with pytest.raises(ValueError, match="^rotation must list every vertex$"):
+            EmbeddedGraph(g, [[1, 2], [0, 2]])
 
     @pytest.mark.parametrize(
         "other, g, v",

@@ -67,6 +67,18 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            Graph(-1, [])
+
+    def test_add_edge_rejects_an_existing_edge(self):
+        with pytest.raises(ValueError, match=r"^edge \(0, 1\) already present$"):
+            cycle_graph(4).add_edge(1, 0)
+
+    def test_cycle_needs_three_vertices(self):
+        with pytest.raises(ValueError, match="^a cycle needs at least 3 vertices$"):
+            cycle_graph(2)
+
     def test_parallel_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0)])
         assert g.edges == ((0, 1),)

@@ -178,6 +178,28 @@ class TestCli:
         assert code == 0
         assert rep["result"]["status"] == "SAT" and rep["result"]["k"] == 5
 
+    def test_solve_needs_k_or_lists(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "c5.json", cycle_graph(5))
+        assert run_command(["solve", "--graph", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: give --k or an instance file with lists\n"
+
+    def test_solve_k_past_n_plus_one_runs_the_search_of_n_plus_one(self, tmp_path, capsys, monkeypatch):
+        # a list of a billion colors would take minutes and gigabytes to
+        # build; every k >= n + 1 gives the coloring of n + 1
+        path = write_graph(tmp_path, "c5.json", cycle_graph(5))
+        want_code, want, _ = self.run(capsys, "solve", "--graph", path, "--k", "6")
+        build = cli.uniform_lists
+
+        def small_lists(n, k):
+            assert k <= n + 1, (n, k)
+            return build(n, k)
+
+        monkeypatch.setattr(cli, "uniform_lists", small_lists)
+        code, rep, _ = self.run(capsys, "solve", "--graph", path, "--k", "1000000000")
+        assert code == want_code
+        assert rep["result"] == {**want["result"], "k": 10**9}
+
     @pytest.mark.usefixtures("default_recursion_limit")
     def test_solve_long_cycles(self, tmp_path, capsys):
         for n, exit_code, status in [(1500, 0, "SAT"), (1501, 1, "UNSAT")]:
