@@ -5,7 +5,8 @@ Exit codes: 0 success / SAT / pass, 1 refuted / UNSAT / violations found,
 2 input error, 3 internal error (an uncaught exception, never a verdict).
 All randomness flows through one seed, set only by ``--seed`` (default 0) and
 echoed in the report so runs can be reproduced byte for byte (durations
-aside).  The parser is built once, on import, from the verb table alone.
+aside).  The parser is built once, on import, from the verb table alone, and
+a command line that starts with a verb is parsed by that verb's parser alone.
 """
 
 from __future__ import annotations
@@ -215,11 +216,15 @@ COMMANDS = {
 }
 
 
+# verb -> its parser, filled by build_parser
+_VERB_PARSERS: dict[str, argparse.ArgumentParser] = {}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="oddcolor", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
     for name, (_, flags) in COMMANDS.items():
-        p = sub.add_parser(name)
+        p = _VERB_PARSERS[name] = sub.add_parser(name)
         if name != "gen":
             p.add_argument("--graph", "--instance", dest="path", required=True, help="graph or instance JSON file")
             p.add_argument("--r", help="relaxation set as edge indices, e.g. 0,3,5")
@@ -234,6 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``PARSER.parse_args(argv)``, with a leading verb parsed by its own
+    parser only: the top-level parser hands everything after the verb to
+    that parser anyway, then reports what it left over."""
+    verb = _VERB_PARSERS.get(argv[0]) if argv else None
+    if verb is None:  # no verb, -h or an unknown verb: the top level reports it
+        return PARSER.parse_args(argv)
+    args, extra = verb.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def run_command(argv: list[str]) -> int:
     """Run one subcommand, print its report and return its exit code.
 
@@ -242,7 +260,7 @@ def run_command(argv: list[str]) -> int:
     any five pairs then.  An encoding failure (TypeError, or AssertionError
     for a misplaced text) propagates, so ``main`` exits 3, never a verdict.
     """
-    args = PARSER.parse_args(argv)
+    args = _parse(argv)
     started = time.perf_counter()
     try:
         inst, digest = _load(args)

@@ -242,7 +242,12 @@ def _search(
     distinct = set(inst.lists.lists)
     palette = sorted(set().union(*distinct))
     rank = {col: i for i, col in enumerate(palette)}
-    masks = {s: sum(1 << rank[col] for col in s) for s in distinct}
+    masks = {}
+    for s in distinct:  # set bits in bytes, then read them once: linear in k
+        bits = bytearray(len(palette) // 8 + 1)
+        for i in map(rank.__getitem__, s):
+            bits[i >> 3] |= 1 << (i & 7)
+        masks[s] = int.from_bytes(bits, "little")
     list_mask = [masks[s] for s in inst.lists.lists]
     color = [-1] * n
     mask = [0] * n

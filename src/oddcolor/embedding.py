@@ -153,9 +153,9 @@ class EmbeddedGraph:
         return True
 
 
-def sorted_rotation(graph: Graph, signs: Sequence[int] | None = None) -> EmbeddedGraph:
+def sorted_rotation(graph: Graph) -> EmbeddedGraph:
     """The embedding whose rotation lists neighbors in increasing order."""
-    return EmbeddedGraph(graph, [sorted(graph.adj[v]) for v in range(graph.n)], signs)
+    return EmbeddedGraph(graph, [sorted(graph.adj[v]) for v in range(graph.n)])
 
 
 # -- embedding search --------------------------------------------------------

@@ -316,33 +316,42 @@ def girth(g: Graph) -> int | float:
     degree <= 1, which lie on no cycle.
     """
     best: int | float = math.inf
-    deg = [len(a) for a in g.adj]
+    adj = g.adj
+    deg = [len(a) for a in adj]
     gone = [False] * g.n
+    dist = [-1] * g.n  # -1 outside the current root's BFS
+    parent = [-1] * g.n  # written as a vertex is reached, before it is read
     for root in range(g.n):
         if gone[root]:
             continue
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
+        dist[root] = 0
+        parent[root] = -1
+        reached, frontier = [root], [root]
         d = 0
         while frontier and 2 * d + 1 < best:
             nxt = []
             for u in frontier:
-                for w in g.adj[u]:
-                    if w == parent[u] or gone[w]:
+                pu = parent[u]
+                for w in adj[u]:
+                    if w == pu or gone[w]:
                         continue
-                    if w in dist:
-                        best = min(best, d + dist[w] + 1)
+                    dw = dist[w]
+                    if dw >= 0:
+                        if d + dw + 1 < best:
+                            best = d + dw + 1
                     else:
                         dist[w] = d + 1
                         parent[w] = u
                         nxt.append(w)
+            reached += nxt
             frontier = nxt
             d += 1
+        for w in reached:
+            dist[w] = -1
         gone[root] = True
         peel = [root]
         while peel:
-            for w in g.adj[peel.pop()]:
+            for w in adj[peel.pop()]:
                 if not gone[w]:
                     deg[w] -= 1
                     if deg[w] <= 1:

@@ -20,7 +20,7 @@ from oddcolor.graphs import (
     path_graph,
     r_set,
 )
-from oddcolor.embedding import embed_search, sorted_rotation
+from oddcolor.embedding import EmbeddedGraph, embed_search, sorted_rotation
 from oddcolor.coloring import (
     ListAssignment,
     RelaxedInstance,
@@ -148,8 +148,8 @@ def conservation_fixtures():
         torus_quadrangulation(4),
     ]
     c3, c5 = cycle_graph(3), cycle_graph(5)
-    out.append(sorted_rotation(c3, [-1, 1, 1]))
-    out.append(sorted_rotation(c5, [-1, 1, 1, 1, 1]))
+    out.append(EmbeddedGraph(c3, sorted_rotation(c3).rotation, [-1, 1, 1]))
+    out.append(EmbeddedGraph(c5, sorted_rotation(c5).rotation, [-1, 1, 1, 1, 1]))
     out.append(embed_search(complete_graph(5), 1))   # projective K5
     out.append(embed_search(complete_graph(5), 2))   # toroidal K5
     out.append(embed_search(Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)]), 1))

@@ -130,7 +130,7 @@ class TestTraceFaces:
         embs = [
             sorted_rotation(Graph(1, [])),
             sorted_rotation(edge),
-            sorted_rotation(edge, [-1]),
+            EmbeddedGraph(edge, sorted_rotation(edge).rotation, [-1]),
         ] + [random_embedded(rng) for _ in range(300)]
         for emb in embs:
             ref = trace_faces_reference(emb)
@@ -233,9 +233,9 @@ class TestIsOrientable:
         tree = path_graph(4)
         k4 = complete_graph(4)
         cases = [
-            (sorted_rotation(tree, [-1, 1, -1]), True),
+            (EmbeddedGraph(tree, sorted_rotation(tree).rotation, [-1, 1, -1]), True),
             (sorted_rotation(Graph(1, [])), True),
-            (sorted_rotation(k4, [1] * 5 + [-1]), False),
+            (EmbeddedGraph(k4, sorted_rotation(k4).rotation, [1] * 5 + [-1]), False),
         ]
         for emb, orientable in cases:
             assert emb.is_orientable() == is_orientable_reference(emb) == orientable
@@ -357,7 +357,7 @@ class TestNormalizeSignatures:
 
     def test_switching_needed_gives_a_new_embedding(self):
         g = complete_graph(4)
-        emb = sorted_rotation(g, [-1] + [1] * (len(g.edges) - 1))
+        emb = EmbeddedGraph(g, sorted_rotation(g).rotation, [-1] + [1] * (len(g.edges) - 1))
         norm = switched_reference(emb)
         assert norm.signs != emb.signs and norm.rotation != emb.rotation
         assert norm.signs[0] == 1

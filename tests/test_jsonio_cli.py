@@ -1,4 +1,3 @@
-import argparse
 import io
 import json
 import os
@@ -338,13 +337,59 @@ class TestCli:
         assert message in err and out == ""
 
     def test_every_verb_is_in_the_parser_and_has_help(self, capsys):
-        (sub,) = [a for a in cli.PARSER._actions if isinstance(a, argparse._SubParsersAction)]
-        assert set(sub.choices) == set(cli.COMMANDS)
+        assert list(cli._VERB_PARSERS) == list(cli.COMMANDS)
         for verb in cli.COMMANDS:
             with pytest.raises(SystemExit) as exc:
                 run_command([verb, "--help"])
             assert exc.value.code == 0
             assert f"usage: oddcolor {verb}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["colour", "--graph", "x.json"],
+            ["embed", "-h"],
+            ["embed", "--he"],
+            ["check", "--graph", "x.json", "extra"],
+            ["check", "--graph", "x.json", "--bogus"],
+            ["check", "--graph", "x.json", "--x=y"],
+            ["check"],
+            ["embed", "--graph", "x.json", "--max-genus", "5"],
+            ["solve", "--graph", "x.json", "--k", "abc"],
+            ["check", "--graph=x.json"],
+            ["check", "--graph", "x.json", "--"],
+            ["check", "--", "--graph", "x.json"],
+            ["hunt", "--gra", "x.json", "--max", "1", "--se", "3"],
+            ["gen", "--n", "12", "--min-girth", "5", "--graph", "x.json"],
+        ],
+    )
+    def test_parsing_matches_the_top_level_parser(self, capsys, monkeypatch, argv):
+        """run_command parses a leading verb with that verb's parser alone; it
+        must end as PARSER.parse_args does: the same namespace, or the same
+        exit code, stdout and stderr."""
+
+        class Parsed(Exception):
+            pass
+
+        def outcome(parse):
+            try:
+                parse(argv)
+            except SystemExit as exc:
+                out = capsys.readouterr()
+                return exc.code, out.out, out.err
+            except Parsed as parsed:
+                return vars(parsed.args[0])
+
+        def direct(argv):
+            raise Parsed(cli.PARSER.parse_args(argv))
+
+        def stop(args):
+            raise Parsed(args)
+
+        monkeypatch.setattr(cli, "_load", stop)
+        assert outcome(run_command) == outcome(direct)
 
     @pytest.mark.parametrize("argv", [["check"], ["faces"], ["audit"], ["solve", "--k", "3"], ["hunt", "--max-genus", "0"]])
     def test_graph_and_instance_flags_give_identical_reports(self, tmp_path, capsys, argv):
