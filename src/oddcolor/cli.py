@@ -216,15 +216,12 @@ COMMANDS = {
 }
 
 
-# verb -> its parser, filled by build_parser
-_VERB_PARSERS: dict[str, argparse.ArgumentParser] = {}
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the map from each verb to its own parser."""
     top = argparse.ArgumentParser(prog="oddcolor", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
     for name, (_, flags) in COMMANDS.items():
-        p = _VERB_PARSERS[name] = sub.add_parser(name)
+        p = sub.add_parser(name)
         if name != "gen":
             p.add_argument("--graph", "--instance", dest="path", required=True, help="graph or instance JSON file")
             p.add_argument("--r", help="relaxation set as edge indices, e.g. 0,3,5")
@@ -232,11 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
         for flag, kw in flags.items():
             p.add_argument(flag, **kw)
-    return top
+    return top, sub.choices
 
 
 # COMMANDS is the parser's only input, so one parser serves every call
-PARSER = build_parser()
+PARSER, _VERB_PARSERS = build_parser()
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable
 
-from .graphs import Edge, Graph, RSet, normalize_edge, relaxed_flags
+from .graphs import Edge, Graph, RSet, relaxed_flags
 
 Coloring = dict[int, int]
 
@@ -412,88 +412,82 @@ class ReductionRecord:
     ``case`` is one of "isolated", "pendant" (degree 1), "relaxed_edge"
     (degree 2, the removed vertex rides a relaxation edge) and "bridge"
     (degree 2, the neighbor pair gets joined by a fresh relaxation edge).
+    ``reduced`` is ``instance`` without ``vertex``: every other vertex w of
+    ``instance`` is vertex w - 1 of ``reduced`` if w > ``vertex``, else w,
+    and keeps its list.
     """
 
     case: str
     vertex: int
-    neighbors: tuple[int, ...]
-    graph: Graph
-    r: RSet
-    reduced_graph: Graph
-    reduced_r: RSet
-    relabel: dict[int, int]  # old vertex -> reduced vertex
+    instance: RelaxedInstance
+    reduced: RelaxedInstance
 
 
-def reduce_low_degree(g: Graph, r: RSet, v: int) -> ReductionRecord:
+def reduce_low_degree(inst: RelaxedInstance, v: int) -> ReductionRecord:
     """Remove a vertex of degree <= 2, preserving the cycle hypotheses.
 
     Degree 0/1 and degree 2 with an incident relaxation edge reduce to G - v.
     Otherwise (degree 2, neighbors a, b) the instance reduces to G - v plus a
     fresh edge ab added to the relaxation set; ab must not already exist,
     which is guaranteed whenever the cycle hypotheses hold (a triangle avb
-    would have weighted length 3 or 4).  The returned record holds the
-    reduced instance as ``reduced_graph`` and ``reduced_r``.
+    would have weighted length 3 or 4).  The reduced instance renumbers every
+    vertex w > v to w - 1; that shift keeps the edges in sorted order.
     """
+    g, r = inst.graph, inst.r
     g.check_vertex(v)
-    nbrs = tuple(sorted(g.adj[v]))
-    d = len(nbrs)
+    d = g.degree(v)
     if d > 2:
         raise ReductionError(f"vertex {v} has degree {d} > 2")
-    reduced, relabel = g.remove_vertex(v)
 
-    def push(edges: Iterable[Edge]) -> RSet:
-        return frozenset(
-            normalize_edge(relabel[a], relabel[b]) for a, b in edges if v not in (a, b)
-        )
+    def shift(e: Edge) -> Edge:
+        return (e[0] - (e[0] > v), e[1] - (e[1] > v))
 
+    edges = tuple(shift(e) for e in g.edges if v not in e)
+    reduced_r = frozenset(shift(e) for e in r if v not in e)
+    lists = ListAssignment(inst.lists.lists[:v] + inst.lists.lists[v + 1:])
     if d < 2 or any(v in e for e in r):
         case = ("isolated", "pendant", "relaxed_edge")[d]
-        return ReductionRecord(case, v, nbrs, g, r, reduced, push(r), relabel)
-    a, b = nbrs
-    if g.has_edge(a, b):
-        raise ReductionError(
-            f"neighbors {a},{b} of {v} are adjacent: the triangle has weighted "
-            "length 3 or 4, so the instance fails the cycle hypotheses"
-        )
-    new_edge = normalize_edge(relabel[a], relabel[b])
-    return ReductionRecord(
-        "bridge", v, nbrs, g, r, reduced.add_edge(*new_edge), push(r) | {new_edge}, relabel
-    )
+        reduced = Graph.from_sorted_edges(g.n - 1, edges)
+    else:
+        a, b = sorted(g.adj[v])
+        if g.has_edge(a, b):
+            raise ReductionError(
+                f"neighbors {a},{b} of {v} are adjacent: the triangle has weighted "
+                "length 3 or 4, so the instance fails the cycle hypotheses"
+            )
+        case = "bridge"
+        bridge = shift((a, b))
+        reduced = Graph(g.n - 1, edges + (bridge,))
+        reduced_r |= {bridge}
+    return ReductionRecord(case, v, inst, RelaxedInstance(reduced, reduced_r, lists))
 
 
-def extend_low_degree(
-    record: ReductionRecord, reduced_coloring: Coloring, lists: ListAssignment
-) -> Coloring:
-    """Extend a valid coloring of the reduced instance back over the removed
-    vertex.
+def extend_low_degree(record: ReductionRecord, reduced_coloring: Coloring) -> Coloring:
+    """Extend a valid coloring of ``record.reduced`` back over the removed
+    vertex, to a coloring of ``record.instance``.
 
     The removed vertex avoids its neighbors' colors plus the protected parity
     witnesses of its even-degree neighbors; at most 4 colors are excluded, so
     a 5-list always has room.  The result passes the relaxed-odd check on the
     original instance whenever the input passes it on the reduced one.
     """
-    g, r, v = record.graph, record.r, record.vertex
-    if len(lists) != g.n:
-        raise ValueError("lists must cover the original graph")
+    inst, v = record.instance, record.vertex
+    g, lists = inst.graph, inst.lists
     if len(lists[v]) != 5:
         raise ValueError("the removed vertex needs a 5-list")
-    reduced_lists = ListAssignment(
-        tuple(lists[old] for old, _ in sorted(record.relabel.items(), key=lambda kv: kv[1]))
-    )
-    inst = RelaxedInstance(record.reduced_graph, record.reduced_r, reduced_lists)
-    if not is_relaxed_odd(inst, reduced_coloring):
+    if not is_relaxed_odd(record.reduced, reduced_coloring):
         raise ValueError("reduced coloring does not satisfy the reduced instance")
 
-    colors: Coloring = {old: reduced_coloring[new] for old, new in record.relabel.items()}
+    colors: Coloring = {w: reduced_coloring[w - (w > v)] for w in range(g.n) if w != v}
     if record.case not in ("isolated", "pendant", "relaxed_edge", "bridge"):
         raise ValueError(f"unknown reduction case {record.case!r}")
     # A neighbor across a relaxation edge is relaxed, so outside the bridge
     # case only the parity witnesses of non-relaxed neighbors need keeping.
-    protected = record.neighbors
+    protected = g.adj[v]
     if record.case != "bridge":
-        relaxed = relaxed_flags(g, r)
-        protected = tuple(x for x in protected if not relaxed[x])
-    forbidden = {colors[x] for x in record.neighbors}
+        relaxed = relaxed_flags(g, inst.r)
+        protected = [x for x in protected if not relaxed[x]]
+    forbidden = {colors[x] for x in g.adj[v]}
     for x in protected:
         w = _smallest_odd_color(colors[u] for u in g.adj[x] if u != v)
         if w is not None:

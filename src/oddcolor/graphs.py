@@ -123,20 +123,6 @@ class Graph:
                     stack.append(w)
         return all(seen)
 
-    def remove_vertex(self, v: int) -> tuple["Graph", dict[int, int]]:
-        """Return (G - v, old->new vertex relabeling keeping ids dense)."""
-        self.check_vertex(v)
-        relabel = {w: (w if w < v else w - 1) for w in range(self.n) if w != v}
-        # relabeling keeps the order, so the edges stay sorted
-        edges = tuple((relabel[a], relabel[b]) for a, b in self.edges if v not in (a, b))
-        return Graph.from_sorted_edges(self.n - 1, edges), relabel
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        e = normalize_edge(u, v)
-        if e in self._edge_pos:
-            raise ValueError(f"edge {e} already present")
-        return Graph(self.n, self.edges + (e,))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 

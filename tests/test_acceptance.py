@@ -333,26 +333,20 @@ def test_08_reduction_extension():
         rng = random.Random(4242)
         for g, r, v in cases:
             assert hypothesis_check(g, r).passes
-            rec = reduce_low_degree(g, r, v)
-            reduced, rr = rec.reduced_graph, rec.reduced_r
-            # the reduction preserves the cycle hypotheses (checked, not trusted)
-            assert hypothesis_check(reduced, rr).passes
             if rng.random() < 0.5:
                 lists = uniform_lists(g.n, 5)
             else:
                 lists = ListAssignment(
                     tuple(frozenset(rng.sample(range(1, 11), 5)) for _ in range(g.n))
                 )
-            reduced_lists = ListAssignment(
-                tuple(
-                    lists[old]
-                    for old, _ in sorted(rec.relabel.items(), key=lambda kv: kv[1])
-                )
-            )
-            sub = solve(RelaxedInstance(reduced, rr, reduced_lists))
+            inst = RelaxedInstance(g, r, lists)
+            rec = reduce_low_degree(inst, v)
+            # the reduction preserves the cycle hypotheses (checked, not trusted)
+            assert hypothesis_check(rec.reduced.graph, rec.reduced.r).passes
+            sub = solve(rec.reduced)
             assert sub is not None  # guaranteed by the main theorem
-            full = extend_low_degree(rec, sub, lists)
-            assert is_relaxed_odd(RelaxedInstance(g, r, lists), full)
+            full = extend_low_degree(rec, sub)
+            assert is_relaxed_odd(inst, full)
 
 
 def test_09_solver_oracle_equivalence():

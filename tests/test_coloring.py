@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -540,58 +541,56 @@ class TestSampledChoosability:
 
 
 class TestReduceExtend:
+    @staticmethod
+    def _instance(g, r=frozenset(), lists=None):
+        return RelaxedInstance(g, r, lists or uniform_lists(g.n, 5))
+
     def test_pendant_case(self):
-        p3 = path_graph(3)
-        rec = reduce_low_degree(p3, frozenset(), 2)
-        reduced, rr = rec.reduced_graph, rec.reduced_r
+        rec = reduce_low_degree(self._instance(path_graph(3)), 2)
         assert rec.case == "pendant"
-        assert reduced.n == 2 and rr == frozenset()
+        assert rec.reduced.graph.n == 2 and rec.reduced.r == frozenset()
 
     def test_relaxed_edge_case(self):
         c7 = cycle_graph(7)
-        rec = reduce_low_degree(c7, r_set(c7, [(0, 1)]), 0)
+        rec = reduce_low_degree(self._instance(c7, r_set(c7, [(0, 1)])), 0)
         assert rec.case == "relaxed_edge"
 
+    def test_reduction_shifts_edges_r_and_lists(self):
+        # every vertex above the removed one moves down by one
+        p5 = path_graph(5)
+        lists = ListAssignment(tuple(frozenset(range(w, w + 5)) for w in range(5)))
+        rec = reduce_low_degree(self._instance(p5, r_set(p5, [(1, 2)]), lists), 2)
+        assert rec.case == "relaxed_edge"
+        assert rec.reduced.graph.edges == ((0, 1), (2, 3))
+        assert rec.reduced.r == frozenset()
+        assert rec.reduced.lists.lists == tuple(lists[w] for w in (0, 1, 3, 4))
+
     def test_bridge_case_adds_marked_edge(self):
-        c7 = cycle_graph(7)
-        rec = reduce_low_degree(c7, frozenset(), 0)
-        reduced, rr = rec.reduced_graph, rec.reduced_r
+        rec = reduce_low_degree(self._instance(cycle_graph(7)), 0)
+        reduced, rr = rec.reduced.graph, rec.reduced.r
         assert rec.case == "bridge"
         assert reduced.n == 6 and len(reduced.edges) == 6
         assert rr == frozenset({(0, 5)})  # relabeled neighbors 1, 6
 
     def test_adjacent_neighbors_rejected(self):
-        k3 = complete_graph(3)
         with pytest.raises(ReductionError):
-            reduce_low_degree(k3, frozenset(), 0)
+            reduce_low_degree(self._instance(complete_graph(3)), 0)
 
     def test_high_degree_rejected(self):
         with pytest.raises(ReductionError):
-            reduce_low_degree(complete_graph(4), frozenset(), 0)
+            reduce_low_degree(self._instance(complete_graph(4)), 0)
 
     def test_unknown_vertex_rejected(self):
         with pytest.raises(ValueError, match="^unknown vertex 7$"):
-            reduce_low_degree(cycle_graph(7), frozenset(), 7)
-
-    def test_lists_of_the_reduced_graph_rejected(self):
-        rec = reduce_low_degree(cycle_graph(7), frozenset(), 0)
-        with pytest.raises(ValueError, match="^lists must cover the original graph$"):
-            extend_low_degree(rec, {}, uniform_lists(6, 5))
+            reduce_low_degree(self._instance(cycle_graph(7)), 7)
 
     def _roundtrip(self, g, r, v, lists=None):
-        lists = lists or uniform_lists(g.n, 5)
-        rec = reduce_low_degree(g, r, v)
-        reduced, rr = rec.reduced_graph, rec.reduced_r
-        reduced_lists = ListAssignment(
-            tuple(
-                lists[old]
-                for old, _ in sorted(rec.relabel.items(), key=lambda kv: kv[1])
-            )
-        )
-        sub = solve(RelaxedInstance(reduced, rr, reduced_lists))
+        inst = self._instance(g, r, lists)
+        rec = reduce_low_degree(inst, v)
+        sub = solve(rec.reduced)
         assert sub is not None
-        full = extend_low_degree(rec, sub, lists)
-        assert is_relaxed_odd(RelaxedInstance(g, r, lists), full)
+        full = extend_low_degree(rec, sub)
+        assert is_relaxed_odd(inst, full)
         return full
 
     def test_roundtrip_pendant(self):
@@ -609,15 +608,18 @@ class TestReduceExtend:
         self._roundtrip(g, frozenset(), 0)
 
     def test_invalid_reduced_coloring_rejected(self):
-        c7 = cycle_graph(7)
-        rec = reduce_low_degree(c7, frozenset(), 0)
-        lists = uniform_lists(7, 5)
+        rec = reduce_low_degree(self._instance(cycle_graph(7)), 0)
         bad = {v: 1 for v in range(6)}  # not even proper on the reduced graph
         with pytest.raises(ValueError):
-            extend_low_degree(rec, bad, lists)
+            extend_low_degree(rec, bad)
 
     def test_five_list_required(self):
-        c7 = cycle_graph(7)
-        rec = reduce_low_degree(c7, frozenset(), 0)
+        rec = reduce_low_degree(self._instance(cycle_graph(7), lists=uniform_lists(7, 4)), 0)
         with pytest.raises(ValueError):
-            extend_low_degree(rec, {}, uniform_lists(7, 4))
+            extend_low_degree(rec, {})
+
+    def test_unknown_case_rejected(self):
+        rec = reduce_low_degree(self._instance(cycle_graph(7)), 0)
+        unknown = replace(rec, case="triangle")
+        with pytest.raises(ValueError, match="^unknown reduction case 'triangle'$"):
+            extend_low_degree(unknown, solve(rec.reduced))

@@ -598,13 +598,13 @@ class TestCli:
 
     def test_pipe_closed_before_the_report_exits_quietly(self):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "oddcolor.cli", "gen", "--n", "12", "--min-girth", "5"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        proc.stdout.close()  # no reader is left when the report is written
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0
+        ) as proc:
+            proc.stdout.close()  # no reader is left when the report is written
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
         assert err == "oddcolor gen: ok\n"
 
     def test_choosable_universe_is_not_built(self, tmp_path, capsys):
@@ -682,7 +682,7 @@ class TestRunCommandReuse:
         assert got == want + want[::-1]
         assert [rep["seed"] for _, rep in want] == [5, 0, 2, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 3, 0]
 
-    def test_seed_variable_read_at_each_call(self, tmp_path, capsys):
+    def test_seed_option_read_at_each_call(self, tmp_path, capsys):
         path = write_graph(tmp_path, "c5.json", cycle_graph(5))
         assert self.report(capsys, "chromatic", "--graph", path)[1]["seed"] == 0
         assert self.report(capsys, "chromatic", "--graph", path, "--seed", "4")[1]["seed"] == 4
